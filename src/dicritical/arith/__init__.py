@@ -7,7 +7,7 @@ from .factor import (
     roots_in_field,
     squarefree_decomposition,
 )
-from .linalg import SparseEchelon, kernel_basis, rank_of
+from .linalg import SparseEchelon, kernel_basis
 
 __all__ = [
     "QQ",
@@ -24,5 +24,4 @@ __all__ = [
     "extend",
     "SparseEchelon",
     "kernel_basis",
-    "rank_of",
 ]

@@ -16,7 +16,7 @@ import itertools
 
 from .fields import QQ, FieldTower
 from .polynomials import UniPoly
-from ..errors import NotIrreducible, ZeroPolynomial
+from ..errors import InternalInconsistency, NotIrreducible, ZeroPolynomial
 
 
 def _poly_key(p):
@@ -55,7 +55,7 @@ def _sqf_monic(f, scale):
     if c.degree > 0:
         p = T.char
         if not p:
-            raise ArithmeticError("nontrivial inseparable part in characteristic zero")
+            raise InternalInconsistency("nontrivial inseparable part in characteristic zero")
         out.extend(_sqf_monic(_pth_root_poly(c), scale * p))
     return out
 
@@ -69,7 +69,7 @@ def _pth_root_poly(f):
     for k, c in enumerate(f.coeffs):
         if k % p:
             if not T.is_zero(c):
-                raise ArithmeticError("polynomial is not a p-th power")
+                raise InternalInconsistency("polynomial is not a p-th power")
             continue
         coeffs.append(T.pow(c, e))
     return UniPoly(T, coeffs)
@@ -159,7 +159,7 @@ def _split_candidates(T, degree_bound):
     cap = q ** (degree_bound + 2)
     for n in itertools.count(q):
         if n > cap:
-            raise ArithmeticError("equal-degree splitting exhausted its candidates")
+            raise InternalInconsistency("equal-degree splitting exhausted its candidates")
         digits = []
         m = n
         while m:
@@ -205,7 +205,7 @@ def _edf_split(f, d):
             g = w.sub(UniPoly.one(T)).gcd(f)
         if 0 < g.degree < f.degree:
             return g
-    raise AssertionError("unreachable")
+    raise InternalInconsistency("equal-degree splitting found no proper factor")
 
 
 # -------------------------------------------------------------- rational case
@@ -259,7 +259,7 @@ def _factor_trager(f):
         if len(tcoeffs) <= 1:
             if s == 0:
                 continue
-            raise AssertionError("shifted polynomial lost its generator")
+            raise InternalInconsistency("shifted polynomial lost its generator")
         norm = _sylvester_det(minpoly, tcoeffs)
         if norm.gcd(norm.derivative()).degree != 0:
             continue
@@ -274,7 +274,7 @@ def _factor_trager(f):
                 out.append(g.monic())
                 rest = rest.exact_div(g)
         if rest.degree != 0:
-            raise AssertionError("norm factors did not account for all of f")
+            raise InternalInconsistency("norm factors did not account for all of f")
         out.sort(key=_poly_key)
         return out
 

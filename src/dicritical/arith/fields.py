@@ -14,14 +14,31 @@ from fractions import Fraction
 from ..errors import ZeroInput
 
 
+# Miller-Rabin with the first thirteen prime bases is proven exact below this
+# bound (Sorenson and Webster, 2015); larger characteristics are refused
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_PROVEN_BELOW:
+        raise ValueError(
+            f"characteristic {n} is beyond the proven primality range (< {_MR_PROVEN_BELOW})"
+        )
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -77,9 +94,6 @@ class FieldTower:
 
     def level_degree(self, k):
         return len(self.levels[k][1]) - 1
-
-    def generator_names(self):
-        return tuple(name for name, _ in self.levels)
 
     def prefix(self, k):
         return FieldTower(self.base, self.levels[:k])

@@ -120,11 +120,3 @@ def kernel_basis(tower, rows, columns):
                 vec[columns[pj]] = T.neg(c)
         basis.append(vec)
     return basis
-
-
-def rank_of(tower, rows):
-    """Rank of a family of sparse rows."""
-    ech = SparseEchelon(tower)
-    for row in rows:
-        ech.insert(row)
-    return ech.rank

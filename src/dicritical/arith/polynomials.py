@@ -485,16 +485,6 @@ class BiPoly:
             bigger, self.vars, {k: bigger.lift_from(T, c) for k, c in self.terms.items()}
         )
 
-    def with_vars(self, newvars):
-        return BiPoly(self.tower, newvars, dict(self.terms))
-
-    def swap_vars(self):
-        return BiPoly(
-            self.tower,
-            (self.vars[1], self.vars[0]),
-            {(j, i): c for (i, j), c in self.terms.items()},
-        )
-
     def normalized(self):
         """Scale so the lex-least exponent has coefficient one."""
         if not self.terms:
@@ -557,16 +547,6 @@ class BiPoly:
                     terms[(i, j)] = c
         return cls(tower, vars, terms)
 
-    def as_unipoly_in(self, axis):
-        if self.degree_in(1 - axis) > 0:
-            raise ValueError("polynomial involves the other variable")
-        T = self.tower
-        d = self.degree_in(axis)
-        coeffs = [T.zero()] * (d + 1)
-        for key, c in self.terms.items():
-            coeffs[key[axis]] = c
-        return UniPoly(T, coeffs)
-
     @classmethod
     def from_unipoly(cls, p, vars, axis):
         terms = {}
@@ -608,17 +588,6 @@ class BiPoly:
             powers = ((self.vars[0], i), (self.vars[1], j))
             parts.append(_term_str(self.tower, self.terms[(i, j)], powers, first=not parts))
         return " ".join(parts)
-
-    def to_data(self):
-        keys = sorted(self.terms)
-        return [[list(k), self.tower.element_to_data(self.terms[k])] for k in keys]
-
-    @classmethod
-    def from_data(cls, tower, vars, data):
-        terms = {}
-        for key, cdata in data:
-            terms[tuple(key)] = tower.element_from_data(cdata)
-        return cls(tower, vars, terms)
 
 
 def _ylist_content(ylist):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .arith import BiPoly, factor_univariate
 from .arith.factor import extend
 from .divisors import RationalFn
-from .errors import SquarefreeUnsupported, ZeroPolynomial
+from .errors import InternalInconsistency, SquarefreeUnsupported, ZeroPolynomial
 from .nearpoints import LocalIdeal
 from .zariski import dicritical_of_rational, special_pencil_test
 
@@ -121,8 +121,8 @@ def points_at_infinity(f):
 def _package(f, kind, tower, c, minpoly, chart, num, den):
     z = RationalFn(num, den)
     ideal = LocalIdeal(tower, chart, [num, den])
-    assert ideal.is_mprimary()
-    assert special_pencil_test(z).decision
+    if not (ideal.is_mprimary() and special_pencil_test(z).decision):
+        raise InternalInconsistency("the pencil at a point at infinity is not special")
     point = InfinityPoint(
         kind=kind,
         tower=tower,

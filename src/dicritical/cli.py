@@ -174,10 +174,6 @@ def parse_ideal(text, tower, vars):
 # ------------------------------------------------------------ serialization
 
 
-def _element_data(tower, e):
-    return tower.element_to_data(e)
-
-
 def _step_data(tower, step):
     if step.kind == "infinity":
         return {"chart": "infinity", "c": None, "extension": None}
@@ -187,10 +183,10 @@ def _step_data(tower, step):
             "c": None,
             "extension": {
                 "name": step.ext_name,
-                "minpoly": [_element_data(tower, c) for c in step.ext_minpoly],
+                "minpoly": [tower.element_to_data(c) for c in step.ext_minpoly],
             },
         }
-    return {"chart": "affine", "c": _element_data(tower, step.c), "extension": None}
+    return {"chart": "affine", "c": tower.element_to_data(step.c), "extension": None}
 
 
 def _path_data(path):
@@ -565,8 +561,8 @@ def _field(spec):
         try:
             p = int(spec[3:])
             return FieldTower.prime_field(p)
-        except ValueError:
-            raise argparse.ArgumentTypeError("bad characteristic in %r" % spec)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError("bad characteristic in %r: %s" % (spec, exc))
     raise argparse.ArgumentTypeError("field must be Q or Fp:<p>")
 
 

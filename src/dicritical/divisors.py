@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .arith.linalg import kernel_basis
 from .arith.polynomials import BiPoly, bipoly_gcd
-from .errors import ConstantImage, NonzeroValue, ZeroInput
+from .errors import ConstantImage, InternalInconsistency, NonzeroValue, ZeroInput
 from .nearpoints import LocalIdeal, QdtPath, pullback_order
 
 
@@ -261,10 +261,6 @@ def dicritical_degree(V, z):
     return V.residue_degree() * image.degree
 
 
-def intermediate_multiplicities(V):
-    return V.intermediate_multiplicities()
-
-
 def simple_ideal(V):
     """Generators of the simple complete ideal of V in the root ring.
 
@@ -325,7 +321,7 @@ def simple_ideal(V):
 
     fact = zariski_factorization(ideal)
     if len(fact.exponents) != 1 or fact.exponents[0][1] != 1:
-        raise AssertionError("candidate simple ideal does not factor simply")
+        raise InternalInconsistency("candidate simple ideal does not factor simply")
     if fact.exponents[0][0].path != path:
-        raise AssertionError("simple ideal round trip changed the path")
+        raise InternalInconsistency("simple ideal round trip changed the path")
     return ideal

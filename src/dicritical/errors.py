@@ -112,3 +112,11 @@ class Unstable(EngineError):
     """A truncation frame failed to stabilize below its size cap."""
 
     exit_code = 5
+
+
+# ------------------------------------------------------------- internal (6)
+
+class InternalInconsistency(EngineError):
+    """Two independent computations that must agree did not: an engine fault."""
+
+    exit_code = 6

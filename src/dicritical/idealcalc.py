@@ -1,10 +1,11 @@
 """Finite-colength ideal arithmetic: truncation frames, closures, reductions."""
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .arith import QQ, BiPoly, SparseEchelon, bipoly_gcd
-from .errors import BudgetExceeded, Unstable
+from .errors import BudgetExceeded, InternalInconsistency, Unstable
 from .nearpoints import LocalIdeal, QdtPath, QdtStep
 from .zariski import Factorization, strip_principal, zariski_factorization
 
@@ -17,11 +18,26 @@ def _monomials_below(bound):
 
 
 def _truncated_row(g, bound):
-    return {e: c for e, c in g.terms.items() if e[0] + e[1] < bound}
+    # columns keyed degree-first, (i + j, i): a row's pivot is its lowest-degree term
+    return {(i + j, i): c for (i, j), c in g.terms.items() if i + j < bound}
+
+
+def _shifted_rows(g, bound, skip_unit=False):
+    """Rows of g * x^a * y^b truncated below bound, one per shift that leaves a term."""
+    terms = [(i + j, i, c) for (i, j), c in g.terms.items()]
+    base = min(d for d, _, _ in terms)
+    for a, b in _monomials_below(max(bound - base, 0)):
+        s = a + b
+        if s or not skip_unit:
+            yield {(d + s, i + a): c for d, i, c in terms if d + s < bound}
 
 
 class TruncationFrame:
-    """Echelonized image of an ideal in R / M^bound."""
+    """Echelonized image of an ideal in R / M^bound, with degree-first columns.
+
+    Every pivot is its row's lowest-degree term, so the pivots of degree < N
+    span the image in R / M^N for every N <= bound.
+    """
 
     __slots__ = ("ideal", "bound", "ech")
 
@@ -30,11 +46,8 @@ class TruncationFrame:
         self.bound = bound
         ech = SparseEchelon(ideal.tower)
         for g in ideal.gens:
-            base = g.ord_at_origin()
-            for a, b in _monomials_below(max(bound - base, 0)):
-                row = _truncated_row(g.mul_monomial((a, b)), bound)
-                if row:
-                    ech.insert(row)
+            for row in _shifted_rows(g, bound):
+                ech.insert(row)
         self.ech = ech
 
     def colength(self):
@@ -46,24 +59,36 @@ class TruncationFrame:
             return True
         return self.ech.contains(_truncated_row(f, self.bound))
 
+    def full_degree(self):
+        """Least d < bound whose d + 1 monomials are all pivots, else None.
+
+        Then M^d lies in the ideal plus M^(d+1), so in the ideal by Nakayama.
+        """
+        layers = Counter(d for d, _ in self.ech.rows)
+        return next((d for d in range(self.bound) if layers[d] == d + 1), None)
+
 
 def stabilized_frame(ideal):
-    """Frame at an N where the colength has stopped moving, so M^N lies in the ideal."""
+    """A frame with a full degree layer d, so M^d lies in the ideal.
+
+    One frame at max total degree + max order + 1 usually has one; failing
+    that the bound doubles while the frame's degree stays within the budget
+    MAX_FRAME_DEGREE.
+    """
     if ideal.is_unit():
         return TruncationFrame(ideal, 1)
-    bound = max(g.total_degree for g in ideal.gens) + max(
+    bound = 1 + max(g.total_degree for g in ideal.gens) + max(
         g.ord_at_origin() for g in ideal.gens
     )
-    bound = max(bound, 2)
-    while bound <= MAX_FRAME_DEGREE:
+    while bound - 1 <= MAX_FRAME_DEGREE:
         frame = TruncationFrame(ideal, bound)
-        ahead = TruncationFrame(ideal, bound + 1)
-        if frame.colength() == ahead.colength():
+        if frame.full_degree() is not None:
             return frame
         bound *= 2
     raise Unstable(
-        "colength did not stabilize below degree %d; is the ideal M-primary?"
-        % MAX_FRAME_DEGREE
+        "frame budget exhausted: no truncation frame of degree at most "
+        "MAX_FRAME_DEGREE = %d shows a power of M inside the ideal (next degree "
+        "to try: %d)" % (MAX_FRAME_DEGREE, bound - 1)
     )
 
 
@@ -159,17 +184,13 @@ def minimal_generators(ideal, frame_degree=None):
             return LocalIdeal(
                 tower, ideal.vars, [g.mul(principal) for g in trimmed.gens]
             )
-        frame_degree = stabilized_frame(ideal).bound
+        frame_degree = stabilized_frame(ideal).full_degree()
+    # M^frame_degree lies in the ideal, so M^(frame_degree + 1) lies in M.I
     bound = frame_degree + 1
     ech = SparseEchelon(tower)
     for g in gens:
-        base = g.ord_at_origin()
-        for a, b in _monomials_below(max(bound - base, 0)):
-            if a + b == 0:
-                continue
-            row = _truncated_row(g.mul_monomial((a, b)), bound)
-            if row:
-                ech.insert(row)
+        for row in _shifted_rows(g, bound, skip_unit=True):
+            ech.insert(row)
     kept = []
     for g in sorted(gens, key=lambda g: _gen_key(tower, g)):
         if ech.insert(_truncated_row(g, bound)):
@@ -315,11 +336,16 @@ def is_reduction(j, i, n_max=None, config=None):
     valuative = all(v.value_of_ideal(i) == c for v, c in data.floors)
     if n_max is None:
         n_max = frame_i.colength()
+    d_i = frame_i.full_degree()
     witness = None
     current = power(i, 0)
+    frame = stabilized_frame(product(j, current))
     for n in range(n_max + 1):
+        if n:
+            # M^a in A and M^b in B give M^(a+b) in A.B, so this bound is proven
+            bound = frame.full_degree() + d_i + 1
+            frame = TruncationFrame(product(j, current), bound)
         lifted = product(i, current)
-        frame = stabilized_frame(product(j, current))
         if all(frame.contains(g) for g in lifted.gens):
             witness = n
             break
@@ -329,7 +355,7 @@ def is_reduction(j, i, n_max=None, config=None):
             "no reduction exponent found up to n_max = %d" % n_max
         )
     if (witness is not None) != valuative:
-        raise AssertionError("reduction criteria disagree")
+        raise InternalInconsistency("reduction criteria disagree")
     return ReductionResult(valuative, witness, witness is not None, valuative)
 
 

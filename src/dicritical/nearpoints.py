@@ -192,10 +192,6 @@ class LocalIdeal:
         return min(g.ord_at_origin() for g in self.gens)
 
 
-def compose_substitution(path):
-    return path.substitution()
-
-
 def pullback_order(path, f):
     """ord of f under the terminal ring's order valuation."""
     if f.is_zero():

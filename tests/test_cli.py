@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dicritical import cli
+from dicritical import atinfinity, cli, idealcalc
 from dicritical.arith import QQ
 from dicritical.errors import DivisionNotTopLevel, ParseError
 
@@ -264,6 +264,30 @@ def test_exit_budget(capsys):
     assert code == 5 and err.startswith("error:")
 
 
+def test_exit_frame_budget_names_budget(capsys):
+    # M-primary, but its first frame already exceeds the degree budget
+    code, _, err = run(capsys, "colength", "x^100000, y")
+    assert code == 5 and "MAX_FRAME_DEGREE" in err and "M-primary" not in err
+
+
+def test_exit_internal_inconsistency(capsys, monkeypatch):
+    real = idealcalc.closure_data
+
+    def shifted_floors(ideal, config=None):
+        data = real(ideal, config)
+        floors = tuple((v, c + 1) for v, c in data.floors)
+        return idealcalc.ClosureData(data.ideal, data.factorization, floors)
+
+    monkeypatch.setattr(idealcalc, "closure_data", shifted_floors)
+    code, _, err = run(capsys, "reduction-check", "x^3, y^2", "x^3, y^2, x^2*y")
+    assert code == 6 and "criteria disagree" in err
+    monkeypatch.setattr(
+        atinfinity, "special_pencil_test", lambda z: type("R", (), {"decision": False})
+    )
+    code, _, err = run(capsys, "at-infinity", "X^3 - Y^2")
+    assert code == 6 and "not special" in err
+
+
 def test_exit_bad_arity(capsys):
     code, _, err = run(capsys, "closure-member", "x^2")
     assert code == 2 and "argument" in err
@@ -272,3 +296,10 @@ def test_exit_bad_arity(capsys):
 def test_exit_bad_field(capsys):
     code, _, err = run(capsys, "colength", "x^3, y^2", "--field", "Fp:6")
     assert code == 2
+
+
+def test_large_prime_field(capsys):
+    code, out, _ = run(capsys, "dicriticals", "y^2/x^3", "--field", "Fp:2305843009213693951")
+    assert code == 0 and out.startswith("divisor [aff(0) inf]")
+    code, _, err = run(capsys, "colength", "x^3, y^2", "--field", "Fp:%d" % (2 ** 89 - 1))
+    assert code == 2 and "proven primality range" in err

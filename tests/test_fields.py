@@ -108,3 +108,23 @@ def test_prefix_relations():
     assert not F25.is_prefix_of(F5)
     lifted = F25.lift_from(F5, 3)
     assert F25.eq(lifted, F25.from_int(3))
+
+
+def test_large_prime_characteristic():
+    p = 2 ** 61 - 1
+    F = FieldTower.prime_field(p)
+    assert F.char == p
+    assert F.mul(F.inv(12345), 12345) == 1
+
+
+def test_pseudoprimes_rejected():
+    # a Carmichael number, and a strong pseudoprime to every prime base below 29
+    for n in (561, 3825123056546413051):
+        with pytest.raises(ValueError, match="must be prime"):
+            FieldTower.prime_field(n)
+
+
+def test_characteristic_beyond_proven_range_rejected():
+    # 2^89 - 1 is prime, but above the range where the fixed bases are proven
+    with pytest.raises(ValueError, match="proven primality range"):
+        FieldTower.prime_field(2 ** 89 - 1)

@@ -243,3 +243,22 @@ def test_truncation_frame_direct():
     assert frame.colength() == ic.colength(J)
     assert frame.contains(X.pow(2).mul(Y))
     assert not frame.contains(X.mul(Y))
+
+
+def test_frame_full_degree():
+    # (x^2, y^2) contains every cubic but not x*y
+    J = LocalIdeal(QQ, V, [X.pow(2), Y.pow(2)])
+    assert ic.TruncationFrame(J, 3).full_degree() is None
+    assert ic.TruncationFrame(J, 6).full_degree() == 3
+    assert ic.stabilized_frame(J).full_degree() == 3
+    assert ic.TruncationFrame(LocalIdeal(QQ, V, [BiPoly.one(QQ, V)]), 1).full_degree() == 0
+
+
+def test_unstable_message_names_budget(monkeypatch):
+    monkeypatch.setattr(ic, "MAX_FRAME_DEGREE", 32)
+    # frames at bounds 5, 10, 20; the next would have degree 39
+    with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 .* try: 39"):
+        ic.colength(LocalIdeal(QQ, V, [X.pow(2)]))
+    # M-primary, but the first frame (degree 78) is already past the budget
+    with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 .* try: 78"):
+        ic.colength(LocalIdeal(QQ, V, [X.pow(39), Y]))
