@@ -5,10 +5,16 @@ Elements are plain immutable values rather than wrapper objects: a Fraction
 over Q, an int in [0, p) over F_p, and a fixed-length tuple of lower-level
 elements for each extension level.  The tower object owns the arithmetic;
 this keeps tight loops (linear algebra, polynomial products) cheap.
+
+Each level's arithmetic is a set of closures built once, when the tower is
+constructed: plain Fraction or mod-p int operations at the ground, and for
+every extension level operations composed from the level below.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from fractions import Fraction
 
 from ..errors import ZeroInput
@@ -42,6 +48,109 @@ def _is_prime(n):
     return True
 
 
+# The arithmetic of a tower truncated to some number of levels
+_Level = namedtuple("_Level", "zero one add sub neg mul addmul submul inv is_zero")
+
+
+def _rational_inv(a):
+    if not a:
+        raise ZeroInput("division by zero")
+    return 1 / a
+
+
+def _ground(p):
+    """Q for p None, else F_p, on Fractions or ints in [0, p)."""
+    if p is None:
+        return _Level(
+            Fraction(0), Fraction(1), operator.add, operator.sub, operator.neg, operator.mul,
+            lambda s, a, b: s + a * b, lambda s, a, b: s - a * b, _rational_inv, operator.not_,
+        )
+
+    def inv(a):
+        if a % p == 0:
+            raise ZeroInput("division by zero")
+        return pow(a, -1, p)
+
+    return _Level(
+        0, 1, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a: -a % p,
+        lambda a, b: a * b % p, lambda s, a, b: (s + a * b) % p,
+        lambda s, a, b: (s - a * b) % p, inv, operator.not_,
+    )
+
+
+def _extension(below, mp):
+    """below[t]/(mp) for a monic mp over below; elements are d-tuples, low to high."""
+    zb, ob = below.zero, below.one
+    add_b, sub_b, mul_b, inv_b, is_zero_b = below.add, below.sub, below.mul, below.inv, below.is_zero
+    addmul_b, submul_b = below.addmul, below.submul
+    d = len(mp) - 1
+    tail = [(j, m) for j, m in enumerate(mp[:d]) if not is_zero_b(m)]
+    zero = (zb,) * d
+
+    def reduce(c):
+        """The list c (low to high) modulo mp, as a d-tuple; c is consumed."""
+        for i in range(len(c) - 1, d - 1, -1):
+            top = c[i]
+            if not is_zero_b(top):
+                for j, m in tail:
+                    c[i - d + j] = submul_b(c[i - d + j], top, m)
+        return tuple(c[:d]) + (zb,) * (d - len(c))
+
+    def mul(a, b):
+        nz = [(j, y) for j, y in enumerate(b) if not is_zero_b(y)]
+        c = [zb] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if not is_zero_b(x):
+                for j, y in nz:
+                    c[i + j] = addmul_b(c[i + j], x, y)
+        return reduce(c)
+
+    def trim(p):
+        while p and is_zero_b(p[-1]):
+            p.pop()
+        return p
+
+    def sub_shifted(p, c, k, q):
+        """p - c * t^k * q for lists p, q over the level below."""
+        p = p + [zb] * (len(q) + k - len(p))
+        for j, y in enumerate(q):
+            p[j + k] = submul_b(p[j + k], c, y)
+        return p
+
+    def inv(a):
+        if a == zero:
+            raise ZeroInput("division by zero in extension field")
+        # extended Euclid on (mp, a) over the level below, keeping only the
+        # cofactors of a: r0 = s0 * a and r1 = s1 * a modulo mp
+        r0, s0 = list(mp), []
+        r1, s1 = trim(list(a)), [ob]
+        while len(r1) > 1:
+            lead = inv_b(r1[-1])
+            while len(r0) >= len(r1):
+                c, k = mul_b(r0[-1], lead), len(r0) - len(r1)
+                # the top of r0 cancels; drop it rather than test it
+                r0 = trim(sub_shifted(r0, c, k, r1)[:-1])
+                s0 = trim(sub_shifted(s0, c, k, s1))
+            r0, s0, r1, s1 = r1, s1, r0, s0
+            if not r1:
+                raise ZeroInput("element not invertible; minimal polynomial not irreducible?")
+        c = inv_b(r1[0])
+        return reduce([mul_b(c, x) for x in s1])
+
+    return _Level(
+        zero,
+        (ob,) + (zb,) * (d - 1),
+        lambda a, b: tuple(map(add_b, a, b)),
+        lambda a, b: tuple(map(sub_b, a, b)),
+        lambda a: tuple(map(below.neg, a)),
+        mul,
+        lambda s, a, b: tuple(map(add_b, s, mul(a, b))),
+        lambda s, a, b: tuple(map(sub_b, s, mul(a, b))),
+        inv,
+        lambda a: a == zero,
+    )
+
+
 class FieldTower:
     """A ground field (Q for base None, else F_p) plus simple extensions.
 
@@ -51,19 +160,24 @@ class FieldTower:
     does not check irreducibility (arith.factor.extend does).
     """
 
-    __slots__ = ("base", "levels", "_zero", "_one")
+    __slots__ = ("base", "levels", "_at", "_add", "_sub", "_neg", "_mul", "_inv", "_is_zero")
 
     def __init__(self, base=None, levels=()):
         if base is not None and not _is_prime(base):
             raise ValueError(f"characteristic must be prime, got {base}")
         levels = tuple((name, tuple(mp)) for name, mp in levels)
+        at = [_ground(base)]
         for name, mp in levels:
             if len(mp) < 2:
                 raise ValueError(f"minimal polynomial for {name} must have degree >= 1")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_zero", self._zero_at(len(levels)))
-        object.__setattr__(self, "_one", self._one_at(len(levels)))
+            at.append(_extension(at[-1], mp))
+        top = at[-1]
+        for attr, value in (
+            ("base", base), ("levels", levels), ("_at", tuple(at)), ("_add", top.add),
+            ("_sub", top.sub), ("_neg", top.neg), ("_mul", top.mul), ("_inv", top.inv),
+            ("_is_zero", top.is_zero),
+        ):
+            object.__setattr__(self, attr, value)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("FieldTower is immutable")
@@ -115,230 +229,53 @@ class FieldTower:
             k = self.height - 1
         if k < 0 or k >= self.height:
             raise IndexError("no such extension level")
-        e = self._gen_at(k)
-        for j in range(k + 1, self.height):
-            d = self.level_degree(j)
-            e = tuple([e] + [self._zero_at(j)] * (d - 1))
-        return e
-
-    def _gen_at(self, k):
-        d = self.level_degree(k)
-        zs = self._zero_at(k)
-        os = self._one_at(k)
+        below, d = self._at[k], self.level_degree(k)
         if d == 1:
             # degree-1 extension: generator equals the root -minpoly[0]
-            mp = self.levels[k][1]
-            return (self._neg_k(k, mp[0]),)
-        return tuple([zs, os] + [zs] * (d - 2))
+            e = (below.neg(self.levels[k][1][0]),)
+        else:
+            e = (below.zero, below.one) + (below.zero,) * (d - 2)
+        return self._lift(e, k + 1)
 
-    def _zero_at(self, k):
-        """Zero of the tower truncated to k levels."""
-        if k == 0:
-            return Fraction(0) if self.base is None else 0
-        below = self._zero_at(k - 1)
-        return tuple([below] * self.level_degree(k - 1))
-
-    def _one_at(self, k):
-        if k == 0:
-            return Fraction(1) if self.base is None else 1 % self.base
-        below_one = self._one_at(k - 1)
-        below_zero = self._zero_at(k - 1)
-        return tuple([below_one] + [below_zero] * (self.level_degree(k - 1) - 1))
-
-    def _const_at(self, n, k):
-        if k == 0:
-            return Fraction(n) if self.base is None else n % self.base
-        below = self._const_at(n, k - 1)
-        below_zero = self._zero_at(k - 1)
-        return tuple([below] + [below_zero] * (self.level_degree(k - 1) - 1))
+    def _lift(self, e, k):
+        """Embed an element of the tower truncated to k levels into self."""
+        for j in range(k, self.height):
+            e = (e,) + self._at[j + 1].zero[1:]
+        return e
 
     # ------------------------------------------------------ element basics
 
     def zero(self):
-        return self._zero
+        return self._at[-1].zero
 
     def one(self):
-        return self._one
+        return self._at[-1].one
 
     def from_int(self, n):
-        return self._const_at(n, self.height)
+        return self._lift(Fraction(n) if self.base is None else n % self.base, 0)
 
     def is_zero(self, e):
-        if isinstance(e, tuple):
-            return all(self.is_zero(c) for c in e)
-        return not e
+        return self._is_zero(e)
 
     def eq(self, a, b):
         return a == b
 
-    # ------------------------------------------------- arithmetic, leveled
-    #
-    # Internal helpers take an explicit level k (number of active levels);
-    # public methods run at the full height.
-
-    def _badd(self, a, b):
-        return (a + b) % self.base if self.base is not None else a + b
-
-    def _bsub(self, a, b):
-        return (a - b) % self.base if self.base is not None else a - b
-
-    def _bmul(self, a, b):
-        return (a * b) % self.base if self.base is not None else a * b
-
-    def _bneg(self, a):
-        return (-a) % self.base if self.base is not None else -a
-
-    def _binv(self, a):
-        if self.base is None:
-            if a == 0:
-                raise ZeroInput("division by zero")
-            return 1 / a
-        if a % self.base == 0:
-            raise ZeroInput("division by zero")
-        return pow(a, self.base - 2, self.base)
-
-    def _add_k(self, k, a, b):
-        if k == 0:
-            return self._badd(a, b)
-        return tuple(self._add_k(k - 1, x, y) for x, y in zip(a, b))
-
-    def _sub_k(self, k, a, b):
-        if k == 0:
-            return self._bsub(a, b)
-        return tuple(self._sub_k(k - 1, x, y) for x, y in zip(a, b))
-
-    def _neg_k(self, k, a):
-        if k == 0:
-            return self._bneg(a)
-        return tuple(self._neg_k(k - 1, x) for x in a)
-
-    def _mul_k(self, k, a, b):
-        if k == 0:
-            return self._bmul(a, b)
-        d = self.level_degree(k - 1)
-        zero = self._zero_at(k - 1)
-        conv = [zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if self._is_zero_k(k - 1, x):
-                continue
-            for j, y in enumerate(b):
-                if self._is_zero_k(k - 1, y):
-                    continue
-                conv[i + j] = self._add_k(k - 1, conv[i + j], self._mul_k(k - 1, x, y))
-        return self._reduce_k(k, conv)
-
-    def _reduce_k(self, k, coeffs):
-        """Reduce a coefficient list modulo the level-k minimal polynomial."""
-        mp = self.levels[k - 1][1]
-        d = len(mp) - 1
-        coeffs = list(coeffs)
-        for i in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[i]
-            if self._is_zero_k(k - 1, c):
-                continue
-            coeffs[i] = self._zero_at(k - 1)
-            for j in range(d):
-                coeffs[i - d + j] = self._sub_k(
-                    k - 1, coeffs[i - d + j], self._mul_k(k - 1, c, mp[j])
-                )
-        coeffs = coeffs[:d]
-        while len(coeffs) < d:
-            coeffs.append(self._zero_at(k - 1))
-        return tuple(coeffs)
-
-    def _is_zero_k(self, k, a):
-        if k == 0:
-            return not a
-        return all(self._is_zero_k(k - 1, x) for x in a)
-
-    def _inv_k(self, k, a):
-        if k == 0:
-            return self._binv(a)
-        if self._is_zero_k(k, a):
-            raise ZeroInput("division by zero in extension field")
-        mp = list(self.levels[k - 1][1])
-        # extended Euclid between a (as a list) and the minimal polynomial,
-        # with coefficients one level down
-        r0, r1 = mp, self._trim(k - 1, list(a))
-        s0, s1 = [], [self._one_at(k - 1)]
-        while True:
-            if len(r1) == 1:
-                c = self._inv_k(k - 1, r1[0])
-                inv = [self._mul_k(k - 1, c, x) for x in s1]
-                return self._reduce_k(k, inv)
-            q, r = self._pdivmod(k - 1, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, self._psub(k - 1, s0, self._pmul(k - 1, q, s1))
-            if not r1:
-                raise ZeroInput("element not invertible; minimal polynomial not irreducible?")
-
-    # polynomial helpers over the tower truncated to k levels (lists, low→high)
-
-    def _trim(self, k, p):
-        while p and self._is_zero_k(k, p[-1]):
-            p.pop()
-        return p
-
-    def _padd(self, k, p, q):
-        n = max(len(p), len(q))
-        z = self._zero_at(k)
-        out = []
-        for i in range(n):
-            x = p[i] if i < len(p) else z
-            y = q[i] if i < len(q) else z
-            out.append(self._add_k(k, x, y))
-        return self._trim(k, out)
-
-    def _psub(self, k, p, q):
-        return self._padd(k, p, [self._neg_k(k, y) for y in q])
-
-    def _pmul(self, k, p, q):
-        if not p or not q:
-            return []
-        z = self._zero_at(k)
-        out = [z] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            if self._is_zero_k(k, x):
-                continue
-            for j, y in enumerate(q):
-                out[i + j] = self._add_k(k, out[i + j], self._mul_k(k, x, y))
-        return self._trim(k, out)
-
-    def _pdivmod(self, k, p, q):
-        p = list(p)
-        if not q:
-            raise ZeroDivisionError("polynomial division by zero")
-        dq = len(q) - 1
-        inv_lead = self._inv_k(k, q[-1])
-        quot = [self._zero_at(k)] * max(0, len(p) - dq)
-        while len(p) - 1 >= dq and p:
-            self._trim(k, p)
-            if len(p) - 1 < dq or not p:
-                break
-            c = self._mul_k(k, p[-1], inv_lead)
-            shift = len(p) - 1 - dq
-            quot[shift] = c
-            for j, y in enumerate(q):
-                p[shift + j] = self._sub_k(k, p[shift + j], self._mul_k(k, c, y))
-            p.pop()
-        return self._trim(k, quot), self._trim(k, p)
-
-    # ------------------------------------------------------ public wrappers
+    # ---------------------------------------------------------- arithmetic
 
     def add(self, a, b):
-        return self._add_k(self.height, a, b)
+        return self._add(a, b)
 
     def sub(self, a, b):
-        return self._sub_k(self.height, a, b)
+        return self._sub(a, b)
 
     def mul(self, a, b):
-        return self._mul_k(self.height, a, b)
+        return self._mul(a, b)
 
     def neg(self, a):
-        return self._neg_k(self.height, a)
+        return self._neg(a)
 
     def inv(self, a):
-        return self._inv_k(self.height, a)
+        return self._inv(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -361,10 +298,7 @@ class FieldTower:
         """Embed an element of a prefix tower into self."""
         if not sub.is_prefix_of(self):
             raise ValueError("towers are not nested")
-        for k in range(sub.height, self.height):
-            d = self.level_degree(k)
-            e = tuple([e] + [self._zero_at(k)] * (d - 1))
-        return e
+        return self._lift(e, sub.height)
 
     def components_over(self, sub, e):
         """Coordinates of e in the monomial basis of self over the prefix sub."""
@@ -424,7 +358,7 @@ class FieldTower:
         name = self.levels[k - 1][0]
         parts = []
         for i, c in enumerate(e):
-            if self._is_zero_k(k - 1, c):
+            if self._at[k - 1].is_zero(c):
                 continue
             cs = self._render_k(k - 1, c)
             if i == 0:
@@ -462,12 +396,10 @@ class FieldTower:
             if self.base is None:
                 return Fraction(str(data))
             return int(data) % self.base
-        d = self.level_degree(k - 1)
         if not isinstance(data, list):
             # a bare scalar lifts as a constant
-            below = self._from_data_k(k - 1, data)
-            return tuple([below] + [self._zero_at(k - 1)] * (d - 1))
-        if len(data) != d:
+            return (self._from_data_k(k - 1, data),) + self._at[k].zero[1:]
+        if len(data) != self.level_degree(k - 1):
             raise ValueError("element data has the wrong length for the tower")
         return tuple(self._from_data_k(k - 1, c) for c in data)
 

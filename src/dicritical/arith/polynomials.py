@@ -8,7 +8,7 @@ return fresh instances and never mutate their arguments.
 from __future__ import annotations
 
 from .fields import FieldTower
-from ..errors import EmptyInput, SquarefreeUnsupported, ZeroPolynomial
+from ..errors import EmptyInput, InternalInconsistency, ZeroPolynomial
 
 
 class UniPoly:
@@ -671,26 +671,41 @@ def bipoly_gcd(f, g):
 def squarefree_part(f):
     """Product of the distinct irreducible factors of f, up to a scalar.
 
-    Uses derivatives, so it requires characteristic zero or characteristic
-    larger than the total degree.
+    The derivative gcd removes every factor whose multiplicity is prime to the
+    characteristic p.  Over a finite tower the factors of multiplicity
+    divisible by p are left in K[x^p, y^p]; their p-th root is recursed on.
     """
     if f.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial is undefined")
     if f.is_monomial():
         (i, j), _ = next(iter(f.terms.items()))
         return BiPoly.monomial(f.tower, f.vars, (min(i, 1), min(j, 1)))
-    p = f.tower.char
-    if p and p <= f.total_degree:
-        raise SquarefreeUnsupported(
-            "squarefree part needs characteristic 0 or > %d, got %d"
-            % (f.total_degree, p)
-        )
     if f.is_constant():
         return BiPoly.one(f.tower, f.vars)
-    fx = f.derivative(0)
-    fy = f.derivative(1)
-    rep = bipoly_gcd(bipoly_gcd(f, fx), fy)
-    return f.exact_div(rep).normalized()
+    rep = bipoly_gcd(bipoly_gcd(f, f.derivative(0)), f.derivative(1))
+    w = f.exact_div(rep)
+    if f.tower.char:
+        # strip the factors of w from rep; what is left is a p-th power
+        g = bipoly_gcd(rep, w)
+        while not g.is_constant():
+            rep = rep.exact_div(g)
+            g = bipoly_gcd(rep, g)
+        if not rep.is_constant():
+            w = w.mul(squarefree_part(_pth_root(rep)))
+    return w.normalized()
+
+
+def _pth_root(f):
+    """p-th root of a polynomial lying in K[x^p, y^p], over a finite tower."""
+    T = f.tower
+    p = T.char
+    e = T.element_count() // p
+    terms = {}
+    for (i, j), c in f.terms.items():
+        if i % p or j % p:
+            raise InternalInconsistency("polynomial is not a p-th power")
+        terms[(i // p, j // p)] = T.pow(c, e)
+    return BiPoly(T, f.vars, terms)
 
 
 def homogeneous_gcd(forms):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .arith import BiPoly, factor_univariate
 from .arith.factor import extend
 from .divisors import RationalFn
-from .errors import InternalInconsistency, SquarefreeUnsupported, ZeroPolynomial
+from .errors import InternalInconsistency, ZeroPolynomial
 from .nearpoints import LocalIdeal
 from .zariski import dicritical_of_rational, special_pencil_test
 
@@ -96,10 +96,6 @@ def points_at_infinity(f):
             c = tower.neg(zeta.coeff(0))
             minpoly = None
         else:
-            if f.tower.char and zeta.derivative().is_zero():
-                raise SquarefreeUnsupported(
-                    "inseparable point at infinity is not supported"
-                )
             name = "a%d" % (f.tower.height + 1)
             tower = extend(f.tower, zeta, name, check=False)
             c = tower.generator()

@@ -2,12 +2,13 @@
 
 import argparse
 import json
+import math
 import sys
 
 from .arith import QQ, BiPoly, FieldTower
 from .atinfinity import dicriticals_at_infinity
 from .divisors import PrimeDivisor, RationalFn, simple_ideal
-from .errors import DivisionNotTopLevel, EngineError, ParseError
+from .errors import BudgetExceeded, DivisionNotTopLevel, EngineError, ParseError
 from .nearpoints import LocalIdeal, QdtPath, QdtStep
 from .zariski import (
     TreeConfig,
@@ -19,6 +20,36 @@ from .zariski import (
     zariski_factorization,
 )
 from . import idealcalc
+
+
+# ------------------------------------------------------- expansion budget
+
+# term pairs one parse-time product may multiply out
+MAX_PARSE_PRODUCT = 10 ** 6
+
+
+def _check_degree(degree):
+    """Refuse a parse-time product or power of too high a total degree."""
+    if degree > idealcalc.MAX_FRAME_DEGREE:
+        raise BudgetExceeded(
+            "expanding the input reaches total degree %d, beyond the budget "
+            "MAX_FRAME_DEGREE = %d" % (degree, idealcalc.MAX_FRAME_DEGREE)
+        )
+
+
+def _check_pairs(pairs):
+    """Refuse a parse-time product of too many term pairs."""
+    if pairs > MAX_PARSE_PRODUCT:
+        raise BudgetExceeded(
+            "expanding the input multiplies %d term pairs in one product, beyond the "
+            "budget MAX_PARSE_PRODUCT = %d" % (pairs, MAX_PARSE_PRODUCT)
+        )
+
+
+def _power_terms(f, k):
+    """An upper bound on the number of terms of f^k."""
+    t, d = len(f.terms), k * max(f.total_degree, 0)
+    return min(math.comb(t + k - 1, k), (d + 1) * (d + 2) // 2)
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -107,7 +138,10 @@ class _Parser:
         acc = self.parse_power()
         while self.peek()[0] == "*":
             self.take()
-            acc = acc.mul(self.parse_power())
+            factor = self.parse_power()
+            _check_degree(acc.total_degree + factor.total_degree)
+            _check_pairs(len(acc.terms) * len(factor.terms))
+            acc = acc.mul(factor)
         return acc
 
     def parse_power(self):
@@ -117,7 +151,12 @@ class _Parser:
             tok = self.take()
             if tok[0] != "int":
                 raise ParseError("exponent must be an integer literal", tok[2])
-            return base.pow(int(tok[1]))
+            e = int(tok[1])
+            _check_degree(base.total_degree * e)
+            # BiPoly.pow squares its way up: no product it forms has a factor
+            # beyond f^(2^(bits - 1))
+            _check_pairs(_power_terms(base, 1 << max(e.bit_length() - 1, 0)) ** 2)
+            return base.pow(e)
         return base
 
     def parse_atom(self):

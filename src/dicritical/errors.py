@@ -70,20 +70,8 @@ class ConstantImage(EngineError):
 
 # ---------------------------------------------------------- unsupported (4)
 
-class UnsupportedExtension(EngineError):
-    """Factorization over the requested coefficient field is not supported."""
-
-    exit_code = 4
-
-
 class NotIrreducible(EngineError):
     """A polynomial required to be irreducible factors properly."""
-
-    exit_code = 4
-
-
-class SquarefreeUnsupported(EngineError):
-    """Derivative-based squarefree extraction is unsound in this characteristic."""
 
     exit_code = 4
 

@@ -1,6 +1,7 @@
 """Expression parsing, subcommand output, exit codes, and determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -137,6 +138,20 @@ def test_special_pencil_text(capsys):
     assert out.splitlines() == ["decision true", "witness 3"]
 
 
+def test_special_pencil_small_characteristic(capsys):
+    # x + y^2 is separable over F_7 although 7 is below the total degree 10
+    code, out, _ = run(
+        capsys, "special-pencil", "1/(x+y^2)^5", "--field", "Fp:7", "--format", "machine"
+    )
+    data = json.loads(out)
+    assert code == 0 and data["decision"] is True and data["witness"] == 5
+    # (x + y)^7 = x^7 + y^7 over F_7: the squarefree part is a 7th root
+    code, out, _ = run(capsys, "special-pencil", "1/(x+y)^7", "--field", "Fp:7")
+    assert code == 0 and out.splitlines() == ["decision true", "witness 7"]
+    code, out, _ = run(capsys, "special-pencil", "1/(x^2-y^2)^7", "--field", "Fp:7")
+    assert code == 0 and out.splitlines() == ["decision false"]
+
+
 def test_rees_certificate_text(capsys):
     code, out, _ = run(capsys, "rees-certificate", "x^3, y^2")
     assert code == 0
@@ -268,6 +283,23 @@ def test_exit_frame_budget_names_budget(capsys):
     # M-primary, but its first frame already exceeds the degree budget
     code, _, err = run(capsys, "colength", "x^100000, y")
     assert code == 5 and "MAX_FRAME_DEGREE" in err and "M-primary" not in err
+
+
+@pytest.mark.parametrize(
+    "text,budget",
+    [
+        ("(x+y)^3000, x^2, y^2", "MAX_FRAME_DEGREE"),
+        ("x^600*y^600, x^2, y^2", "MAX_FRAME_DEGREE"),
+        ("(x+y+1)^1000, x, y", "MAX_PARSE_PRODUCT"),
+        ("((1+x)^40*(1+y)^40)*((1+x)^40*(1+y)^40), x, y", "MAX_PARSE_PRODUCT"),
+    ],
+)
+def test_exit_parse_expansion_budget(capsys, text, budget):
+    # refused before the power or product is expanded
+    start = time.perf_counter()
+    code, _, err = run(capsys, "colength", text)
+    assert code == 5 and budget in err
+    assert time.perf_counter() - start < 2
 
 
 def test_exit_internal_inconsistency(capsys, monkeypatch):

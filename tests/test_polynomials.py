@@ -1,7 +1,8 @@
 import pytest
 
 from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly, bipoly_gcd, homogeneous_gcd, squarefree_part
-from dicritical.errors import SquarefreeUnsupported, ZeroPolynomial
+from dicritical.arith.factor import extend
+from dicritical.errors import ZeroPolynomial
 
 F5 = FieldTower.prime_field(5)
 V = ("x", "y")
@@ -122,12 +123,22 @@ def test_squarefree_monomial_any_char():
     assert squarefree_part(f) == xf
 
 
-def test_squarefree_small_char_rejected():
-    xf = BiPoly.variable(F5, V, "x")
-    yf = BiPoly.variable(F5, V, "y")
-    f = xf.pow(5).add(yf.pow(5)).add(xf.mul(yf))
-    with pytest.raises(SquarefreeUnsupported):
-        squarefree_part(f)
+def test_squarefree_small_char():
+    # multiplicities prime to p leave through the derivative gcd, multiples
+    # of p through a p-th root: x^5 + y^5 + x*y is squarefree, x^5 + y^5 is
+    # (x + y)^5
+    x, y = xy(F5)
+    f = x.pow(5).add(y.pow(5)).add(x.mul(y))
+    assert squarefree_part(f) == f.normalized()
+    s, t = x.add(y), x.sub(y.pow(2))
+    assert squarefree_part(s.pow(5)) == s.normalized()
+    g = s.pow(10).mul(t.pow(3)).mul(x.pow(5)).mul(y)
+    assert squarefree_part(g) == s.mul(t).mul(x).mul(y).normalized()
+    # over F_25 the p-th root takes 5th roots of the coefficients
+    F25 = extend(F5, UniPoly(F5, [2, 0, 1]), "a")
+    x, y = xy(F25)
+    h = x.scale(F25.generator()).add(y.pow(2)).add(BiPoly.one(F25, V))
+    assert squarefree_part(h.pow(5).mul(x.add(y))) == h.mul(x.add(y)).normalized()
 
 
 def test_homogeneous_gcd():
