@@ -288,8 +288,9 @@ class FieldTower:
         while n:
             if n & 1:
                 out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
             n >>= 1
+            if n:
+                acc = self.mul(acc, acc)
         return out
 
     # -------------------------------------------- embeddings and components

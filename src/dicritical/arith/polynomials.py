@@ -175,8 +175,9 @@ class UniPoly:
         while e:
             if e & 1:
                 acc = acc.mul(base)
-            base = base.mul(base)
             e >>= 1
+            if e:
+                base = base.mul(base)
         return acc
 
     def pow_mod(self, e, modulus):
@@ -187,8 +188,9 @@ class UniPoly:
         while e:
             if e & 1:
                 acc = acc.mul(base).mod(modulus)
-            base = base.mul(base).mod(modulus)
             e >>= 1
+            if e:
+                base = base.mul(base).mod(modulus)
         return acc
 
     def shift(self, c):
@@ -361,8 +363,9 @@ class BiPoly:
         while e:
             if e & 1:
                 acc = acc.mul(base)
-            base = base.mul(base)
             e >>= 1
+            if e:
+                base = base.mul(base)
         return acc
 
     def __add__(self, other):
@@ -459,10 +462,13 @@ class BiPoly:
         ypows = [BiPoly.one(T, py.vars)]
         for _ in range(max(max_j, 0)):
             ypows.append(ypows[-1].mul(py))
-        acc = BiPoly.zero(T, px.vars)
+        out = {}
         for (i, j), c in self.terms.items():
-            acc = acc.add(xpows[i].mul(ypows[j]).scale(c))
-        return acc
+            part = ypows[j] if i == 0 else xpows[i] if j == 0 else xpows[i].mul(ypows[j])
+            for key, a in part.terms.items():
+                a = T.mul(c, a)
+                out[key] = T.add(out[key], a) if key in out else a
+        return BiPoly(T, px.vars, out)
 
     def eval(self, ax, ay):
         T = self.tower
@@ -499,6 +505,11 @@ class BiPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return self
+        if divisor.is_monomial():
+            (di, dj), c = next(iter(divisor.terms.items()))
+            if any(i < di or j < dj for i, j in self.terms):
+                raise ValueError("division is not exact")
+            return self.mul_monomial((-di, -dj), None if c == T.one() else T.inv(c))
         fy = self.to_ylist()
         gy = divisor.to_ylist()
         dg = len(gy) - 1
@@ -637,22 +648,70 @@ def _ylist_prem(f, g):
 
 
 def bipoly_gcd(f, g):
-    """Gcd in K[x, y], normalized so the lex-least exponent has coefficient 1."""
+    """Gcd in K[x, y], normalized so the lex-least exponent has coefficient 1.
+
+    The monomial parts split off exactly (x and y are prime); the PRS runs on
+    the rest only when specialization cannot certify it coprime.
+    """
     if f.is_zero():
         return g.normalized()
     if g.is_zero():
         return f.normalized()
+    (a1, b1), f0 = _split_monomial(f)
+    (a2, b2), g0 = _split_monomial(g)
+    shift = (min(a1, a2), min(b1, b2))
+    if _coprime_by_specialization(f0, g0):
+        return BiPoly.monomial(f.tower, f.vars, shift)
+    return _prs_gcd(f0, g0).mul_monomial(shift)
+
+
+def _split_monomial(f):
+    """((a, b), f0) with f = x^a * y^b * f0 and f0 divisible by neither variable."""
+    a, b = min(i for i, _ in f.terms), min(j for _, j in f.terms)
+    return (a, b), f.mul_monomial((-a, -b))
+
+
+def _specialize(f, axis, c):
+    """f with the variable other than vars[axis] set to c, as a UniPoly in vars[axis]."""
     T = f.tower
-    if f.is_monomial() and g.is_monomial():
-        (i1, j1), (i2, j2) = next(iter(f.terms)), next(iter(g.terms))
-        return BiPoly.monomial(T, f.vars, (min(i1, i2), min(j1, j2)))
-    fy = f.to_ylist()
-    gy = g.to_ylist()
-    if len(fy) == 1 and len(gy) == 1:
-        u = fy[0].gcd(gy[0])
-        return BiPoly.from_unipoly(u, f.vars, 0).normalized()
-    fp, fc = _ylist_primitive(fy)
-    gp, gc = _ylist_primitive(gy)
+    unit = c == T.one()
+    coeffs = [T.zero()] * (f.degree_in(axis) + 1)
+    for key, a in f.terms.items():
+        if key[1 - axis] and not unit:
+            a = T.mul(a, T.pow(c, key[1 - axis]))
+        coeffs[key[axis]] = T.add(coeffs[key[axis]], a)
+    return UniPoly(T, coeffs)
+
+
+def _coprime_by_specialization(f0, g0):
+    """True only if f0 and g0 are coprime.
+
+    For each variable v of positive degree in both, the other is set to some
+    c in 1, 2, 3 (0 is useless: after a transform all generators vanish at
+    the origin) that keeps lc_v(f0) nonzero.  A common factor h has
+    lc_v(h) | lc_v(f0), so h(c) keeps its v-degree and divides both
+    specializations; if these are coprime, h has degree 0 in v.
+    """
+    T = f0.tower
+    consts = [c for c in dict.fromkeys(map(T.from_int, (1, 2, 3))) if not T.is_zero(c)]
+    for axis in (0, 1):
+        d = f0.degree_in(axis)
+        if d == 0 or g0.degree_in(axis) == 0:
+            continue
+        for c in consts:
+            sf = _specialize(f0, axis, c)
+            if sf.degree == d and sf.gcd(_specialize(g0, axis, c)).degree == 0:
+                break
+        else:
+            return False
+    return True
+
+
+def _prs_gcd(f, g):
+    """Gcd of nonzero f and g by the primitive PRS in K[x][y], normalized."""
+    T = f.tower
+    fp, fc = _ylist_primitive(f.to_ylist())
+    gp, gc = _ylist_primitive(g.to_ylist())
     cont = fc.gcd(gc)
     a, b = fp, gp
     if len(a) < len(b):
@@ -727,13 +786,9 @@ def homogeneous_gcd(forms):
             raise ZeroPolynomial("homogeneous gcd of a zero form")
         if not h.is_homogeneous():
             raise ValueError("inputs must be homogeneous")
-        a = min(i for i, j in h.terms)
-        b = min(j for i, j in h.terms)
+        (a, b), stripped = _split_monomial(h)
         min_u = a if min_u is None else min(min_u, a)
         min_w = b if min_w is None else min(min_w, b)
-        stripped = BiPoly(
-            tower, vars, {(i - a, j - b): c for (i, j), c in h.terms.items()}
-        )
         reduced.append(stripped.dehomogenized())
     g = reduced[0]
     for p in reduced[1:]:

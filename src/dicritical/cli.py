@@ -31,9 +31,11 @@ MAX_PARSE_PRODUCT = 10 ** 6
 def _check_degree(degree):
     """Refuse a parse-time product or power of too high a total degree."""
     if degree > idealcalc.MAX_FRAME_DEGREE:
+        # a degree of thousands of digits cannot be formatted as a string
+        shown = "%d" % degree if degree < 10 ** 18 else "above 10^18"
         raise BudgetExceeded(
-            "expanding the input reaches total degree %d, beyond the budget "
-            "MAX_FRAME_DEGREE = %d" % (degree, idealcalc.MAX_FRAME_DEGREE)
+            "expanding the input reaches total degree %s, beyond the budget "
+            "MAX_FRAME_DEGREE = %d" % (shown, idealcalc.MAX_FRAME_DEGREE)
         )
 
 
@@ -86,6 +88,14 @@ def _tokenize(text):
         raise ParseError("unexpected character %r" % ch, i)
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _int_literal(tok):
+    """The value of an int token; Python refuses to convert very long literals."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError("integer literal of %d digits is too long" % len(tok[1]), tok[2]) from None
 
 
 class _Parser:
@@ -151,7 +161,7 @@ class _Parser:
             tok = self.take()
             if tok[0] != "int":
                 raise ParseError("exponent must be an integer literal", tok[2])
-            e = int(tok[1])
+            e = _int_literal(tok)
             _check_degree(base.total_degree * e)
             # BiPoly.pow squares its way up: no product it forms has a factor
             # beyond f^(2^(bits - 1))
@@ -163,7 +173,7 @@ class _Parser:
         tok = self.take()
         kind, value, pos = tok
         if kind == "int":
-            return BiPoly.from_int(self.tower, self.vars, int(value))
+            return BiPoly.from_int(self.tower, self.vars, _int_literal(tok))
         if kind == "name":
             if value not in self.vars:
                 raise ParseError("unknown variable %r" % value, pos)

@@ -302,6 +302,26 @@ def test_exit_parse_expansion_budget(capsys, text, budget):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("x^" + "9" * 5000 + ", y", 2),
+        ("x, " + "9" * 5000 + "*y", 3),
+    ],
+    ids=["exponent", "coefficient"],
+)
+def test_exit_long_integer_literal(capsys, text, position):
+    # Python refuses to convert integer strings of more than 4300 digits
+    code, _, err = run(capsys, "colength", text)
+    assert code == 2 and "too long (at position %d)" % position in err
+
+
+def test_exit_huge_degree_message(capsys):
+    # the degree in the budget message would have more than 4300 digits
+    code, _, err = run(capsys, "colength", "(x^2)^" + "9" * 4300 + ", y")
+    assert code == 5 and "above 10^18" in err
+
+
 def test_exit_internal_inconsistency(capsys, monkeypatch):
     real = idealcalc.closure_data
 

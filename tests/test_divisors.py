@@ -11,7 +11,9 @@ from dicritical.divisors import (
     simple_ideal,
 )
 from dicritical.errors import ConstantImage, NonzeroValue, ZeroInput
+from dicritical.idealcalc import closure_colength, colength
 from dicritical.nearpoints import QdtPath, QdtStep
+from dicritical.zariski import dicritical_set
 
 V = ("x", "y")
 X = BiPoly.variable(QQ, V, "x")
@@ -115,3 +117,18 @@ def test_simple_ideal_monomial_valuation():
     v = divisor(QdtStep.affine(QQ.zero()))
     zeta = simple_ideal(v)
     assert sorted(g.render() for g in zeta.gens) == ["x^2", "y"]
+
+
+def test_simple_ideal_over_q_with_common_transform_factors():
+    # its base-point trees meet transforms whose generators share non-monomial
+    # factors over Q, so the gcd falls back to the PRS there (this ran for
+    # more than 30 s before the monomial split and the coprimality certificate)
+    c = QQ.from_int(2)
+    v = divisor(
+        QdtStep.infinity(), QdtStep.affine(c), QdtStep.affine(c), QdtStep.affine(c),
+        QdtStep.infinity(), QdtStep.affine(QQ.zero()),
+    )
+    zeta = simple_ideal(v)
+    records = dicritical_set(zeta)
+    assert [(r.divisor, r.index) for r in records] == [(v, 1)]
+    assert colength(zeta) == closure_colength(zeta) == 29

@@ -1,0 +1,103 @@
+"""bipoly_gcd against the primitive PRS it falls back to.
+
+bipoly_gcd splits off the monomial parts and certifies the rest coprime by
+specializing one variable at a nonzero constant where the other's leading
+coefficient survives; only when that fails does it run the PRS.  Here both
+must agree on seeded pairs h*A, h*B over Q, F_7, F_32003 and F_7(a), with the
+common factor h a constant, a random polynomial, or (x - 1)(y - 1) + 1, which
+is constant on both x = 1 and y = 1: a certificate that ignored the leading
+coefficient would call its multiples coprime.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dicritical.arith import QQ, BiPoly, FieldTower
+from dicritical.arith import polynomials
+from dicritical.arith.polynomials import _prs_gcd, bipoly_gcd
+
+V = ("x", "y")
+F7 = FieldTower.prime_field(7)
+FIELDS = [
+    ("Q", QQ),
+    ("F7", F7),
+    ("F32003", FieldTower.prime_field(32003)),
+    ("F7(a)", F7.extended("a", (1, 0, 1))),  # a^2 = -1; -1 is not a square mod 7
+]
+PAIRS = 46
+
+
+def _scalar(tower, rng):
+    """A random nonzero element."""
+    while True:
+        if tower.base is None:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        else:
+            c = tower.element_from_index(rng.randrange(tower.element_count()))
+        if not tower.is_zero(c):
+            return c
+
+
+def _poly(tower, rng, terms, degree):
+    return BiPoly(tower, V, {
+        (rng.randint(0, degree), rng.randint(0, degree)): _scalar(tower, rng)
+        for _ in range(terms)
+    })
+
+
+def _common_factor(tower, kind, rng):
+    if kind == "constant":
+        return BiPoly.constant(tower, V, _scalar(tower, rng))
+    x, y = BiPoly.variable(tower, V, "x"), BiPoly.variable(tower, V, "y")
+    if kind == "adversarial":
+        one = BiPoly.one(tower, V)
+        return (x - one) * (y - one) + one
+    h = _poly(tower, rng, rng.randint(2, 4), 2)
+    return h if not h.is_constant() else h + x * y
+
+
+def _pairs(tower, kind, seed):
+    rng = random.Random(seed)
+    for _ in range(PAIRS):
+        h = _common_factor(tower, kind, rng)
+        a, b = (
+            _poly(tower, rng, rng.randint(1, 5), 3).mul_monomial(
+                (rng.randint(0, 2), rng.randint(0, 2)))
+            for _ in range(2)
+        )
+        yield h * a, h * b
+
+
+@pytest.mark.parametrize("kind", ["constant", "random", "adversarial"])
+@pytest.mark.parametrize("name,tower", FIELDS, ids=[n for n, _ in FIELDS])
+def test_gcd_matches_prs(name, tower, kind):
+    for f, g in _pairs(tower, kind, "%s/%s" % (name, kind)):
+        expected = _prs_gcd(f, g)
+        got = bipoly_gcd(f, g)
+        assert got == expected, (f.render(), g.render())
+        assert bipoly_gcd(g, f) == expected
+        assert f.exact_div(got) * got == f
+
+
+def test_prs_runs_only_when_the_certificate_fails(monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return _prs_gcd(f, g)
+
+    monkeypatch.setattr(polynomials, "_prs_gcd", counted)
+    x, y = BiPoly.variable(QQ, V, "x"), BiPoly.variable(QQ, V, "y")
+    one = BiPoly.one(QQ, V)
+    # coprime after the monomial split: certified, no PRS
+    f = x.pow(3) * y * (y.pow(2) - x.pow(3))
+    g = x * y.pow(4) * (x + y + x * y)
+    assert bipoly_gcd(f, g) == x * y
+    assert calls == []
+    # a true common factor: the certificate fails and the PRS decides
+    h = (x - one) * (y - one) + one
+    assert bipoly_gcd(h * x, h * y) == h.normalized()
+    assert len(calls) == 1
+

@@ -75,6 +75,12 @@ class TestBiPoly:
         assert f.exact_div(g) == x.add(y)
         with pytest.raises(ValueError):
             f.exact_div(x)
+        # by a monomial: a shift of exponents, exact only when every term allows it
+        h = x.pow(3).mul(y).add(x.pow(2).mul(y.pow(4)))
+        m = x.pow(2).mul_monomial((0, 1), QQ.from_int(3))
+        assert h.exact_div(m).mul(m) == h
+        with pytest.raises(ValueError):
+            h.exact_div(y.pow(2))
 
     def test_normalized_scales_least_exponent(self):
         x, y = xy()
@@ -107,6 +113,37 @@ def test_bipoly_gcd_monomials():
     f = x.pow(3).mul(y)
     g = x.mul(y.pow(2)).scale(QQ.from_int(7))
     assert bipoly_gcd(f, g) == x.mul(y)
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # square-and-multiply: the last bit needs no further squaring
+    x, y = xy()
+    degrees = []
+    real_mul = BiPoly.mul
+
+    def recording(self, other):
+        out = real_mul(self, other)
+        degrees.append(out.total_degree)
+        return out
+
+    monkeypatch.setattr(BiPoly, "mul", recording)
+    assert x.add(y).pow(7).coeff(3, 4) == QQ.from_int(35)
+    assert max(degrees) == 7
+
+    products = []
+    real_umul = UniPoly.mul
+    monkeypatch.setattr(UniPoly, "mul", lambda a, b: products.append(1) or real_umul(a, b))
+    assert up(1, 1).pow(7).degree == 7
+    t, m = UniPoly(F5, [0, 1]), UniPoly(F5, [3, 0, 1])
+    assert t.pow_mod(25, m) == t
+    # 7 = 0b111: three multiplies and two squarings; 25 = 0b11001: three and four
+    assert len(products) == 5 + 7
+
+    muls = []
+    real_fmul = FieldTower.mul
+    monkeypatch.setattr(FieldTower, "mul", lambda T, a, b: muls.append(1) or real_fmul(T, a, b))
+    assert F5.pow(2, 7) == 3
+    assert len(muls) == 5
 
 
 def test_squarefree_part():
