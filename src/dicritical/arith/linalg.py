@@ -56,15 +56,15 @@ class SparseEchelon:
         return residual
 
     def insert(self, vec):
-        """Add vec to the span; returns True when the rank grew."""
+        """Add vec to the span; returns the new stored row when the rank grew, else False."""
         res = self.reduce(vec)
         if not res:
             return False
         T = self.tower
         pivot = min(res)
         inv = T.inv(res[pivot])
-        self.rows[pivot] = {k: T.mul(inv, c) for k, c in res.items()}
-        return True
+        row = self.rows[pivot] = {k: T.mul(inv, c) for k, c in res.items()}
+        return row
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -73,50 +73,29 @@ class SparseEchelon:
 def kernel_basis(tower, rows, columns):
     """Basis of the null space of the matrix given by rows over columns.
 
-    rows: iterable of dicts keyed by column.  Returns a list of dicts, one
-    per free column, in reduced form (deterministic for a fixed input order).
+    rows: list of dicts keyed by column.  Returns a list of dicts, one per
+    free column in column order: the free column's unit entry first, then
+    the negated entries of the reduced row echelon form, pivot columns in
+    order.  That form is unique, so the basis depends only on the row span.
     """
     T = tower
     col_index = {c: i for i, c in enumerate(columns)}
-    n = len(columns)
-    mat = []
+    ech = SparseEchelon(T)
     for row in rows:
-        dense = [T.zero()] * n
-        nonzero = False
-        for c, v in row.items():
-            if not T.is_zero(v):
-                dense[col_index[c]] = v
-                nonzero = True
-        if nonzero:
-            mat.append(dense)
-    pivots = []
-    r = 0
-    for j in range(n):
-        sel = None
-        for i in range(r, len(mat)):
-            if not T.is_zero(mat[i][j]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = T.inv(mat[r][j])
-        mat[r] = [T.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not T.is_zero(mat[i][j]):
-                c = mat[i][j]
-                mat[i] = [T.sub(a, T.mul(c, b)) for a, b in zip(mat[i], mat[r])]
-        pivots.append(j)
-        r += 1
-    pivot_set = set(pivots)
+        ech.insert({col_index[c]: v for c, v in row.items()})
+    # a stored row's tail, reduced, keeps only free columns: the row of the
+    # reduced echelon form; entries[j] lists free column j's (pivot, entry)
+    entries = {}
+    for p in sorted(ech.rows):
+        tail = {k: c for k, c in ech.rows[p].items() if k != p}
+        for j, c in ech.reduce(tail).items():
+            entries.setdefault(j, []).append((p, c))
     basis = []
-    for j in range(n):
-        if j in pivot_set:
+    for j, col in enumerate(columns):
+        if j in ech.rows:
             continue
-        vec = {columns[j]: T.one()}
-        for rr, pj in enumerate(pivots):
-            c = mat[rr][j]
-            if not T.is_zero(c):
-                vec[columns[pj]] = T.neg(c)
+        vec = {col: T.one()}
+        for p, c in entries.get(j, ()):
+            vec[columns[p]] = T.neg(c)
         basis.append(vec)
     return basis

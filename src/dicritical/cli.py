@@ -26,6 +26,8 @@ from . import idealcalc
 
 # term pairs one parse-time product may multiply out
 MAX_PARSE_PRODUCT = 10 ** 6
+# bits of the coefficients one parse-time product or power may reach over Q
+MAX_PARSE_COEFF_BITS = 10 ** 5
 
 
 def _check_degree(degree):
@@ -46,6 +48,24 @@ def _check_pairs(pairs):
             "expanding the input multiplies %d term pairs in one product, beyond the "
             "budget MAX_PARSE_PRODUCT = %d" % (pairs, MAX_PARSE_PRODUCT)
         )
+
+
+def _check_coeff_bits(bits, times=1):
+    """Refuse a parse-time product or power whose coefficients may pass times * bits bits."""
+    if bits > 0 and times > MAX_PARSE_COEFF_BITS / bits:
+        raise BudgetExceeded(
+            "expanding the input reaches coefficients of more than %d bits, the "
+            "budget MAX_PARSE_COEFF_BITS" % MAX_PARSE_COEFF_BITS
+        )
+
+
+def _coeff_bits(f):
+    """log2 of the sum of |coefficients| of f over Q, a bound on each of them.
+
+    The sum for f.g is at most the product of the sums, so these add.
+    """
+    norm = sum(abs(c) for c in f.terms.values())
+    return math.log2(norm.numerator) - math.log2(norm.denominator) if norm else 0.0
 
 
 def _power_terms(f, k):
@@ -106,6 +126,8 @@ class _Parser:
         self.pos = 0
         self.tower = tower
         self.vars = vars
+        # only rational coefficients grow; F_p ones stay below p
+        self.over_q = tower.char == 0 and tower.height == 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -151,6 +173,8 @@ class _Parser:
             factor = self.parse_power()
             _check_degree(acc.total_degree + factor.total_degree)
             _check_pairs(len(acc.terms) * len(factor.terms))
+            if self.over_q:
+                _check_coeff_bits(_coeff_bits(acc) + _coeff_bits(factor))
             acc = acc.mul(factor)
         return acc
 
@@ -166,6 +190,8 @@ class _Parser:
             # BiPoly.pow squares its way up: no product it forms has a factor
             # beyond f^(2^(bits - 1))
             _check_pairs(_power_terms(base, 1 << max(e.bit_length() - 1, 0)) ** 2)
+            if self.over_q:
+                _check_coeff_bits(_coeff_bits(base), e)
             return base.pow(e)
         return base
 

@@ -279,46 +279,21 @@ def simple_ideal(V):
     a, b = V.coordinate_values()
     mu = min(a, b)
     D = -(-c // mu)
-    fx, fy = path.substitution()
-    term = path.terminal_tower
-    ratio = term.degree() // T.degree()
 
-    columns = [
-        (i, j) for j in range(D) for i in range(D - j)
-    ]
-    columns.sort()
-    xpows = [BiPoly.one(term, vars)]
-    ypows = [BiPoly.one(term, vars)]
-    for _ in range(D - 1):
-        xpows.append(xpows[-1].mul(fx))
-        ypows.append(ypows[-1].mul(fy))
-    conditions = {}
-    for e in columns:
-        i, j = e
-        pb = xpows[i].mul(ypows[j])
-        for key, coeff in pb.terms.items():
-            if key[0] + key[1] >= c:
-                continue
-            comps = term.components_over(T, coeff) if ratio > 1 else (coeff,)
-            for k, comp in enumerate(comps):
-                if T.is_zero(comp):
-                    continue
-                conditions.setdefault((key, k), {})[e] = comp
-    rows = [conditions[k] for k in sorted(conditions)]
-    kernel = kernel_basis(T, rows, columns)
+    from .idealcalc import _valuation_rows, minimal_generators
+    from .zariski import zariski_factorization
+
+    # a column that _valuation_rows skips has value >= c: a zero column,
+    # whose kernel vector is its unit vector
+    columns = sorted((i, j) for j in range(D) for i in range(D - j))
+    kernel = kernel_basis(T, _valuation_rows(V, c, columns), columns)
 
     gens = []
     for vec in kernel:
         gens.append(BiPoly(T, vars, dict(vec)))
     for i in range(D + 1):
         gens.append(BiPoly.monomial(T, vars, (i, D - i)))
-
-    from .idealcalc import minimal_generators
-
     ideal = minimal_generators(LocalIdeal(T, vars, gens), frame_degree=D)
-
-    from .zariski import zariski_factorization
-
     fact = zariski_factorization(ideal)
     if len(fact.exponents) != 1 or fact.exponents[0][1] != 1:
         raise InternalInconsistency("candidate simple ideal does not factor simply")

@@ -2,6 +2,8 @@
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from typing import Optional
 
 from .arith import QQ, BiPoly, SparseEchelon, bipoly_gcd
@@ -22,14 +24,37 @@ def _truncated_row(g, bound):
     return {(i + j, i): c for (i, j), c in g.terms.items() if i + j < bound}
 
 
-def _shifted_rows(g, bound, skip_unit=False):
-    """Rows of g * x^a * y^b truncated below bound, one per shift that leaves a term."""
-    terms = [(i + j, i, c) for (i, j), c in g.terms.items()]
-    base = min(d for d, _, _ in terms)
-    for a, b in _monomials_below(max(bound - base, 0)):
-        s = a + b
-        if s or not skip_unit:
-            yield {(d + s, i + a): c for d, i, c in terms if d + s < bound}
+def _shifts(row, bound):
+    """x * row and y * row, truncated below bound; none once row is past it."""
+    x = {(d + 1, i + 1): c for (d, i), c in row.items() if d + 1 < bound}
+    if not x:
+        return ()
+    return x, {(d + 1, i): c for (d, i), c in row.items() if d + 1 < bound}
+
+
+def _close(ech, rows, bound):
+    """Insert rows and the x- and y-shifts of every row that raises the rank.
+
+    Stored rows never change, so their span ends closed under x and y: the
+    image in R / M^bound of the ideal the rows generate, for at most
+    len(rows) + 2 * rank inserts.  Highest pivot first, so each stored row is
+    reduced against the rows above it and stays short.
+    """
+    heap = []
+    tick = count()
+
+    def push(row):
+        if row:
+            d, i = min(row)
+            heappush(heap, (-d, -i, next(tick), row))
+
+    for row in rows:
+        push(row)
+    while heap:
+        row = ech.insert(heappop(heap)[3])
+        if row:
+            for shifted in _shifts(row, bound):
+                push(shifted)
 
 
 class TruncationFrame:
@@ -45,9 +70,7 @@ class TruncationFrame:
         self.ideal = ideal
         self.bound = bound
         ech = SparseEchelon(ideal.tower)
-        for g in ideal.gens:
-            for row in _shifted_rows(g, bound):
-                ech.insert(row)
+        _close(ech, [_truncated_row(g, bound) for g in ideal.gens], bound)
         self.ech = ech
 
     def colength(self):
@@ -188,9 +211,8 @@ def minimal_generators(ideal, frame_degree=None):
     # M^frame_degree lies in the ideal, so M^(frame_degree + 1) lies in M.I
     bound = frame_degree + 1
     ech = SparseEchelon(tower)
-    for g in gens:
-        for row in _shifted_rows(g, bound, skip_unit=True):
-            ech.insert(row)
+    # M.I is closed under x and y and generated by the x.g and y.g
+    _close(ech, [s for g in gens for s in _shifts(_truncated_row(g, bound), bound)], bound)
     kept = []
     for g in sorted(gens, key=lambda g: _gen_key(tower, g)):
         if ech.insert(_truncated_row(g, bound)):
@@ -336,15 +358,13 @@ def is_reduction(j, i, n_max=None, config=None):
     valuative = all(v.value_of_ideal(i) == c for v, c in data.floors)
     if n_max is None:
         n_max = frame_i.colength()
+    # M^d_i lies in I, so M^((n+1)d_i + 1) lies in M.I^(n+1): containment
+    # modulo that power gives containment by Nakayama
     d_i = frame_i.full_degree()
     witness = None
     current = power(i, 0)
-    frame = stabilized_frame(product(j, current))
     for n in range(n_max + 1):
-        if n:
-            # M^a in A and M^b in B give M^(a+b) in A.B, so this bound is proven
-            bound = frame.full_degree() + d_i + 1
-            frame = TruncationFrame(product(j, current), bound)
+        frame = TruncationFrame(product(j, current), (n + 1) * d_i + 1)
         lifted = product(i, current)
         if all(frame.contains(g) for g in lifted.gens):
             witness = n

@@ -303,6 +303,41 @@ def test_exit_parse_expansion_budget(capsys, text, budget):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "x + 3^3000000*y^2, y^3",
+        "x + 3^30000000*y^2, y^3",
+        "(2*x + 3^200*y)^600, x, y",
+        "x + 3^40000*7^40000*y^2, y^3",
+        "(x + 3^60000)*(y + 5^60000)*x, y^3",
+        "x + 3^" + "9" * 4000 + "*y^2, y^3",
+    ],
+)
+def test_exit_parse_coefficient_budget(capsys, text):
+    # over Q, refused before the power or product is expanded
+    start = time.perf_counter()
+    code, _, err = run(capsys, "colength", text)
+    assert code == 5 and "MAX_PARSE_COEFF_BITS" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_parse_coefficients_within_budget(capsys):
+    assert cli.parse_polynomial("3^100*x + y", QQ, ("x", "y")).render() == (
+        "%d*x + y" % 3 ** 100
+    )
+    code, out, _ = run(capsys, "colength", "3^100*x + y, y^2")
+    assert code == 0 and out.strip() == "colength 2"
+
+
+def test_parse_coefficients_over_fp_unbudgeted(capsys):
+    # F_p coefficients never grow, so no size budget applies
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "colength", "x + 3^30000000*y^2, y^3", "--field", "Fp:7")
+    assert code == 0 and out.strip() == "colength 3"
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize(
     "text,position",
     [
         ("x^" + "9" * 5000 + ", y", 2),

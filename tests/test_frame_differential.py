@@ -1,11 +1,16 @@
-"""The degree-graded truncation frame against the two-frame rule it replaced.
+"""The degree-graded truncation frame against the rules it replaced.
 
-The reference below keeps the earlier frame: rows keyed by exponent pairs
+The first reference keeps the earlier frame: rows keyed by exponent pairs
 (lex pivots), a bound accepted once the frames at N and N + 1 have equal
 colength, doubled otherwise, and a minimal generating set read modulo
 M^(N + 1).  Colength, membership, the reduction witness and minimal
 generators must agree with the engine on the seeded property-suite ideals
 and on the Abhyankar family over Q and F_5.
+
+The second reference inserts every shift g * x^a * y^b of every generator
+that leaves a term below the bound.  A frame built by closure must have
+exactly its pivots, over Q, F_5 and F_7(a), at bounds below, at and above
+the frame's full degree.
 """
 
 import random
@@ -20,6 +25,7 @@ from dicritical.nearpoints import LocalIdeal
 V = ("x", "y")
 F5 = FieldTower.prime_field(5)
 FIELDS = [(QQ, 0), (F5, 5)]
+F7A = FieldTower.prime_field(7).extended("a", (1, 0, 1))  # a^2 = -1
 
 
 def _lex_row(g, bound):
@@ -137,3 +143,45 @@ def test_graded_frame_on_abhyankar_family(tower, char):
         _check_ideal(rng, tower, J)
         r = ic.is_reduction(J, I)
         assert r.witness == ref_witness(J, I, ic.colength(I))
+
+
+def shifted_pivots(ideal, bound):
+    """Pivots of the frame that inserts every shift of every generator."""
+    ech = SparseEchelon(ideal.tower)
+    for g in ideal.gens:
+        top = max(bound - g.ord_at_origin(), 0)
+        for j in range(top):
+            for i in range(top - j):
+                row = ic._truncated_row(g.mul_monomial((i, j)), bound)
+                if row:
+                    ech.insert(row)
+    return set(ech.rows)
+
+
+def _twisted(J, tower):
+    """J over F_7(a) under the automorphism x -> x, y -> a*y + x of R."""
+    x = BiPoly.variable(tower, V, "x")
+    y = BiPoly.variable(tower, V, "y").scale(tower.generator()).add(x)
+    gens = [g.lift_to(tower).substitute(x, y) for g in J.gens]
+    return LocalIdeal(tower, V, gens)
+
+
+@pytest.mark.parametrize(
+    "tower,ground,seed",
+    [(QQ, QQ, 1300), (F5, F5, 1305), (F7A, FieldTower.prime_field(7), 1307)],
+    ids=["Q", "F5", "F7(a)"],
+)
+def test_closure_frame_matches_shifted_rows(tower, ground, seed):
+    rng = random.Random(seed)
+    for k in range(props.PER_FIELD // 2):
+        J = props.random_primary(rng, ground)
+        if tower is not ground:
+            J = _twisted(J, tower)
+        if k % 3 == 0:
+            f, g = J.gens
+            x = BiPoly.variable(tower, V, "x")
+            J = LocalIdeal(tower, V, [f, g, f.mul(x).add(g), g.pow(2)])
+        d = ic.stabilized_frame(J).full_degree()
+        for bound in {1, max(d - 1, 1), d, d + 1, d + 3}:
+            frame = ic.TruncationFrame(J, bound)
+            assert set(frame.ech.rows) == shifted_pivots(J, bound)

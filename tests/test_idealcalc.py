@@ -262,3 +262,58 @@ def test_unstable_message_names_budget(monkeypatch):
     # M-primary, but the first frame (degree 78) is already past the budget
     with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 .* try: 78"):
         ic.colength(LocalIdeal(QQ, V, [X.pow(39), Y]))
+
+
+@pytest.mark.parametrize("tower", [QQ, FieldTower.prime_field(5)], ids=["Q", "F5"])
+def test_frame_insert_budget(monkeypatch, tower):
+    # a frame built by closure inserts each generator and the two shifts of
+    # each row that raised the rank, nothing more
+    calls = []
+    real = ic.SparseEchelon.insert
+
+    def counted(self, vec):
+        calls.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(ic.SparseEchelon, "insert", counted)
+    for m in range(2, 6):
+        f, g, I = ic.abhyankar_family(m, tower)
+        J = LocalIdeal(tower, V, [f, g])
+        for ideal in (I, J, ic.product(J, I)):
+            d = ic.stabilized_frame(ideal).full_degree()
+            for bound in (d, d + 1, 2 * d + 1):
+                del calls[:]
+                frame = ic.TruncationFrame(ideal, bound)
+                assert 0 < len(calls) <= len(ideal.gens) + 2 * frame.ech.rank
+
+
+def test_is_reduction_frame_bounds(monkeypatch):
+    # besides I's own frames, only the frames of J.I^n at (n + 1) d(I) + 1
+    real = ic.TruncationFrame.__init__
+
+    def bounds_of(call):
+        bounds = []
+
+        def logged(self, ideal, bound):
+            bounds.append(bound)
+            real(self, ideal, bound)
+
+        monkeypatch.setattr(ic.TruncationFrame, "__init__", logged)
+        try:
+            return call(), bounds
+        finally:
+            monkeypatch.setattr(ic.TruncationFrame, "__init__", real)
+
+    for m in range(2, 6):
+        f, g, I = ic.abhyankar_family(m)
+        J = LocalIdeal(QQ, V, [f, g])
+        # a non-reduction runs the chase up to n_max, at the same bounds
+        K = ic.product(J, LocalIdeal(QQ, V, [X, Y.pow(m + 1)]))
+        L = ic.product(J, LocalIdeal(QQ, V, [X, Y]))
+        for small, big, n_max, witness in ((J, I, None, 1), (K, L, 2, None)):
+            own, own_bounds = bounds_of(lambda: ic.stabilized_frame(big))
+            result, bounds = bounds_of(lambda: ic.is_reduction(small, big, n_max))
+            assert result.witness == witness
+            last = witness if witness is not None else n_max
+            d = own.full_degree()
+            assert bounds == own_bounds + [(n + 1) * d + 1 for n in range(last + 1)]
