@@ -4,7 +4,6 @@ from .factor import (
     extend,
     factor_univariate,
     is_irreducible,
-    roots_in_field,
     squarefree_decomposition,
 )
 from .linalg import SparseEchelon, kernel_basis
@@ -20,7 +19,6 @@ __all__ = [
     "factor_univariate",
     "squarefree_decomposition",
     "is_irreducible",
-    "roots_in_field",
     "extend",
     "SparseEchelon",
     "kernel_basis",

@@ -4,7 +4,9 @@ Three regimes share one entry point, factor_univariate:
 
   * prime-characteristic towers: distinct-degree then equal-degree splitting,
     with a deterministic candidate sequence so repeated runs agree;
-  * the plain rationals: delegated to sympy;
+  * the plain rationals: Zassenhaus's algorithm, which factors modulo a
+    small prime with the finite-field code, Hensel-lifts the factors past
+    the Mignotte bound and recombines them by trial division over Z;
   * rational extension towers: Trager's norm descent to the level below.
 
 All returned factors are monic and canonically ordered.
@@ -13,10 +15,12 @@ All returned factors are monic and canonically ordered.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
-from .fields import QQ, FieldTower
+from .fields import QQ, FieldTower, _is_prime
 from .polynomials import UniPoly
-from ..errors import InternalInconsistency, NotIrreducible, ZeroPolynomial
+from ..errors import BudgetExceeded, InternalInconsistency, NotIrreducible, ZeroPolynomial
 
 
 def _poly_key(p):
@@ -91,15 +95,6 @@ def is_irreducible(f):
         return False
     _, factors = factor_univariate(f)
     return len(factors) == 1 and factors[0][1] == 1
-
-
-def roots_in_field(f):
-    """Roots of f lying in its own coefficient field, canonically ordered."""
-    T = f.tower
-    _, factors = factor_univariate(f)
-    roots = [T.neg(g.coeff(0)) for g, _ in factors if g.degree == 1]
-    roots.sort(key=T.sort_key)
-    return roots
 
 
 def extend(tower, minpoly, name, check=True):
@@ -209,26 +204,194 @@ def _edf_split(f, d):
 
 
 # -------------------------------------------------------------- rational case
+#
+# Zassenhaus's algorithm (von zur Gathen and Gerhard, Modern Computer
+# Algebra, ch. 15-16) on int coefficient lists, low to high: factor mod a
+# small prime, Hensel-lift the factors past the Mignotte bound, recombine.
+
+# subsets of lifted factors tried before recombination gives up (exit 5);
+# irreducible polynomials with many modular factors need 2^(r-1) of them
+MAX_RECOMBINATION_SUBSETS = 1 << 14
+# good primes whose factor counts are compared before one is chosen
+_PRIME_TRIALS = 5
+
 
 def _factor_rationals(g):
-    import sympy
-    from fractions import Fraction
-
-    t = sympy.Symbol("t")
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(g.coeffs)],
-        t,
-        domain="QQ",
-    )
-    _, pairs = poly.factor_list()
-    out = []
-    for fac, mult in pairs:
-        coeffs = [
-            Fraction(int(r.p), int(r.q)) for r in reversed(fac.all_coeffs())
-        ]
-        out.extend([UniPoly(QQ, coeffs).monic()] * mult)
+    """Monic irreducible factors of a monic squarefree g in Q[t], deg g >= 2."""
+    denominator = 1
+    for c in g.coeffs:
+        denominator = denominator * c.denominator // math.gcd(denominator, c.denominator)
+    f = _primitive([c.numerator * (denominator // c.denominator) for c in g.coeffs])
+    best = None
+    for fbar in itertools.islice(_good_reductions(f), _PRIME_TRIALS):
+        parts = _ddf(fbar)
+        count = sum(part.degree // d for part, d in parts)
+        if best is None or count < best[0]:
+            best = (count, fbar.tower.char, parts)
+        if count == 1:
+            return [g]
+    _, p, parts = best
+    modular = [list(u.coeffs) for part, d in parts for u in _edf(part, d)]
+    # twice the Mignotte bound on the coefficients of a factor h of f, times
+    # lc(f): symmetric residues mod anything larger give lc(f)/lc(h) * h exactly
+    n = len(f) - 1
+    bound = 2 * f[-1] * (math.isqrt(n + 1) + 1) * 2 ** n * max(abs(c) for c in f)
+    modulus = p
+    while modulus <= bound:
+        modulus *= modulus
+    lifted = _hensel_lift(f, modular, p, modulus)
+    out = [UniPoly(QQ, [Fraction(c) for c in h]).monic() for h in _recombine(f, lifted, modulus)]
     out.sort(key=_poly_key)
     return out
+
+
+def _good_reductions(f):
+    """f mod p, made monic, for the primes p > 2 that keep it squarefree."""
+    for p in itertools.count(3, 2):
+        if f[-1] % p and _is_prime(p):
+            fbar = UniPoly(FieldTower.prime_field(p), [c % p for c in f]).monic()
+            if fbar.gcd(fbar.derivative()).degree == 0:
+                yield fbar
+
+
+def _hensel_lift(f, modular, p, modulus):
+    """Monic lifts of f's monic factors mod p to factors mod p^(2^j) = modulus."""
+    out = []
+    while len(modular) > 1:
+        h = modular.pop()
+        g = [f[-1]]
+        for u in modular:
+            g = _zmul(g, u, p)
+        s, t = _zxgcd(g, h, p)
+        m = p
+        while m < modulus:
+            g, h, s, t = _hensel_step(f, g, h, s, t, m)
+            m *= m
+        out.append(h)
+        f = g
+    return [_zmul(f, [pow(f[-1], -1, modulus)], modulus)] + out[::-1]
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """f = g h and s g + t h = 1 mod m, h monic, lifted to mod m^2 (vzGG 15.10)."""
+    m *= m
+    e = _zadd(f, _zmul(g, h, m), m, -1)
+    q, r = _zdivmod(_zmul(s, e, m), h, m)
+    g = _zadd(_zadd(g, _zmul(t, e, m), m), _zmul(q, g, m), m)
+    h = _zadd(h, r, m)
+    b = _zadd(_zadd(_zmul(s, g, m), _zmul(t, h, m), m), [1], m, -1)
+    c, d = _zdivmod(_zmul(s, b, m), h, m)
+    s = _zadd(s, d, m, -1)
+    t = _zadd(_zadd(t, _zmul(t, b, m), m, -1), _zmul(c, g, m), m, -1)
+    return g, h, s, t
+
+
+def _recombine(f, lifted, m):
+    """Irreducible factors of the primitive f over Z from its lifted factors.
+
+    Leading coefficient trick: lc(f) times a subset's product, taken with
+    symmetric residues, is lc(f)/lc(h) * h for every true factor h.
+    """
+    factors, size, tried = [], 1, 0
+    while 2 * size <= len(lifted):
+        indices = range(len(lifted))
+        if 2 * size == len(lifted):
+            # a subset and its complement are one split: keep the first factor
+            subsets = ((0,) + c for c in itertools.combinations(indices[1:], size - 1))
+        else:
+            subsets = itertools.combinations(indices, size)
+        for subset in subsets:
+            tried += 1
+            if tried > MAX_RECOMBINATION_SUBSETS:
+                raise BudgetExceeded(
+                    "factoring a degree-%d polynomial over Q tried more than "
+                    "MAX_RECOMBINATION_SUBSETS = %d subsets of its %d modular factors"
+                    % (len(f) - 1, MAX_RECOMBINATION_SUBSETS, len(lifted))
+                )
+            # cheap filter first: the constant term of lc(f)/lc(h) * h divides lc(f) f(0)
+            c0 = f[-1]
+            for i in subset:
+                c0 = c0 * lifted[i][0] % m
+            c0 = c0 - m if 2 * c0 > m else c0
+            if (f[-1] * f[0] % c0 if c0 else f[0]) != 0:
+                continue
+            h = [f[-1]]
+            for i in subset:
+                h = _zmul(h, lifted[i], m)
+            h = _primitive([c - m if 2 * c > m else c for c in h])
+            quotient = _zexact_div(f, h)
+            if quotient is not None:
+                factors.append(h)
+                f = quotient
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return factors + [f]
+
+
+def _primitive(a):
+    content = math.gcd(*a)
+    return [c // content for c in a]
+
+
+def _zexact_div(f, g):
+    """f / g over Z, or None when g does not divide f."""
+    r, d = list(f), len(g) - 1
+    q = [0] * (len(f) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + d], g[-1])
+        if rem:
+            return None
+        q[k] = c
+        for i, y in enumerate(g):
+            r[k + i] -= c * y
+    return None if any(r[:d]) else q
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _zadd(a, b, m, sign=1):
+    return _trim([(x + sign * y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _zmul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _zdivmod(a, b, m):
+    """Quotient and remainder mod m; the leading coefficient of b is a unit."""
+    r, d = [c % m for c in a], len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(r) - d, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + d] * inv % m
+        for i, y in enumerate(b):
+            r[k + i] = (r[k + i] - c * y) % m
+    return _trim(q), _trim(r[:d])
+
+
+def _zxgcd(g, h, p):
+    """s, t with s g + t h = 1 mod p, for g and h coprime mod p."""
+    r0, s0, t0, r1, s1, t1 = [c % p for c in g], [1], [], [c % p for c in h], [], [1]
+    while r1:
+        q, r = _zdivmod(r0, r1, p)
+        s, t = _zadd(s0, _zmul(q, s1, p), p, -1), _zadd(t0, _zmul(q, t1, p), p, -1)
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s, t
+    if len(r0) != 1:
+        raise InternalInconsistency("modular factors are not coprime")
+    inv = [pow(r0[0], -1, p)]
+    return _zmul(s0, inv, p), _zmul(t0, inv, p)
 
 
 # ---------------------------------------------------------------- tower case

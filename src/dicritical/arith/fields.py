@@ -277,9 +277,6 @@ class FieldTower:
     def inv(self, a):
         return self._inv(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)

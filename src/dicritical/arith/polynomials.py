@@ -153,13 +153,6 @@ class UniPoly:
             T, [T.mul(T.from_int(k), c) for k, c in enumerate(self.coeffs)][1:]
         )
 
-    def eval(self, point):
-        T = self.tower
-        acc = T.zero()
-        for c in reversed(self.coeffs):
-            acc = T.add(T.mul(acc, point), c)
-        return acc
-
     def compose(self, inner):
         T = self.tower
         acc = UniPoly.zero(T)

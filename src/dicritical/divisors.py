@@ -9,6 +9,8 @@ coordinate) on the exceptional line.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .arith.linalg import kernel_basis
 from .arith.polynomials import BiPoly, bipoly_gcd
 from .errors import ConstantImage, InternalInconsistency, NonzeroValue, ZeroInput
@@ -297,6 +299,15 @@ def simple_ideal(V):
     fact = zariski_factorization(ideal)
     if len(fact.exponents) != 1 or fact.exponents[0][1] != 1:
         raise InternalInconsistency("candidate simple ideal does not factor simply")
-    if fact.exponents[0][0].path != path:
+    if _unnamed(fact.exponents[0][0].path) != _unnamed(path):
         raise InternalInconsistency("simple ideal round trip changed the path")
     return ideal
+
+
+def _unnamed(path):
+    """A path's root, steps, minimal polynomials and coordinates, without the
+    names of its extension generators, which the round trip chooses anew."""
+    steps = tuple(
+        dataclasses.replace(step, ext_name=None) if step.extends else step for step in path.steps
+    )
+    return path.tower, path.vars, steps

@@ -279,9 +279,3 @@ def directions_with_transforms(J):
         if not transform.is_unit():
             out.append((step, transform))
     return out
-
-
-def base_directions(J):
-    if J.is_unit():
-        raise UnitIdeal("the unit ideal has no base directions")
-    return [step for step, _ in directions_with_transforms(J)]

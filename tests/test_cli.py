@@ -1,6 +1,9 @@
 """Expression parsing, subcommand output, exit codes, and determinism."""
 
+import hashlib
 import json
+import subprocess
+import sys
 import time
 
 import pytest
@@ -173,6 +176,50 @@ def test_simple_ideal_roundtrip(capsys):
     lines = out.splitlines()
     assert lines[0] == "values x:2 y:3"
     assert lines[1] == "generators (y^2, x^2*y, x^3)"
+
+
+EXTENSION_PATH = '[{"chart":"affine","c":null,"extension":{"name":"%s","minpoly":["1","0","1"]}}]'
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7"])
+def test_simple_ideal_extension_name(capsys, field):
+    # the round trip names the residue extension itself; the user's name for
+    # the same generator must give the same ideal
+    outputs = []
+    for name in ("b", "a1"):
+        code, out, err = run(capsys, "simple-ideal", EXTENSION_PATH % name, "--field", field)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == "values x:1 y:1\ngenerators (x^2 + y^2, y^3, x*y^2)\n"
+
+
+# requests over Q that factor, with the sha256 of their machine output; the
+# at-infinity digests are those of the output when sympy factored over Q
+SYMPY_FREE_REQUESTS = [
+    (["at-infinity", "(X^2+Y^2)^3+X"], "b09e4abc853e5185ca2df9fc3a348f37bf7ec76686fd44baf22c83f52def02d5"),
+    # one of the benchmark's CLI batch
+    (
+        ["at-infinity", "6*X^4 - 3*X^3*Y - 2*X^2*Y^2 + X*Y^3 - 2*X^2*Y + Y^2 - 3*X"],
+        "c6cefbe859b7737c9f08441e09192dc7f7209bf7523213d0838528332e9edce8",
+    ),
+    (["simple-ideal", EXTENSION_PATH % "b"], "49e4468bffe9616f70c42e29ec7a3f9538e396701b51dbb73cb910b7a44e501f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SYMPY_FREE_REQUESTS, ids=["at-infinity", "batch", "simple-ideal"])
+def test_engine_runs_without_sympy(capsys, argv, digest):
+    script = (
+        "import sys\n"
+        "sys.modules['sympy'] = None  # every import of sympy now fails\n"
+        "from dicritical import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = argv + ["--field", "Q", "--format", "machine"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and proc.stdout == out.encode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest, out
 
 
 def test_at_infinity_text(capsys):

@@ -5,18 +5,20 @@ plus degree bookkeeping on random products with known factors.
 """
 
 import random
+import time
 
 import pytest
 
+from dicritical import cli
 from dicritical.arith import (
     QQ,
     FieldTower,
     UniPoly,
     factor_univariate,
     is_irreducible,
-    roots_in_field,
     squarefree_decomposition,
 )
+from dicritical.arith import factor
 from dicritical.arith.factor import extend
 
 F2 = FieldTower.prime_field(2)
@@ -52,10 +54,12 @@ def test_rational_multiplicities():
 
 
 def test_roots_in_field():
-    f = up(QQ, 6, -5, 1)  # (t-2)(t-3)
-    roots = roots_in_field(f)
+    # the roots in the field are read off the linear factors
+    _, factors = factor_univariate(up(QQ, 6, -5, 1))  # (t-2)(t-3)
+    roots = sorted((QQ.neg(g.coeff(0)) for g, _ in factors if g.degree == 1), key=QQ.sort_key)
     assert [QQ.render(r) for r in roots] == ["2", "3"]
-    assert roots_in_field(up(QQ, 1, 0, 1)) == []
+    _, factors = factor_univariate(up(QQ, 1, 0, 1))
+    assert [g for g, _ in factors if g.degree == 1] == []
 
 
 def test_squarefree_decomposition_char_zero():
@@ -76,7 +80,8 @@ def exhaustive_roots(tower, f):
     out = []
     for i in range(tower.element_count()):
         e = tower.element_from_index(i)
-        if tower.is_zero(f.eval(e)):
+        # f(e) is the remainder of f by t - e
+        if f.mod(UniPoly(tower, [tower.neg(e), tower.one()])).is_zero():
             out.append(tower.sort_key(e))
     return sorted(out)
 
@@ -139,3 +144,24 @@ def test_irreducible_stays_whole():
     f = up(QQ, 2, 0, 0, 1)  # t^3 + 2, Eisenstein
     lc, factors = factor_univariate(f)
     assert factors == [(f, 1)]
+
+
+# Swinnerton-Dyer polynomial of sqrt 2, 3, 5, 7: irreducible over Q, yet
+# eight factors of degree <= 2 modulo every prime; recombination tries 127
+# subsets of them before it proves irreducibility
+SD16 = [46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0, -141912, 0, 6476, 0, -136, 0, 1]
+
+
+def test_swinnerton_dyer_within_recombination_budget():
+    f = UniPoly(QQ, [QQ.from_int(c) for c in SD16])
+    assert factor_univariate(f) == (QQ.one(), [(f, 1)])
+
+
+def test_exit_recombination_budget(capsys, monkeypatch):
+    monkeypatch.setattr(factor, "MAX_RECOMBINATION_SUBSETS", 100)
+    form = " + ".join("(%d)*Y^%d*X^%d" % (c, k, 16 - k) for k, c in enumerate(SD16) if c)
+    start = time.perf_counter()
+    code = cli.main(["at-infinity", form + " + X"])
+    err = capsys.readouterr().err
+    assert code == 5 and "MAX_RECOMBINATION_SUBSETS = 100" in err
+    assert time.perf_counter() - start < 2

@@ -14,7 +14,7 @@ def test_rational_basics():
     assert QQ.height == 0
     assert QQ.degree() == 1
     a = QQ.from_int(3)
-    b = QQ.div(QQ.one(), QQ.from_int(2))
+    b = QQ.mul(QQ.one(), QQ.inv(QQ.from_int(2)))
     assert QQ.render(QQ.add(a, b)) == "7/2"
     assert QQ.is_zero(QQ.sub(a, a))
     assert QQ.eq(QQ.mul(b, QQ.from_int(2)), QQ.one())

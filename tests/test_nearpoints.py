@@ -8,7 +8,6 @@ from dicritical.nearpoints import (
     LocalIdeal,
     QdtPath,
     QdtStep,
-    base_directions,
     directions_with_transforms,
     pullback_order,
     transform_ideal,
@@ -66,7 +65,7 @@ def test_direction_discovery_affine_roots():
     x, y = mk()
     # initial form y^2 - x^2 = (y-x)(y+x): two affine directions
     J = LocalIdeal(QQ, V, [y.pow(2).sub(x.pow(2)), x.pow(3)])
-    steps = base_directions(J)
+    steps = [step for step, _ in directions_with_transforms(J)]
     cs = sorted(QQ.render(s.c) for s in steps if s.kind == "affine")
     assert cs == ["-1", "1"]
 
@@ -75,7 +74,7 @@ def test_direction_discovery_infinity():
     x, y = mk()
     # gcd of the order-3 initial forms is x^2: direction at infinity only
     J = LocalIdeal(QQ, V, [x.pow(3), x.pow(2).mul(y), y.pow(5)])
-    steps = base_directions(J)
+    steps = [step for step, _ in directions_with_transforms(J)]
     assert [s.kind for s in steps] == ["infinity"]
 
 
@@ -83,7 +82,7 @@ def test_direction_extension():
     x, y = mk()
     # initial form y^2 + x^2 is irreducible over QQ
     J = LocalIdeal(QQ, V, [y.pow(2).add(x.pow(2)), x.pow(3)])
-    steps = base_directions(J)
+    steps = [step for step, _ in directions_with_transforms(J)]
     assert len(steps) == 1
     assert steps[0].extends
     tower = steps[0].extend_tower(QQ)
@@ -155,6 +154,6 @@ def test_f5_directions():
     xf = BiPoly.variable(F5, V, "x")
     yf = BiPoly.variable(F5, V, "y")
     J = LocalIdeal(F5, V, [yf.pow(2).sub(xf.pow(2)), xf.pow(4)])
-    steps = base_directions(J)
+    steps = [step for step, _ in directions_with_transforms(J)]
     cs = sorted(F5.render(s.c) for s in steps if s.kind == "affine")
     assert cs == ["1", "4"]
