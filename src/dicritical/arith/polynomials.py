@@ -102,11 +102,6 @@ class UniPoly:
                 out[i + j] = T.add(out[i + j], T.mul(a, b))
         return UniPoly(T, out)
 
-    def mul_xk(self, k):
-        if self.is_zero():
-            return self
-        return UniPoly(self.tower, (self.tower.zero(),) * k + self.coeffs)
-
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -144,7 +139,7 @@ class UniPoly:
     def gcd(self, other):
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a.mod(b)
+            a, b = b, a.mod(b).monic()
         return a.monic()
 
     def derivative(self):
@@ -407,9 +402,6 @@ class BiPoly:
             self.tower, self.vars, {k: c for k, c in self.terms.items() if k[0] + k[1] == d}
         )
 
-    def constant_term(self):
-        return self.coeff(0, 0)
-
     def is_unit_at_origin(self):
         return not self.tower.is_zero(self.coeff(0, 0))
 
@@ -462,21 +454,6 @@ class BiPoly:
                 a = T.mul(c, a)
                 out[key] = T.add(out[key], a) if key in out else a
         return BiPoly(T, px.vars, out)
-
-    def eval(self, ax, ay):
-        T = self.tower
-        acc = T.zero()
-        xpow = {0: T.one()}
-        ypow = {0: T.one()}
-
-        def power(cache, base, e):
-            if e not in cache:
-                cache[e] = T.mul(power(cache, base, e - 1), base)
-            return cache[e]
-
-        for (i, j), c in self.terms.items():
-            acc = T.add(acc, T.mul(c, T.mul(power(xpow, ax, i), power(ypow, ay, j))))
-        return acc
 
     def lift_to(self, bigger):
         T = self.tower
@@ -680,10 +657,10 @@ def _coprime_by_specialization(f0, g0):
     """True only if f0 and g0 are coprime.
 
     For each variable v of positive degree in both, the other is set to some
-    c in 1, 2, 3 (0 is useless: after a transform all generators vanish at
-    the origin) that keeps lc_v(f0) nonzero.  A common factor h has
-    lc_v(h) | lc_v(f0), so h(c) keeps its v-degree and divides both
-    specializations; if these are coprime, h has degree 0 in v.
+    c in 1, 2, 3 (0 is useless when both vanish at the origin, as the
+    generators of a non-unit ideal do) that keeps lc_v(f0) nonzero.  A
+    common factor h has lc_v(h) | lc_v(f0), so h(c) keeps its v-degree and
+    divides both specializations; if these are coprime, h has degree 0 in v.
     """
     T = f0.tower
     consts = [c for c in dict.fromkeys(map(T.from_int, (1, 2, 3))) if not T.is_zero(c)]

@@ -204,29 +204,27 @@ def pullback_order(path, f):
 
 
 def transform_ideal(J, step):
-    """Transform of J through one step: substitute, then strip the GCD.
+    """The quadratic transform J^(R') = u^(-ord J)·J·R' through one step.
 
-    The polynomial GCD and the local GCD of the substituted generators
-    agree up to a local unit, so dividing by the polynomial GCD yields
-    generators of the transform in the new local ring.
+    u is the exceptional variable of the new chart.  In an affine chart
+    u = x and x^i·y^j becomes x^(i+j)·(y + c)^j; at infinity u = y and it
+    becomes x^i·y^(i+j).  So a generator of order o substitutes to u^o
+    times a polynomial, and dividing by u^(ord J) is an exponent shift.
+    For coprime generators nothing else is shared: the transform is an
+    isomorphism away from u = 0.  The generators are scaled so that the
+    first one's lex-least term has coefficient one.
     """
     T2 = step.extend_tower(J.tower)
     su, sw = step_substitution(T2, J.vars, step)
+    d = J.min_order()
+    shift = (-d, 0) if step.kind == "affine" else (0, -d)
     subs = []
     for g in J.gens:
         if g.tower != T2:
             g = g.lift_to(T2)
         subs.append(g.substitute(su, sw))
-    common = subs[0]
-    for other in subs[1:]:
-        if common.is_constant():
-            break
-        common = bipoly_gcd(common, other)
-    if not common.is_constant():
-        subs = [g.exact_div(common) for g in subs]
-    lead = subs[0].terms[min(subs[0].terms)]
-    inv = T2.inv(lead)
-    return LocalIdeal(T2, J.vars, [g.scale(inv) for g in subs])
+    inv = T2.inv(subs[0].terms[min(subs[0].terms)])
+    return LocalIdeal(T2, J.vars, [g.mul_monomial(shift, inv) for g in subs])
 
 
 def _min_order_forms(J):
@@ -272,10 +270,5 @@ def _direction_steps(J):
 
 
 def directions_with_transforms(J):
-    """(step, transform) for each confirmed base direction, canonical order."""
-    out = []
-    for step in _direction_steps(J):
-        transform = transform_ideal(J, step)
-        if not transform.is_unit():
-            out.append((step, transform))
-    return out
+    """(step, transform) for each base direction, in canonical order."""
+    return [(step, transform_ideal(J, step)) for step in _direction_steps(J)]

@@ -120,9 +120,10 @@ def test_simple_ideal_monomial_valuation():
 
 
 def test_simple_ideal_over_q_with_common_transform_factors():
-    # its base-point trees meet transforms whose generators share non-monomial
-    # factors over Q, so the gcd falls back to the PRS there (this ran for
-    # more than 30 s before the monomial split and the coprimality certificate)
+    # in its base-point trees, pairs of transformed generators share
+    # non-monomial factors over Q; a transform divides by u^(ord J) alone and
+    # takes no gcd (this ran for more than 30 s when every transform took a
+    # pairwise gcd without the monomial split and the coprimality certificate)
     c = QQ.from_int(2)
     v = divisor(
         QdtStep.infinity(), QdtStep.affine(c), QdtStep.affine(c), QdtStep.affine(c),

@@ -172,3 +172,21 @@ def test_small_degree_exhaustive_signs():
         coeffs = list(signs) + [1]
         if any(coeffs[:-1]):
             check(coeffs)
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["squarefree", "one-square"])
+def test_large_products_of_degree_24_and_more(squared):
+    # the squarefree step's gcd keeps its remainders monic; over Fractions a
+    # plain Euclid on these products ran for seconds
+    rng = random.Random("factor-Q-degree-24")
+    pieces = [eisenstein(rng, degree, rng.randint(60, 80)) for degree in (5, 4, 4)]
+    if squared:
+        pieces.append(pieces[1])
+    pieces.append(int_coeffs(sympy.cyclotomic_poly(12, T)))
+    pieces.append([-1] + [0] * 6 + [1])  # t^7 - 1
+    coeffs = [1]
+    for piece in pieces:
+        coeffs = mul(coeffs, piece)
+    assert len(coeffs) == (29 if squared else 25)
+    ours = check(coeffs)
+    assert sorted(m for _, m in ours) == ([1] * 5 + [2] if squared else [1] * 6)
