@@ -5,7 +5,7 @@ import json
 import math
 import sys
 
-from .arith import QQ, BiPoly, FieldTower
+from .arith import QQ, BiPoly, FieldTower, UniPoly
 from .atinfinity import dicriticals_at_infinity
 from .divisors import PrimeDivisor, RationalFn, simple_ideal
 from .errors import BudgetExceeded, DivisionNotTopLevel, EngineError, ParseError
@@ -268,29 +268,40 @@ def _path_data(path):
     return [_step_data(path.node_tower(i), step) for i, step in enumerate(path.steps)]
 
 
+def _parse_step(entry, tower):
+    """One step from its JSON object; a missing or malformed field raises
+    KeyError, TypeError, ValueError or ZeroDivisionError."""
+    chart = entry["chart"]
+    if chart == "infinity":
+        return QdtStep.infinity()
+    if chart != "affine":
+        raise ParseError("unknown chart %r" % chart, 0)
+    ext = entry.get("extension")
+    if ext is None:
+        return QdtStep.affine(tower.element_from_data(entry["c"]))
+    minpoly = UniPoly(tower, [tower.element_from_data(c) for c in ext["minpoly"]])
+    if minpoly.degree < 2:
+        raise ParseError("an extension's minimal polynomial needs degree at least 2", 0)
+    # a step's minimal polynomial is monic, as the round trip finds it
+    return QdtStep.affine_ext(ext["name"], minpoly.monic().coeffs)
+
+
 def parse_path(data, tower, vars):
     if not isinstance(data, list):
         raise ParseError("path must be a list of steps", 0)
     steps = []
     current = tower
     for entry in data:
-        if not isinstance(entry, dict) or "chart" not in entry:
-            raise ParseError("each step needs a chart", 0)
-        chart = entry["chart"]
-        if chart == "infinity":
-            step = QdtStep.infinity()
-        elif chart == "affine":
-            ext = entry.get("extension")
-            if ext is not None:
-                coeffs = tuple(
-                    current.element_from_data(c) for c in ext["minpoly"]
-                )
-                step = QdtStep.affine_ext(ext["name"], coeffs)
-            else:
-                step = QdtStep.affine(current.element_from_data(entry["c"]))
-        else:
-            raise ParseError("unknown chart %r" % chart, 0)
-        current = step.extend_tower(current)
+        if not isinstance(entry, dict):
+            raise ParseError("each step must be an object", 0)
+        try:
+            step = _parse_step(entry, current)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(
+                "malformed step %s (%s: %s)" % (json.dumps(entry), type(exc).__name__, exc), 0
+            ) from None
+        # a reducible minimal polynomial is refused here, before the round trip
+        current = step.extend_tower(current, check=True)
         steps.append(step)
     return QdtPath(tower, vars, steps)
 
@@ -511,6 +522,8 @@ def _cmd_special_pencil(args, tower):
 
 def _cmd_rees_certificate(args, tower):
     ideal = parse_ideal(args.expressions[0], tower, args.vars)
+    if len(ideal.gens) != 2:
+        raise ParseError("rees-certificate needs an ideal of two nonzero generators")
     records = dicritical_set(ideal, _tree_config(args))
     decision = all(rees_certificate(ideal, r.divisor) for r in records)
     report = _base_report(args, args.expressions)
@@ -586,7 +599,9 @@ def _cmd_abhyankar_family(args, tower):
     try:
         m = int(args.expressions[0])
     except ValueError:
-        raise ParseError("family index must be an integer", 0)
+        m = 0
+    if m < 1:
+        raise ParseError("family index must be a positive integer", 0)
     f, g, ideal = idealcalc.abhyankar_family(m, tower, args.vars)
     pencil = LocalIdeal(tower, args.vars, [f, g])
     result = idealcalc.is_reduction(pencil, ideal, n_max=args.nmax)
@@ -671,8 +686,8 @@ def main(argv=None):
         args.vars = ("X", "Y") if args.subcommand == "at-infinity" else ("x", "y")
     else:
         parts = tuple(p.strip() for p in args.vars.split(","))
-        if len(parts) != 2 or not all(parts):
-            sys.stderr.write("error: --vars needs two comma-separated names\n")
+        if len(parts) != 2 or not all(parts) or parts[0] == parts[1]:
+            sys.stderr.write("error: --vars needs two distinct comma-separated names\n")
             return 2
         args.vars = parts
     try:

@@ -282,12 +282,12 @@ def simple_ideal(V):
     mu = min(a, b)
     D = -(-c // mu)
 
-    from .idealcalc import _valuation_rows, minimal_generators
+    from .idealcalc import _monomials_below, _valuation_rows, minimal_generators
     from .zariski import zariski_factorization
 
     # a column that _valuation_rows skips has value >= c: a zero column,
     # whose kernel vector is its unit vector
-    columns = sorted((i, j) for j in range(D) for i in range(D - j))
+    columns = sorted(_monomials_below(D))
     kernel = kernel_basis(T, _valuation_rows(V, c, columns), columns)
 
     gens = []

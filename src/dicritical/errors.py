@@ -50,6 +50,12 @@ class EmptyInput(EngineError):
     exit_code = 3
 
 
+class NotMPrimary(EngineError):
+    """The ideal's generators share a factor that vanishes at the origin."""
+
+    exit_code = 3
+
+
 class UnitIdeal(EngineError):
     """The unit ideal is outside the domain of this operation."""
 

@@ -7,7 +7,7 @@ from itertools import count
 from typing import Optional
 
 from .arith import QQ, BiPoly, SparseEchelon, bipoly_gcd
-from .errors import BudgetExceeded, InternalInconsistency, Unstable
+from .errors import BudgetExceeded, InternalInconsistency, NotMPrimary, Unstable
 from .nearpoints import LocalIdeal, QdtPath, QdtStep
 from .zariski import Factorization, strip_principal, zariski_factorization
 
@@ -94,19 +94,19 @@ class TruncationFrame:
 def stabilized_frame(ideal):
     """A frame with a full degree layer d, so M^d lies in the ideal.
 
-    One frame at max total degree + max order + 1 usually has one; failing
-    that the bound doubles while the frame's degree stays within the budget
-    MAX_FRAME_DEGREE.
+    M^d inside the ideal puts x^d there, so d >= ord(I): the first frame has
+    bound ord(I) + 1, the least that can show a full layer, and the bound
+    doubles until one does, ending below 2 * (d(I) + 1), while the frame's
+    degree stays within the budget MAX_FRAME_DEGREE.  When the first frame
+    has no full layer, an ideal that is not M-primary is refused.
     """
-    if ideal.is_unit():
-        return TruncationFrame(ideal, 1)
-    bound = 1 + max(g.total_degree for g in ideal.gens) + max(
-        g.ord_at_origin() for g in ideal.gens
-    )
+    first = bound = ideal.min_order() + 1
     while bound - 1 <= MAX_FRAME_DEGREE:
         frame = TruncationFrame(ideal, bound)
         if frame.full_degree() is not None:
             return frame
+        if bound == first:
+            _require_mprimary(ideal.content())
         bound *= 2
     raise Unstable(
         "frame budget exhausted: no truncation frame of degree at most "
@@ -115,17 +115,20 @@ def stabilized_frame(ideal):
     )
 
 
+def _require_mprimary(principal):
+    """Refuse an ideal whose principal part (generator gcd) vanishes at the origin."""
+    if not principal.is_unit_at_origin():
+        raise NotMPrimary(
+            "the ideal is not M-primary: its generators share the factor %s"
+            % principal.render()
+        )
+
+
 def colength(ideal):
-    if ideal.is_unit():
-        return 0
     return stabilized_frame(ideal).colength()
 
 
 def membership(f, ideal, frame=None):
-    if f.is_zero():
-        return True
-    if ideal.is_unit():
-        return True
     if frame is None:
         frame = stabilized_frame(ideal)
     return frame.contains(f)
@@ -239,8 +242,7 @@ class ClosureData:
         return all(v.value(f) >= c for v, c in self.floors)
 
     def colength(self):
-        if not self.factorization.principal.is_constant():
-            raise ValueError("closure colength requires an M-primary ideal")
+        _require_mprimary(self.factorization.principal)
         if not self.floors:
             return 0
         bound = 0
@@ -292,16 +294,12 @@ def closure_data(ideal, config=None):
     return ClosureData(ideal, fact, floors)
 
 
-def closure_membership(f, ideal, config=None, data=None):
-    if data is None:
-        data = closure_data(ideal, config)
-    return data.contains(f)
+def closure_membership(f, ideal, config=None):
+    return closure_data(ideal, config).contains(f)
 
 
-def closure_colength(ideal, config=None, data=None):
-    if data is None:
-        data = closure_data(ideal, config)
-    return data.colength()
+def closure_colength(ideal, config=None):
+    return closure_data(ideal, config).colength()
 
 
 def closure_equals(j, k, config=None):
@@ -315,7 +313,13 @@ def closure_equals(j, k, config=None):
         data_j = closure_data(j, config)
         if not all(data_j.contains(g) for g in k.gens):
             return False
-        if data_j.factorization.principal != data_k.factorization.principal:
+        # principal parts are local: equal up to a unit at the origin
+        pj, pk = data_j.factorization.principal, data_k.factorization.principal
+        common = bipoly_gcd(pj, pk)
+        if not (
+            pj.exact_div(common).is_unit_at_origin()
+            and pk.exact_div(common).is_unit_at_origin()
+        ):
             return False
         exps_j = {v.path: n for v, n in data_j.factorization.exponents}
         exps_k = {v.path: n for v, n in data_k.factorization.exponents}
@@ -355,7 +359,11 @@ def is_reduction(j, i, n_max=None, config=None):
     # floors must come from J: values on I's own divisors cannot see
     # elements of I lying below J's polygon
     data = closure_data(j, config)
-    valuative = all(v.value_of_ideal(i) == c for v, c in data.floors)
+    # a reduction of an M-primary ideal is M-primary: without that, J has no
+    # floors and the values alone would pass vacuously
+    valuative = data.factorization.principal.is_unit_at_origin() and all(
+        v.value_of_ideal(i) == c for v, c in data.floors
+    )
     if n_max is None:
         n_max = frame_i.colength()
     # M^d_i lies in I, so M^((n+1)d_i + 1) lies in M.I^(n+1): containment

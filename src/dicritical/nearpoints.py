@@ -184,11 +184,9 @@ class LocalIdeal:
         return g.normalized()
 
     def is_mprimary(self):
-        return not self.is_unit() and self.content().is_constant()
+        return not self.is_unit() and self.content().is_unit_at_origin()
 
     def min_order(self):
-        if self.is_unit():
-            return 0
         return min(g.ord_at_origin() for g in self.gens)
 
 

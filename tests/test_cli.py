@@ -326,6 +326,54 @@ def test_exit_budget(capsys):
     assert code == 5 and err.startswith("error:")
 
 
+def _step(**fields):
+    return json.dumps([dict({"chart": "affine"}, **fields)])
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["simple-ideal", _step(extension=None)], 2),
+        (["simple-ideal", _step(c=None, extension={"name": "b"})], 2),
+        (["simple-ideal", _step(c="1/0")], 2),
+        (["simple-ideal", _step(c=[1, 2])], 2),
+        (["simple-ideal", _step(c="x"), "--field", "Fp:7"], 2),
+        (["simple-ideal", _step(c=None, extension={"name": "b", "minpoly": ["1", "1"]})], 2),
+        # (t + 1)^2 over F_2
+        (
+            ["simple-ideal", _step(c=None, extension={"name": "b", "minpoly": ["1", "0", "1"]}),
+             "--field", "Fp:2"],
+            4,
+        ),
+        (["colength", "x^2, y", "--vars", "x,x"], 2),
+        (["abhyankar-family", "0"], 2),
+        (["rees-certificate", "x^2, y^3, x*y"], 2),
+        (["colength", "x^2, x*y"], 3),
+        (["reduction-check", "x^2, y^2", "x"], 3),
+    ],
+)
+def test_bad_input_exits_with_engine_error(capsys, argv, code):
+    # every bad input leaves through an error line and a stable exit code
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert time.perf_counter() - start < 2
+
+
+def test_non_monic_minimal_polynomial(capsys):
+    # 2*t^2 + 2 names the same point as t^2 + 1
+    for minpoly in (["1", "0", "1"], ["2", "0", "2"]):
+        code, out, err = run(capsys, "simple-ideal", _step(c=None, extension={"name": "b", "minpoly": minpoly}))
+        assert code == 0, err
+        assert out == "values x:1 y:1\ngenerators (x^2 + y^2, y^3, x*y^2)\n"
+
+
+def test_reduction_check_non_primary_j(capsys):
+    code, out, _ = run(capsys, "reduction-check", "x", "x, y")
+    assert (code, out) == (0, "decision false\n")
+
+
 def test_exit_frame_budget_names_budget(capsys):
     # M-primary, but its first frame already exceeds the degree budget
     code, _, err = run(capsys, "colength", "x^100000, y")

@@ -4,13 +4,16 @@ Monomial ideals get brute-force oracles: a staircase count for colength and
 the Newton polyhedron for closure membership.
 """
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import test_properties as props
 from dicritical import idealcalc as ic
 from dicritical.arith import QQ, BiPoly, FieldTower
-from dicritical.errors import Unstable
+from dicritical.errors import NotMPrimary, Unstable
 from dicritical.nearpoints import LocalIdeal
 
 V = ("x", "y")
@@ -84,11 +87,73 @@ def test_colength_non_monomial():
     assert ic.colength(J) == 8
 
 
-def test_colength_unstable_for_non_primary(monkeypatch):
-    monkeypatch.setattr(ic, "MAX_FRAME_DEGREE", 32)
+def test_colength_unstable_for_non_primary():
     J = LocalIdeal(QQ, V, [X.pow(2)])
-    with pytest.raises(Unstable):
+    with pytest.raises(NotMPrimary, match="share the factor x\\^2"):
         ic.colength(J)
+
+
+@pytest.mark.parametrize(
+    "gens,factor",
+    [
+        ([X.pow(2), X.mul(Y)], "x"),
+        ([X.pow(3).mul(Y), X.mul(Y.pow(3))], "x*y"),
+        ([X.pow(5).add(Y.pow(2))], "x^5 + y^2"),
+    ],
+)
+def test_non_primary_refused_after_one_frame(gens, factor):
+    # refused at the first frame without a full layer, not at the budget
+    start = time.perf_counter()
+    with pytest.raises(NotMPrimary) as exc:
+        ic.colength(LocalIdeal(QQ, V, gens))
+    assert str(exc.value).endswith("share the factor %s" % factor)
+    assert time.perf_counter() - start < 2
+
+
+def _frame_bounds(monkeypatch, call):
+    bounds = []
+    real = ic.TruncationFrame.__init__
+
+    def logged(self, ideal, bound):
+        bounds.append(bound)
+        real(self, ideal, bound)
+
+    monkeypatch.setattr(ic.TruncationFrame, "__init__", logged)
+    try:
+        return call(), bounds
+    finally:
+        monkeypatch.setattr(ic.TruncationFrame, "__init__", real)
+
+
+def _assert_frames_sized_by_ideal(monkeypatch, ideal):
+    # the frames start at ord(I) + 1 and double: all below 2 * (d(I) + 1)
+    frame, bounds = _frame_bounds(monkeypatch, lambda: ic.stabilized_frame(ideal))
+    d = frame.full_degree()
+    assert bounds[0] == ideal.min_order() + 1
+    assert all(b < 2 * (d + 1) for b in bounds), (ideal, bounds, d)
+
+
+def _const(n):
+    return BiPoly.from_int(QQ, V, n)
+
+
+def test_frame_ignores_a_redundant_high_degree_generator(monkeypatch):
+    J = LocalIdeal(QQ, V, [_const(2).mul(X).add(_const(3).mul(Y)).pow(100), X.pow(2), Y.pow(3)])
+    start = time.perf_counter()
+    assert ic.colength(J) == 6
+    assert time.perf_counter() - start < 2
+    _assert_frames_sized_by_ideal(monkeypatch, J)
+
+
+@pytest.mark.parametrize("tower", [QQ, FieldTower.prime_field(5)], ids=["Q", "F5"])
+def test_frames_below_twice_full_degree(monkeypatch, tower):
+    for m in range(2, 7):
+        f, g, I = ic.abhyankar_family(m, tower)
+        _assert_frames_sized_by_ideal(monkeypatch, I)
+        _assert_frames_sized_by_ideal(monkeypatch, LocalIdeal(tower, V, [f, g]))
+    rng = random.Random(900 + tower.char)
+    for _ in range(40):
+        _assert_frames_sized_by_ideal(monkeypatch, props.random_primary(rng, tower))
 
 
 def test_membership():
@@ -150,6 +215,24 @@ def test_closure_colength():
     assert ic.closure_colength(J) == 5
 
 
+# x - 1 is a unit of the local ring: (x^2 - x, x*y - y) is the ideal (x, y)
+UNIT_MULTIPLE = LocalIdeal(QQ, V, [X.pow(2).sub(X), X.mul(Y).sub(Y)])
+
+
+def test_closure_colength_local_principal_part():
+    assert ic.closure_colength(UNIT_MULTIPLE) == ic.colength(UNIT_MULTIPLE) == 1
+    with pytest.raises(NotMPrimary, match="share the factor x"):
+        ic.closure_colength(LocalIdeal(QQ, V, [X.pow(2), X.mul(Y)]))
+
+
+def test_closure_equals_local_principal_part():
+    XY = LocalIdeal(QQ, V, [X, Y])
+    assert ic.closure_equals(UNIT_MULTIPLE, XY)
+    assert ic.closure_equals(XY, UNIT_MULTIPLE)
+    # a principal part that vanishes at the origin still counts
+    assert not ic.closure_equals(ic.product(UNIT_MULTIPLE, LocalIdeal(QQ, V, [X])), XY)
+
+
 def test_closure_equals_golden():
     J = LocalIdeal(QQ, V, [X.pow(3), Y.pow(2)])
     K = LocalIdeal(QQ, V, [X.pow(3), Y.pow(2), X.pow(2).mul(Y)])
@@ -205,6 +288,13 @@ def test_is_reduction_trivial_and_false():
     assert not r.decision
 
 
+def test_is_reduction_non_primary_j():
+    # (x) has no value floors, but a reduction of (x, y) must be M-primary
+    r = ic.is_reduction(LocalIdeal(QQ, V, [X]), LocalIdeal(QQ, V, [X, Y]))
+    assert not r.decision and r.witness is None
+    assert not r.by_direct and not r.by_valuative
+
+
 def test_is_reduction_needs_candidate_valuations():
     # (x^3, y^5) and (x^3, y^5, x*y^2) take equal values on the larger
     # ideal's two divisors, yet x*y^2 sits below the smaller polygon
@@ -256,12 +346,12 @@ def test_frame_full_degree():
 
 def test_unstable_message_names_budget(monkeypatch):
     monkeypatch.setattr(ic, "MAX_FRAME_DEGREE", 32)
-    # frames at bounds 5, 10, 20; the next would have degree 39
-    with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 .* try: 39"):
-        ic.colength(LocalIdeal(QQ, V, [X.pow(2)]))
-    # M-primary, but the first frame (degree 78) is already past the budget
-    with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 .* try: 78"):
+    # frames at bounds 2, 4, ..., 32; the next would have degree 63
+    with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 .* try: 63"):
         ic.colength(LocalIdeal(QQ, V, [X.pow(39), Y]))
+    # the first frame (degree 40) is already past the budget
+    with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 .* try: 40"):
+        ic.colength(LocalIdeal(QQ, V, [X.pow(40), Y.pow(40)]))
 
 
 @pytest.mark.parametrize("tower", [QQ, FieldTower.prime_field(5)], ids=["Q", "F5"])
@@ -289,20 +379,8 @@ def test_frame_insert_budget(monkeypatch, tower):
 
 def test_is_reduction_frame_bounds(monkeypatch):
     # besides I's own frames, only the frames of J.I^n at (n + 1) d(I) + 1
-    real = ic.TruncationFrame.__init__
-
     def bounds_of(call):
-        bounds = []
-
-        def logged(self, ideal, bound):
-            bounds.append(bound)
-            real(self, ideal, bound)
-
-        monkeypatch.setattr(ic.TruncationFrame, "__init__", logged)
-        try:
-            return call(), bounds
-        finally:
-            monkeypatch.setattr(ic.TruncationFrame, "__init__", real)
+        return _frame_bounds(monkeypatch, call)
 
     for m in range(2, 6):
         f, g, I = ic.abhyankar_family(m)

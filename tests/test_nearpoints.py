@@ -130,6 +130,16 @@ def test_local_ideal_guards():
     assert LocalIdeal(QQ, V, [x.add(BiPoly.one(QQ, V))]).is_unit()
 
 
+def test_is_mprimary_is_local():
+    # x - 1 is a unit at the origin: (x^2 - x, x*y - y) is (x, y)
+    x, y = mk()
+    one = BiPoly.one(QQ, V)
+    J = LocalIdeal(QQ, V, [x.pow(2).sub(x), x.mul(y).sub(y)])
+    assert J.is_mprimary()
+    assert not LocalIdeal(QQ, V, [x.pow(2).sub(x), x.mul(y).sub(x)]).is_mprimary()
+    assert not LocalIdeal(QQ, V, [x.sub(one), y]).is_mprimary()  # the unit ideal
+
+
 def test_path_suffix():
     steps = [QdtStep.affine(QQ.zero()), QdtStep.infinity(), QdtStep.affine(QQ.one())]
     path = QdtPath(QQ, V, steps)
