@@ -99,8 +99,8 @@ def is_irreducible(f):
 
 def extend(tower, minpoly, name, check=True):
     """Tower extended by a root of minpoly; verifies irreducibility by default."""
-    if minpoly.degree < 1:
-        raise NotIrreducible("an extension needs a nonconstant minimal polynomial")
+    if minpoly.degree < 2:
+        raise ValueError("an extension needs a minimal polynomial of degree >= 2")
     m = minpoly.monic()
     if check and not is_irreducible(m):
         raise NotIrreducible(
@@ -401,13 +401,6 @@ def _factor_trager(f):
     K = f.tower
     sub = K.prefix(K.height - 1)
     deg_top = K.level_degree(K.height - 1)
-    if deg_top == 1:
-        # the top level is a relabeling; descend, factor, lift back
-        down = UniPoly(sub, [K.components_over(sub, c)[0] for c in f.coeffs])
-        return [
-            UniPoly(K, [K.lift_from(sub, c) for c in g.coeffs])
-            for g in _factor_squarefree_monic(down)
-        ]
     alpha = K.generator()
     minpoly = [UniPoly.constant(sub, c) for c in K.levels[-1][1]]
     for s in itertools.count(0):

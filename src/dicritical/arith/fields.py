@@ -155,9 +155,10 @@ class FieldTower:
     """A ground field (Q for base None, else F_p) plus simple extensions.
 
     levels is a tuple of (name, minpoly) pairs; the minimal polynomial of
-    level k is stored as a monic coefficient tuple (low to high) over the
-    tower truncated below level k.  Instances are immutable; construction
-    does not check irreducibility (arith.factor.extend does).
+    level k is stored as a monic coefficient tuple (low to high) of degree
+    at least 2 over the tower truncated below level k.  Instances are
+    immutable; construction does not check irreducibility
+    (arith.factor.extend does).
     """
 
     __slots__ = ("base", "levels", "_at", "_add", "_sub", "_neg", "_mul", "_inv", "_is_zero")
@@ -168,8 +169,8 @@ class FieldTower:
         levels = tuple((name, tuple(mp)) for name, mp in levels)
         at = [_ground(base)]
         for name, mp in levels:
-            if len(mp) < 2:
-                raise ValueError(f"minimal polynomial for {name} must have degree >= 1")
+            if len(mp) < 3:
+                raise ValueError(f"minimal polynomial for {name} must have degree >= 2")
             at.append(_extension(at[-1], mp))
         top = at[-1]
         for attr, value in (
@@ -230,12 +231,7 @@ class FieldTower:
         if k < 0 or k >= self.height:
             raise IndexError("no such extension level")
         below, d = self._at[k], self.level_degree(k)
-        if d == 1:
-            # degree-1 extension: generator equals the root -minpoly[0]
-            e = (below.neg(self.levels[k][1][0]),)
-        else:
-            e = (below.zero, below.one) + (below.zero,) * (d - 2)
-        return self._lift(e, k + 1)
+        return self._lift((below.zero, below.one) + (below.zero,) * (d - 2), k + 1)
 
     def _lift(self, e, k):
         """Embed an element of the tower truncated to k levels into self."""

@@ -690,6 +690,11 @@ def main(argv=None):
             sys.stderr.write("error: --vars needs two distinct comma-separated names\n")
             return 2
         args.vars = parts
+    for key in ("depth", "nodes", "nmax"):
+        value = getattr(args, key)
+        if value is not None and value < 0:
+            sys.stderr.write("error: --%s must be nonnegative\n" % key)
+            return 2
     try:
         tower = _field(args.field_spec)
     except argparse.ArgumentTypeError as exc:

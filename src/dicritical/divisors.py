@@ -80,12 +80,11 @@ class RationalFn:
 class PrimeDivisor:
     """ord of the terminal ring of a QDT path, as a valuation on the root."""
 
-    __slots__ = ("path", "_coord_values", "_rmults", "_pbasis")
+    __slots__ = ("path", "_coord_values", "_pbasis")
 
     def __init__(self, path):
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "_coord_values", None)
-        object.__setattr__(self, "_rmults", None)
         object.__setattr__(self, "_pbasis", None)
 
     def __setattr__(self, name, value):
@@ -131,17 +130,12 @@ class PrimeDivisor:
         return self.path.terminal_tower.degree() // self.path.tower.degree()
 
     def intermediate_multiplicities(self):
-        """v(M(R_i)) for each node: min order of the node's coordinates."""
-        if self._rmults is None:
-            out = []
-            for i in range(self.path.length + 1):
-                tail = self.path.suffix(i)
-                T = tail.tower
-                u = BiPoly.variable(T, self.vars, self.vars[0])
-                w = BiPoly.variable(T, self.vars, self.vars[1])
-                out.append(min(pullback_order(tail, u), pullback_order(tail, w)))
-            object.__setattr__(self, "_rmults", tuple(out))
-        return self._rmults
+        """v(M(R_i)) for each node: the point basis scaled by residue degrees."""
+        path = self.path
+        top = path.terminal_tower.degree()
+        return tuple(
+            m * path.node_tower(i).degree() // top for i, m in enumerate(self.point_basis())
+        )
 
     def point_basis(self):
         """Multiplicity of the simple ideal of V at each node of the path.
@@ -165,9 +159,6 @@ class PrimeDivisor:
                 )
             object.__setattr__(self, "_pbasis", tuple(m))
         return self._pbasis
-
-    def simple_ideal(self):
-        return simple_ideal(self)
 
 
 def _proximity_sets(path):
@@ -224,11 +215,6 @@ class ResidueImage:
 
     __hash__ = None
 
-    def render(self):
-        if self.den.degree == 0 and self.den.coeffs == (self.den.tower.one(),):
-            return self.num.render("tau")
-        return "(%s)/(%s)" % (self.num.render("tau"), self.den.render("tau"))
-
 
 def residue_image(V, z):
     """Image of a value-zero rational function in the divisor's residue field."""
@@ -263,6 +249,42 @@ def dicritical_degree(V, z):
     return V.residue_degree() * image.degree
 
 
+def _monomials_below(bound):
+    # all (i, j) with i + j < bound, in a fixed deterministic order
+    return [(i, j) for j in range(bound) for i in range(bound - j)]
+
+
+def _valuation_rows(divisor, floor, columns):
+    """Linear conditions 'terminal order >= floor' on the span of the given monomials."""
+    path = divisor.path
+    terminal = path.terminal_tower
+    root = path.tower
+    ratio = terminal.degree() // root.degree()
+    fx, fy = path.substitution()
+    vx, vy = divisor.coordinate_values()
+    deg = max(e[0] + e[1] for e in columns) if columns else 0
+    xpows = [BiPoly.one(terminal, fx.vars)]
+    ypows = [BiPoly.one(terminal, fx.vars)]
+    for _ in range(deg):
+        xpows.append(xpows[-1] * fx)
+        ypows.append(ypows[-1] * fy)
+    rows = {}
+    for e in columns:
+        if e[0] * vx + e[1] * vy >= floor:
+            continue
+        image = xpows[e[0]] * ypows[e[1]]
+        for mono, coeff in image.terms.items():
+            if mono[0] + mono[1] >= floor:
+                continue
+            if ratio == 1:
+                rows.setdefault((mono, 0), {})[e] = coeff
+            else:
+                for k, part in enumerate(terminal.components_over(root, coeff)):
+                    if not root.is_zero(part):
+                        rows.setdefault((mono, k), {})[e] = part
+    return [rows[key] for key in sorted(rows)]
+
+
 def simple_ideal(V):
     """Generators of the simple complete ideal of V in the root ring.
 
@@ -282,7 +304,7 @@ def simple_ideal(V):
     mu = min(a, b)
     D = -(-c // mu)
 
-    from .idealcalc import _monomials_below, _valuation_rows, minimal_generators
+    from .idealcalc import minimal_generators
     from .zariski import zariski_factorization
 
     # a column that _valuation_rows skips has value >= c: a zero column,

@@ -9,14 +9,9 @@ from typing import Optional
 from .arith import QQ, BiPoly, SparseEchelon, bipoly_gcd
 from .errors import BudgetExceeded, InternalInconsistency, NotMPrimary, Unstable
 from .nearpoints import LocalIdeal, QdtPath, QdtStep
-from .zariski import Factorization, strip_principal, zariski_factorization
+from .zariski import BasePointTree, base_point_tree, records_from_tree, strip_principal
 
 MAX_FRAME_DEGREE = 1024
-
-
-def _monomials_below(bound):
-    # all (i, j) with i + j < bound, in a fixed deterministic order
-    return [(i, j) for j in range(bound) for i in range(bound - j)]
 
 
 def _truncated_row(g, bound):
@@ -225,73 +220,41 @@ def minimal_generators(ideal, frame_degree=None):
 
 @dataclass(frozen=True)
 class ClosureData:
-    """Valuative description of an integral closure: principal part plus value floors."""
+    """Valuative description of an integral closure: base-point tree plus value floors."""
 
-    ideal: LocalIdeal
-    factorization: Factorization
+    tree: BasePointTree
     floors: tuple
 
     def contains(self, f):
         if f.is_zero():
             return True
-        principal = self.factorization.principal
+        principal = self.tree.principal
         if not principal.is_constant():
             common = bipoly_gcd(f, principal)
             if not principal.exact_div(common).is_unit_at_origin():
                 return False
         return all(v.value(f) >= c for v, c in self.floors)
 
-    def colength(self):
-        _require_mprimary(self.factorization.principal)
-        if not self.floors:
-            return 0
-        bound = 0
-        for v, c in self.floors:
-            mu = min(v.coordinate_values())
-            bound = max(bound, -(-c // mu))
-        columns = _monomials_below(bound)
-        ech = SparseEchelon(self.ideal.tower)
-        for v, c in self.floors:
-            for row in _valuation_rows(v, c, columns):
-                ech.insert(row)
-        return ech.rank
 
+def _hoskin_deligne(tree):
+    """Colength of the closure of the tree's residual ideal.
 
-def _valuation_rows(divisor, floor, columns):
-    """Linear conditions 'terminal order >= floor' on the span of the given monomials."""
-    path = divisor.path
-    terminal = path.terminal_tower
-    root = path.tower
-    ratio = terminal.degree() // root.degree()
-    fx, fy = path.substitution()
-    vx, vy = divisor.coordinate_values()
-    deg = max(e[0] + e[1] for e in columns) if columns else 0
-    xpows = [BiPoly.one(terminal, fx.vars)]
-    ypows = [BiPoly.one(terminal, fx.vars)]
-    for _ in range(deg):
-        xpows.append(xpows[-1] * fx)
-        ypows.append(ypows[-1] * fy)
-    rows = {}
-    for e in columns:
-        if e[0] * vx + e[1] * vy >= floor:
-            continue
-        image = xpows[e[0]] * ypows[e[1]]
-        for mono, coeff in image.terms.items():
-            if mono[0] + mono[1] >= floor:
-                continue
-            if ratio == 1:
-                rows.setdefault((mono, 0), {})[e] = coeff
-            else:
-                for k, part in enumerate(terminal.components_over(root, coeff)):
-                    if not root.is_zero(part):
-                        rows.setdefault((mono, k), {})[e] = part
-    return [rows[key] for key in sorted(rows)]
+    The sum over the base points P of [k_P : k] * o_P (o_P + 1) / 2, with
+    o_P the order of the transform at P (Huneke-Swanson ch. 14).
+    """
+    if tree.root is None:
+        return 0
+    root_degree = tree.root.path.tower.degree()
+    return sum(
+        node.path.terminal_tower.degree() // root_degree * _triangular(node.ideal.min_order())
+        for node in tree.nodes()
+    )
 
 
 def closure_data(ideal, config=None):
-    fact = zariski_factorization(ideal, config)
-    floors = tuple((v, v.value_of_ideal(ideal)) for v, _ in fact.exponents)
-    return ClosureData(ideal, fact, floors)
+    tree = base_point_tree(ideal, config)
+    floors = tuple((r.divisor, r.divisor.value_of_ideal(ideal)) for r in records_from_tree(tree))
+    return ClosureData(tree, floors)
 
 
 def closure_membership(f, ideal, config=None):
@@ -299,43 +262,30 @@ def closure_membership(f, ideal, config=None):
 
 
 def closure_colength(ideal, config=None):
-    return closure_data(ideal, config).colength()
+    tree = base_point_tree(ideal, config)
+    _require_mprimary(tree.principal)
+    return _hoskin_deligne(tree)
 
 
 def closure_equals(j, k, config=None):
     """Whether the integral closure of J equals K on the nose.
 
-    True needs K inside the closure of J, matching factorizations, and
-    colength(K) equal to the closure colength, which certifies K complete.
+    With K inside the closure of J and the principal parts equal, K = cl(J)
+    exactly when the residual of K has the closure colength of J's residual.
     """
-    data_k = closure_data(k, config)
-    if j is not k:
-        data_j = closure_data(j, config)
-        if not all(data_j.contains(g) for g in k.gens):
-            return False
-        # principal parts are local: equal up to a unit at the origin
-        pj, pk = data_j.factorization.principal, data_k.factorization.principal
-        common = bipoly_gcd(pj, pk)
-        if not (
-            pj.exact_div(common).is_unit_at_origin()
-            and pk.exact_div(common).is_unit_at_origin()
-        ):
-            return False
-        exps_j = {v.path: n for v, n in data_j.factorization.exponents}
-        exps_k = {v.path: n for v, n in data_k.factorization.exponents}
-        if exps_j != exps_k:
-            return False
-    # equal factorizations force equal closures; it remains to certify that
-    # K is complete, which only its residual part can fail
-    principal, residual = strip_principal(k)
-    floors = data_k.floors
-    if not principal.is_constant():
-        floors = tuple((v, c - v.value(principal)) for v, c in floors)
-    unit = BiPoly.one(k.tower, k.vars)
-    residual_data = ClosureData(
-        residual, Factorization(unit, data_k.factorization.exponents), floors
-    )
-    return colength(residual) == residual_data.colength()
+    data = closure_data(j, config)
+    if not all(data.contains(g) for g in k.gens):
+        return False
+    # principal parts are local: equal up to a unit at the origin
+    pj = data.tree.principal
+    pk, residual = strip_principal(k)
+    common = bipoly_gcd(pj, pk)
+    if not (
+        pj.exact_div(common).is_unit_at_origin()
+        and pk.exact_div(common).is_unit_at_origin()
+    ):
+        return False
+    return colength(residual) == _hoskin_deligne(data.tree)
 
 
 @dataclass(frozen=True)
@@ -361,7 +311,7 @@ def is_reduction(j, i, n_max=None, config=None):
     data = closure_data(j, config)
     # a reduction of an M-primary ideal is M-primary: without that, J has no
     # floors and the values alone would pass vacuously
-    valuative = data.factorization.principal.is_unit_at_origin() and all(
+    valuative = data.tree.principal.is_unit_at_origin() and all(
         v.value_of_ideal(i) == c for v, c in data.floors
     )
     if n_max is None:

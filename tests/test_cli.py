@@ -1,5 +1,6 @@
 """Expression parsing, subcommand output, exit codes, and determinism."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -350,6 +351,9 @@ def _step(**fields):
         (["rees-certificate", "x^2, y^3, x*y"], 2),
         (["colength", "x^2, x*y"], 3),
         (["reduction-check", "x^2, y^2", "x"], 3),
+        (["basepoints", "x^2, y^2", "--depth", "-1"], 2),
+        (["basepoints", "x^2, y^2", "--nodes", "-1"], 2),
+        (["reduction-check", "x^3, y^2", "x^3, y^2, x^2*y", "--nmax", "-1"], 2),
     ],
 )
 def test_bad_input_exits_with_engine_error(capsys, argv, code):
@@ -458,7 +462,7 @@ def test_exit_internal_inconsistency(capsys, monkeypatch):
     def shifted_floors(ideal, config=None):
         data = real(ideal, config)
         floors = tuple((v, c + 1) for v, c in data.floors)
-        return idealcalc.ClosureData(data.ideal, data.factorization, floors)
+        return dataclasses.replace(data, floors=floors)
 
     monkeypatch.setattr(idealcalc, "closure_data", shifted_floors)
     code, _, err = run(capsys, "reduction-check", "x^3, y^2", "x^3, y^2, x^2*y")

@@ -6,7 +6,7 @@ degree and zero on each call, reduces products by the minimal polynomial one
 top coefficient at a time, and inverts by extended Euclid through polynomial
 division.  add, sub, mul, neg, inv, pow and is_zero must agree with the engine
 on seeded random elements of the prime fields, Q, simple extensions of F_7 of
-degree 1 to 6, and the nested towers F_5(a)(b) and Q(a)(b).
+degree 2 to 6, and the nested towers F_5(a)(b) and Q(a)(b).
 """
 
 import random
@@ -182,7 +182,6 @@ def _random_element(tower, k, rng):
 # monic minimal polynomials, low to high; test_minimal_polynomials_irreducible
 # checks that each is irreducible over the level below
 F7_MINPOLYS = [
-    (1, 1),
     (3, 5, 1),
     (3, 0, 0, 1),
     (4, 6, 0, 0, 1),

@@ -51,6 +51,13 @@ def test_extension_rejects_reducible():
         extend(QQ, sq, "s")
 
 
+def test_extension_rejects_degree_one():
+    with pytest.raises(ValueError):
+        QQ.extended("b", (QQ.from_int(-2), QQ.one()))
+    with pytest.raises(ValueError):
+        extend(QQ, UniPoly(QQ, [QQ.from_int(-2), QQ.one()]), "b")
+
+
 def test_nested_tower_and_components():
     t2m2 = UniPoly(QQ, [QQ.from_int(-2), QQ.zero(), QQ.one()])
     K = extend(QQ, t2m2, "r")  # QQ(sqrt 2)
