@@ -147,17 +147,10 @@ def dicriticals_at_infinity(f, config=None):
 
 
 def _global_values(point, divisor):
-    """Values of the input coordinates under the divisor, via the chart."""
-    tower = point.tower
-    chart = point.chart_vars
-    vz = divisor.value(BiPoly.variable(tower, chart, "z"))
-    second = BiPoly.variable(tower, chart, chart[1])
+    """Values of the input coordinates from the chart's: v(w + c) = 0 when c != 0."""
+    vz, vw = divisor.coordinate_values()
     if point.kind == "finite":
-        shifted = second.add(BiPoly.constant(tower, chart, point.c))
-        vx = -vz
-        vy = divisor.value(shifted) - vz
+        vx, vy = -vz, (vw if point.tower.is_zero(point.c) else 0) - vz
     else:
-        vy = -vz
-        vx = divisor.value(second) - vz
-    x_name, y_name = point.input_vars
-    return {x_name: vx, y_name: vy}
+        vx, vy = vw - vz, -vz
+    return dict(zip(point.input_vars, (vx, vy)))

@@ -13,7 +13,7 @@ import dataclasses
 
 from .arith.linalg import kernel_basis
 from .arith.polynomials import BiPoly, bipoly_gcd
-from .errors import ConstantImage, InternalInconsistency, NonzeroValue, ZeroInput
+from .errors import InternalInconsistency, NonzeroValue, ZeroInput
 from .nearpoints import LocalIdeal, QdtPath, pullback_order
 
 
@@ -80,12 +80,10 @@ class RationalFn:
 class PrimeDivisor:
     """ord of the terminal ring of a QDT path, as a valuation on the root."""
 
-    __slots__ = ("path", "_coord_values", "_pbasis")
+    __slots__ = ("path",)
 
     def __init__(self, path):
         object.__setattr__(self, "path", path)
-        object.__setattr__(self, "_coord_values", None)
-        object.__setattr__(self, "_pbasis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeDivisor is immutable")
@@ -119,12 +117,18 @@ class PrimeDivisor:
         return min(self.value(g) for g in J.gens)
 
     def coordinate_values(self):
-        if self._coord_values is None:
-            T = self.path.tower
-            u = BiPoly.variable(T, self.vars, self.vars[0])
-            w = BiPoly.variable(T, self.vars, self.vars[1])
-            object.__setattr__(self, "_coord_values", (self.value(u), self.value(w)))
-        return self._coord_values
+        """(v(u), v(w)), walked back from (1, 1) at the terminal node: u = u'w' at
+        infinity, and w = u'(w' + c) in an affine chart, u' times a unit unless c = 0."""
+        path = self.path
+        a = b = 1
+        for i, step in reversed(list(enumerate(path.steps))):
+            if step.kind == "infinity":
+                a += b
+            elif not step.extends and path.node_tower(i).is_zero(step.c):
+                b += a
+            else:
+                b = a
+        return a, b
 
     def residue_degree(self):
         return self.path.terminal_tower.degree() // self.path.tower.degree()
@@ -144,21 +148,17 @@ class PrimeDivisor:
         residue degrees the path picks up.  Equal to the multiplicity
         sequence when no step extends the residue field.
         """
-        if self._pbasis is None:
-            path = self.path
-            length = path.length
-            prox = _proximity_sets(path)
-            deg = [path.node_tower(i).degree() for i in range(length + 1)]
-            m = [0] * (length + 1)
-            m[length] = 1
-            for i in range(length - 1, -1, -1):
-                m[i] = sum(
-                    (deg[j] // deg[i]) * m[j]
-                    for j in range(i + 1, length + 1)
-                    if i in prox[j]
-                )
-            object.__setattr__(self, "_pbasis", tuple(m))
-        return self._pbasis
+        path = self.path
+        length = path.length
+        prox = _proximity_sets(path)
+        deg = [path.node_tower(i).degree() for i in range(length + 1)]
+        m = [0] * (length + 1)
+        m[length] = 1
+        for i in range(length - 1, -1, -1):
+            m[i] = sum(
+                (deg[j] // deg[i]) * m[j] for j in range(i + 1, length + 1) if i in prox[j]
+            )
+        return tuple(m)
 
 
 def _proximity_sets(path):
@@ -222,31 +222,25 @@ def residue_image(V, z):
         raise ZeroInput("the zero function has no residue image")
     fx, fy = V.path.substitution()
     T = V.path.terminal_tower
-    num = z.num if z.num.tower == T else z.num.lift_to(T)
-    den = z.den if z.den.tower == T else z.den.lift_to(T)
-    A = num.substitute(fx, fy)
-    B = den.substitute(fx, fy)
+    A, B = ((f if f.tower == T else f.lift_to(T)).substitute(fx, fy) for f in (z.num, z.den))
     if A.ord_at_origin() != B.ord_at_origin():
         raise NonzeroValue(
             "value %d differs from 0; the image is 0 or infinite"
             % (A.ord_at_origin() - B.ord_at_origin())
         )
+    return initial_ratio(A, B)
+
+
+def initial_ratio(A, B):
+    """The residue image of A/B, A and B of one order: reduced initial forms in tau."""
     a = A.initial_form().dehomogenized()
     b = B.initial_form().dehomogenized()
     g = a.gcd(b)
     if g.degree > 0:
         a = a.exact_div(g)
         b = b.exact_div(g)
-    inv = T.inv(b.lc())
+    inv = A.tower.inv(b.lc())
     return ResidueImage(a.scale(inv), b.scale(inv))
-
-
-def dicritical_degree(V, z):
-    """[k'(tau) : k(zbar)] = residue degree times the reduced image degree."""
-    image = residue_image(V, z)
-    if image.is_constant():
-        raise ConstantImage("the image is algebraic; V is not dicritical for z")
-    return V.residue_degree() * image.degree
 
 
 def _monomials_below(bound):
@@ -260,14 +254,16 @@ def _valuation_rows(divisor, floor, columns):
     terminal = path.terminal_tower
     root = path.tower
     ratio = terminal.degree() // root.degree()
-    fx, fy = path.substitution()
     vx, vy = divisor.coordinate_values()
+    def below(f):  # terms of degree >= floor only feed terms of degree >= floor
+        return BiPoly(terminal, f.vars, {m: c for m, c in f.terms.items() if sum(m) < floor})
+    fx, fy = map(below, path.substitution())
     deg = max(e[0] + e[1] for e in columns) if columns else 0
     xpows = [BiPoly.one(terminal, fx.vars)]
     ypows = [BiPoly.one(terminal, fx.vars)]
     for _ in range(deg):
-        xpows.append(xpows[-1] * fx)
-        ypows.append(ypows[-1] * fy)
+        xpows.append(below(xpows[-1] * fx))
+        ypows.append(below(ypows[-1] * fy))
     rows = {}
     for e in columns:
         if e[0] * vx + e[1] * vy >= floor:

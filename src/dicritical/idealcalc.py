@@ -246,15 +246,23 @@ def _hoskin_deligne(tree):
         return 0
     root_degree = tree.root.path.tower.degree()
     return sum(
-        node.path.terminal_tower.degree() // root_degree * _triangular(node.ideal.min_order())
+        node.path.terminal_tower.degree() // root_degree * _triangular(node.orders[-1])
         for node in tree.nodes()
     )
 
 
 def closure_data(ideal, config=None):
+    """The tree, and the floor v(I) of each dicritical v: sum_i v(M_i) * ord(J_i)
+    over the transforms J_i on v's path (Huneke-Swanson ch. 14), plus v(p) for
+    a principal part p that vanishes at the origin."""
     tree = base_point_tree(ideal, config)
-    floors = tuple((r.divisor, r.divisor.value_of_ideal(ideal)) for r in records_from_tree(tree))
-    return ClosureData(tree, floors)
+    p = tree.principal
+    floors = []
+    for r in records_from_tree(tree):
+        v = r.divisor
+        c = sum(m * o for m, o in zip(v.intermediate_multiplicities(), r.node.orders))
+        floors.append((v, c if p.is_unit_at_origin() else c + v.value(p)))
+    return ClosureData(tree, tuple(floors))
 
 
 def closure_membership(f, ideal, config=None):
@@ -310,10 +318,9 @@ def is_reduction(j, i, n_max=None, config=None):
     # elements of I lying below J's polygon
     data = closure_data(j, config)
     # a reduction of an M-primary ideal is M-primary: without that, J has no
-    # floors and the values alone would pass vacuously
-    valuative = data.tree.principal.is_unit_at_origin() and all(
-        v.value_of_ideal(i) == c for v, c in data.floors
-    )
+    # floors and the values alone would pass vacuously; J in I makes v(I) = c
+    # the same test as v(I) >= c
+    valuative = data.tree.principal.is_unit_at_origin() and all(map(data.contains, i.gens))
     if n_max is None:
         n_max = frame_i.colength()
     # M^d_i lies in I, so M^((n+1)d_i + 1) lies in M.I^(n+1): containment

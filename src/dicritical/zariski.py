@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith.polynomials import BiPoly, squarefree_part
-from .divisors import PrimeDivisor, RationalFn, dicritical_degree, residue_image
-from .errors import DepthExceeded, NodeBudgetExceeded, ZeroInput
+from .divisors import PrimeDivisor, RationalFn, initial_ratio, residue_image
+from .errors import ConstantImage, DepthExceeded, NodeBudgetExceeded, NonzeroValue, ZeroInput
 from .nearpoints import (
     LocalIdeal,
     QdtPath,
@@ -32,6 +32,7 @@ class TreeNode:
     path: QdtPath
     ideal: LocalIdeal
     zariski: int
+    orders: tuple  # ord of the transform at each node from the root down to this one
     children: list = field(default_factory=list)
 
 
@@ -55,6 +56,7 @@ class BasePointTree:
 @dataclass(eq=False)
 class DicriticalRecord:
     divisor: PrimeDivisor
+    node: TreeNode
     index: int
     values: dict
     degree: int | None = None
@@ -83,18 +85,19 @@ def base_point_tree(J, config=None):
         return BasePointTree(ideal=J, principal=principal, root=None)
     count = [0]
 
-    def build(path, ideal):
+    def build(path, ideal, orders):
         if path.length > config.max_depth:
             raise DepthExceeded("tree exceeds depth %d" % config.max_depth)
         count[0] += 1
         if count[0] > config.max_nodes:
             raise NodeBudgetExceeded("tree exceeds %d nodes" % config.max_nodes)
-        node = TreeNode(path=path, ideal=ideal, zariski=zariski_number(ideal))
+        orders += (ideal.min_order(),)
+        node = TreeNode(path=path, ideal=ideal, zariski=zariski_number(ideal), orders=orders)
         for step, transform in directions_with_transforms(ideal):
-            node.children.append(build(path.extended(step), transform))
+            node.children.append(build(path.extended(step), transform, orders))
         return node
 
-    root = build(QdtPath(residual.tower, residual.vars), residual)
+    root = build(QdtPath(residual.tower, residual.vars), residual, ())
     return BasePointTree(ideal=J, principal=principal, root=root)
 
 
@@ -109,9 +112,8 @@ def records_from_tree(tree):
     for node in tree.nodes():
         if node.zariski > 0:
             V = PrimeDivisor(node.path)
-            a, b = V.coordinate_values()
-            vals = {V.vars[0]: a, V.vars[1]: b}
-            out.append(DicriticalRecord(divisor=V, index=node.zariski, values=vals))
+            vals = dict(zip(V.vars, V.coordinate_values()))
+            out.append(DicriticalRecord(divisor=V, node=node, index=node.zariski, values=vals))
     return out
 
 
@@ -128,7 +130,9 @@ def dicritical_of_rational(z, config=None):
     """Dicritical divisors of a rational function, with degrees attached.
 
     Empty exactly when z or 1/z already lies in the local ring, i.e. when
-    the reduced denominator or numerator is a local unit.
+    the reduced denominator or numerator is a local unit.  The tree's root
+    is (num, den), and each transform keeps their ratio, so the residue
+    image is read off the generators of the dicritical node.
     """
     if z.is_zero():
         raise ZeroInput("the zero function has no dicritical divisors")
@@ -137,7 +141,10 @@ def dicritical_of_rational(z, config=None):
     J = LocalIdeal(z.tower, z.vars, [z.num, z.den])
     records = dicritical_set(J, config)
     for r in records:
-        r.degree = dicritical_degree(r.divisor, z)
+        image = initial_ratio(*r.node.ideal.gens)
+        if image.is_constant():
+            raise ConstantImage("the image is algebraic; V is not dicritical for z")
+        r.degree = r.divisor.residue_degree() * image.degree
     return records
 
 
@@ -173,8 +180,7 @@ def rees_certificate(J, V):
     """
     if len(J.gens) != 2:
         raise ValueError("the certificate applies to two-generated ideals")
-    a, b = J.gens
-    if V.value(a) != V.value(b):
+    try:
+        return not residue_image(V, RationalFn(*J.gens)).is_constant()
+    except NonzeroValue:
         return False
-    image = residue_image(V, RationalFn(a, b))
-    return not image.is_constant()

@@ -6,11 +6,10 @@ from dicritical.arith import QQ, BiPoly
 from dicritical.divisors import (
     PrimeDivisor,
     RationalFn,
-    dicritical_degree,
     residue_image,
     simple_ideal,
 )
-from dicritical.errors import ConstantImage, NonzeroValue, ZeroInput
+from dicritical.errors import NonzeroValue, ZeroInput
 from dicritical.idealcalc import closure_colength, colength
 from dicritical.nearpoints import QdtPath, QdtStep
 from dicritical.zariski import dicritical_set
@@ -71,7 +70,7 @@ def test_residue_image_and_degree():
     z = RationalFn(Y.pow(2), X.pow(3))
     img = residue_image(v, z)
     assert not img.is_constant()
-    assert dicritical_degree(v, z) == 1
+    assert v.residue_degree() * img.degree == 1
 
 
 def test_residue_image_requires_equal_values():
@@ -89,8 +88,7 @@ def test_constant_image_rejected():
     img = residue_image(v, z)
     assert not img.is_constant()
     const = RationalFn(X.scale(QQ.from_int(2)), X)
-    with pytest.raises(ConstantImage):
-        dicritical_degree(v, const)
+    assert residue_image(v, const).is_constant()
 
 
 def test_residue_degree_over_extension():
@@ -133,3 +131,14 @@ def test_simple_ideal_over_q_with_common_transform_factors():
     records = dicritical_set(zeta)
     assert [(r.divisor, r.index) for r in records] == [(v, 1)]
     assert colength(zeta) == closure_colength(zeta) == 29
+
+
+def test_simple_ideal_after_two_extension_levels_and_infinity():
+    # [inf, aff(a1!), aff(a2!), inf] with a1^2 = -1 and a2^2 = 2 over Q(a1):
+    # the truncated powers of _valuation_rows still give the simple ideal
+    first = QdtStep.affine_ext("a1", (QQ.one(), QQ.zero(), QQ.one()))
+    K = first.extend_tower(QQ)
+    second = QdtStep.affine_ext("a2", (K.from_int(-2), K.zero(), K.one()))
+    v = divisor(QdtStep.infinity(), first, second, QdtStep.infinity())
+    zeta = simple_ideal(v)
+    assert colength(zeta) == closure_colength(zeta) == 100
