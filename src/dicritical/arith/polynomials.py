@@ -7,7 +7,6 @@ return fresh instances and never mutate their arguments.
 
 from __future__ import annotations
 
-from .fields import FieldTower
 from ..errors import EmptyInput, InternalInconsistency, ZeroPolynomial
 
 

@@ -14,7 +14,7 @@ import dataclasses
 from .arith.linalg import kernel_basis
 from .arith.polynomials import BiPoly, bipoly_gcd
 from .errors import InternalInconsistency, NonzeroValue, ZeroInput
-from .nearpoints import LocalIdeal, QdtPath, pullback_order
+from .nearpoints import LocalIdeal, pullback_order
 
 
 class RationalFn:
@@ -117,10 +117,16 @@ class PrimeDivisor:
         return min(self.value(g) for g in J.gens)
 
     def coordinate_values(self):
-        """(v(u), v(w)), walked back from (1, 1) at the terminal node: u = u'w' at
-        infinity, and w = u'(w' + c) in an affine chart, u' times a unit unless c = 0."""
+        """(v(u), v(w)) for the root coordinates: the first pair of the backward walk."""
+        return self._node_values()[0]
+
+    def _node_values(self):
+        """(v(u_i), v(w_i)) at each node i, walked back from (1, 1) at the terminal
+        node: u = u'w' at infinity, and w = u'(w' + c) in an affine chart, u' times
+        a unit unless c = 0."""
         path = self.path
         a = b = 1
+        out = [(a, b)]
         for i, step in reversed(list(enumerate(path.steps))):
             if step.kind == "infinity":
                 a += b
@@ -128,64 +134,25 @@ class PrimeDivisor:
                 b += a
             else:
                 b = a
-        return a, b
+            out.append((a, b))
+        return out[::-1]
 
     def residue_degree(self):
         return self.path.terminal_tower.degree() // self.path.tower.degree()
 
     def intermediate_multiplicities(self):
-        """v(M(R_i)) for each node: the point basis scaled by residue degrees."""
+        """v(M(R_i)) for each node: M(R_i) = (u_i, w_i), so the lesser coordinate value."""
+        return tuple(map(min, self._node_values()))
+
+    def point_basis(self):
+        """Multiplicity of the simple ideal of V at each node of the path:
+        v(M(R_i)) * [k_L : k_i] (Lipman 1988)."""
         path = self.path
         top = path.terminal_tower.degree()
         return tuple(
-            m * path.node_tower(i).degree() // top for i, m in enumerate(self.point_basis())
+            r * top // path.node_tower(i).degree()
+            for i, r in enumerate(self.intermediate_multiplicities())
         )
-
-    def point_basis(self):
-        """Multiplicity of the simple ideal of V at each node of the path.
-
-        Downward recursion through the proximity relations, weighted by the
-        residue degrees the path picks up.  Equal to the multiplicity
-        sequence when no step extends the residue field.
-        """
-        path = self.path
-        length = path.length
-        prox = _proximity_sets(path)
-        deg = [path.node_tower(i).degree() for i in range(length + 1)]
-        m = [0] * (length + 1)
-        m[length] = 1
-        for i in range(length - 1, -1, -1):
-            m[i] = sum(
-                (deg[j] // deg[i]) * m[j] for j in range(i + 1, length + 1) if i in prox[j]
-            )
-        return tuple(m)
-
-
-def _proximity_sets(path):
-    """prox[t] = indices of the nodes that node t is proximate to.
-
-    Tracks which exceptional curves pass through the current node as chart
-    axes: blowing up leaves the new exceptional on the x axis of an affine
-    chart and on the y axis of the infinity chart, while an older axis
-    survives only when the step stays on it (x axis through the infinity
-    chart, y axis through the affine chart at 0).
-    """
-    prox = {}
-    axes = {}
-    for t, step in enumerate(path.steps, start=1):
-        carried = {}
-        if step.kind == "affine":
-            carried["x"] = t - 1
-            if "y" in axes and step.c is not None:
-                if path.node_tower(t - 1).is_zero(step.c):
-                    carried["y"] = axes["y"]
-        else:
-            carried["y"] = t - 1
-            if "x" in axes:
-                carried["x"] = axes["x"]
-        prox[t] = {t - 1} | set(carried.values())
-        axes = carried
-    return prox
 
 
 class ResidueImage:
@@ -296,9 +263,7 @@ def simple_ideal(V):
     vars = path.vars
     r = V.intermediate_multiplicities()
     c = sum(a * b for a, b in zip(V.point_basis(), r))
-    a, b = V.coordinate_values()
-    mu = min(a, b)
-    D = -(-c // mu)
+    D = -(-c // r[0])
 
     from .idealcalc import minimal_generators
     from .zariski import zariski_factorization

@@ -4,12 +4,12 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
-from typing import Optional
 
 from .arith import QQ, BiPoly, SparseEchelon, bipoly_gcd
+from .divisors import PrimeDivisor, simple_ideal
 from .errors import BudgetExceeded, InternalInconsistency, NotMPrimary, Unstable
 from .nearpoints import LocalIdeal, QdtPath, QdtStep
-from .zariski import BasePointTree, base_point_tree, records_from_tree, strip_principal
+from .zariski import BasePointTree, base_point_tree, strip_principal
 
 MAX_FRAME_DEGREE = 1024
 
@@ -258,10 +258,11 @@ def closure_data(ideal, config=None):
     tree = base_point_tree(ideal, config)
     p = tree.principal
     floors = []
-    for r in records_from_tree(tree):
-        v = r.divisor
-        c = sum(m * o for m, o in zip(v.intermediate_multiplicities(), r.node.orders))
-        floors.append((v, c if p.is_unit_at_origin() else c + v.value(p)))
+    for node in tree.nodes():
+        if node.zariski > 0:
+            v = PrimeDivisor(node.path)
+            c = sum(m * o for m, o in zip(v.intermediate_multiplicities(), node.orders))
+            floors.append((v, c if p.is_unit_at_origin() else c + v.value(p)))
     return ClosureData(tree, tuple(floors))
 
 
@@ -299,8 +300,8 @@ def closure_equals(j, k, config=None):
 @dataclass(frozen=True)
 class ReductionResult:
     decision: bool
-    witness: Optional[int]
-    by_direct: Optional[bool]
+    witness: int | None
+    by_direct: bool | None
     by_valuative: bool
 
 
@@ -357,7 +358,6 @@ def abhyankar_family(m, tower=QQ, vars=("x", "y")):
     """
     if m < 1:
         raise ValueError("family index must be positive")
-    from .divisors import PrimeDivisor, simple_ideal
 
     def mono(a, b):
         return BiPoly.monomial(tower, vars, (a, b))

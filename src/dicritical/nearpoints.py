@@ -175,7 +175,11 @@ class LocalIdeal:
         return any(g.is_unit_at_origin() for g in self.gens)
 
     def content(self):
-        """Polynomial GCD of the generators."""
+        """Polynomial GCD of the generators: a unit at once when they include a
+        pure power of x and a pure power of y, which share no factor."""
+        exps = [e for g in self.gens if g.is_monomial() for e in g.terms]
+        if any(j == 0 for _, j in exps) and any(i == 0 for i, _ in exps):
+            return BiPoly.one(self.tower, self.vars)
         g = self.gens[0]
         for other in self.gens[1:]:
             if g.is_constant():

@@ -56,7 +56,6 @@ class BasePointTree:
 @dataclass(eq=False)
 class DicriticalRecord:
     divisor: PrimeDivisor
-    node: TreeNode
     index: int
     values: dict
     degree: int | None = None
@@ -108,21 +107,23 @@ def dicritical_set(J, config=None):
 
 
 def records_from_tree(tree):
+    """One record per dicritical node; a record keeps no node, so no tree."""
     out = []
     for node in tree.nodes():
         if node.zariski > 0:
             V = PrimeDivisor(node.path)
             vals = dict(zip(V.vars, V.coordinate_values()))
-            out.append(DicriticalRecord(divisor=V, node=node, index=node.zariski, values=vals))
+            out.append(DicriticalRecord(divisor=V, index=node.zariski, values=vals))
     return out
 
 
 def zariski_factorization(J, config=None):
     tree = base_point_tree(J, config)
-    records = records_from_tree(tree)
     return Factorization(
         principal=tree.principal,
-        exponents=tuple((r.divisor, r.index) for r in records),
+        exponents=tuple(
+            (PrimeDivisor(node.path), node.zariski) for node in tree.nodes() if node.zariski > 0
+        ),
     )
 
 
@@ -138,10 +139,11 @@ def dicritical_of_rational(z, config=None):
         raise ZeroInput("the zero function has no dicritical divisors")
     if z.num.is_unit_at_origin() or z.den.is_unit_at_origin():
         return []
-    J = LocalIdeal(z.tower, z.vars, [z.num, z.den])
-    records = dicritical_set(J, config)
-    for r in records:
-        image = initial_ratio(*r.node.ideal.gens)
+    tree = base_point_tree(LocalIdeal(z.tower, z.vars, [z.num, z.den]), config)
+    records = records_from_tree(tree)
+    nodes = (node for node in tree.nodes() if node.zariski > 0)
+    for r, node in zip(records, nodes):
+        image = initial_ratio(*node.ideal.gens)
         if image.is_constant():
             raise ConstantImage("the image is algebraic; V is not dicritical for z")
         r.degree = r.divisor.residue_degree() * image.degree

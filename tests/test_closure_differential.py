@@ -2,16 +2,18 @@
 
 closure_colength is the Hoskin-Deligne sum over the base points P of the
 tree, [k_P : k] * o_P (o_P + 1) / 2; closure_equals builds J's tree only
-and compares K's colength with that sum; intermediate_multiplicities scales
-the point basis by residue degrees.  Three references keep the earlier
-computations:
+and compares K's colength with that sum; intermediate_multiplicities and
+point_basis come from one backward walk of the coordinate values.  Four
+references keep the earlier computations:
 
   * _echelon_colength turns the value floors of the closure into linear
     conditions on the monomials below a degree bound and counts the rank;
   * _two_tree_equals builds the trees of J and K, compares principal parts
     and factorizations, and certifies K's residual complete by the echelon;
   * _suffix_multiplicities pulls node i's coordinates back along the
-    suffix of the path from node i and takes the least order.
+    suffix of the path from node i and takes the least order;
+  * _proximity_point_basis runs the downward recursion over the proximity
+    relations of the path, weighted by residue degrees.
 
 They must agree with the engine on the property-suite ideals over Q, F_5
 and F_7(a), also times the principal parts x - 1 and x * (x - 1), on the
@@ -111,6 +113,48 @@ def _suffix_multiplicities(v):
     return tuple(out)
 
 
+def _proximity_sets(path):
+    """prox[t] = indices of the nodes that node t is proximate to.
+
+    Tracks which exceptional curves pass through the current node as chart
+    axes: blowing up leaves the new exceptional on the x axis of an affine
+    chart and on the y axis of the infinity chart, while an older axis
+    survives only when the step stays on it (x axis through the infinity
+    chart, y axis through the affine chart at 0).
+    """
+    prox = {}
+    axes = {}
+    for t, step in enumerate(path.steps, start=1):
+        carried = {}
+        if step.kind == "affine":
+            carried["x"] = t - 1
+            if "y" in axes and step.c is not None:
+                if path.node_tower(t - 1).is_zero(step.c):
+                    carried["y"] = axes["y"]
+        else:
+            carried["y"] = t - 1
+            if "x" in axes:
+                carried["x"] = axes["x"]
+        prox[t] = {t - 1} | set(carried.values())
+        axes = carried
+    return prox
+
+
+def _proximity_point_basis(v):
+    """m_L = 1 and m_i = sum of [k_j : k_i] * m_j over the nodes j proximate to i."""
+    path = v.path
+    length = path.length
+    prox = _proximity_sets(path)
+    deg = [path.node_tower(i).degree() for i in range(length + 1)]
+    m = [0] * (length + 1)
+    m[length] = 1
+    for i in range(length - 1, -1, -1):
+        m[i] = sum(
+            (deg[j] // deg[i]) * m[j] for j in range(i + 1, length + 1) if i in prox[j]
+        )
+    return tuple(m)
+
+
 # ---------------------------------------------------------------- comparisons
 
 
@@ -135,6 +179,7 @@ def _check_equals(j, k):
 
 def _check_multiplicities(v):
     assert v.intermediate_multiplicities() == _suffix_multiplicities(v), v
+    assert v.point_basis() == _proximity_point_basis(v), v
 
 
 def _closure(ideal):

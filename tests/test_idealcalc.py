@@ -5,6 +5,7 @@ the Newton polyhedron for closure membership.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from dicritical import idealcalc as ic
 from dicritical.arith import QQ, BiPoly, FieldTower
 from dicritical.errors import NotMPrimary, Unstable
 from dicritical.nearpoints import LocalIdeal
+from dicritical.zariski import base_point_tree
 
 V = ("x", "y")
 X = BiPoly.variable(QQ, V, "x")
@@ -395,3 +397,25 @@ def test_is_reduction_frame_bounds(monkeypatch):
             last = witness if witness is not None else n_max
             d = own.full_degree()
             assert bounds == own_bounds + [(n + 1) * d + 1 for n in range(last + 1)]
+
+
+def test_pure_powers_need_no_gcd(monkeypatch):
+    """A pure power of x and one of y share no factor: content() is a unit
+    without a polynomial gcd, so frames and trees of such ideals take none."""
+    rng = random.Random("pure powers")
+    ideals = [ic.abhyankar_family(3)[2]]
+    for _ in range(20):
+        a, b = rng.randint(1, 7), rng.randint(1, 7)
+        ideals.append(monomial_ideal([(a, 0), (0, b), (rng.randrange(a), rng.randrange(b))]))
+    expected = [(ic.colength(J), len(base_point_tree(J).nodes())) for J in ideals]
+
+    def refuse(*args):
+        raise AssertionError("bipoly_gcd called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dicritical") and hasattr(module, "bipoly_gcd"):
+            monkeypatch.setattr(module, "bipoly_gcd", refuse)
+    for J, (length, nodes) in zip(ideals, expected):
+        assert J.content() == BiPoly.one(QQ, V)
+        assert ic.colength(J) == ic.stabilized_frame(J).colength() == length
+        assert len(base_point_tree(J).nodes()) == nodes

@@ -1,4 +1,5 @@
-"""Every function the engine defines is used somewhere in the engine or its tests.
+"""Every function the engine defines is used somewhere in the engine or its tests,
+and every name an engine module imports is used in that module.
 
 A def counts as used when its name appears as a name, an attribute or an
 imported name anywhere in src/ or tests/; its own def statement does not
@@ -6,6 +7,9 @@ count.  A method defined in a class body counts as used only when its name
 appears as an attribute, since a bare name or an import reaches a
 same-named function instead.  Dunder methods are called by the language
 and are exempt.
+
+An imported name counts as used when it appears as a name in its module,
+the base of an attribute included, or is listed in the module's __all__.
 """
 
 import ast
@@ -65,3 +69,35 @@ def test_every_engine_function_is_referenced():
         and node.name not in (attrs if is_method else used)
     ]
     assert dead == []
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _imports(tree):
+    """(line, bound name) for every import but those from __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def test_every_engine_import_is_used():
+    unused = []
+    for path, tree in _trees(ENGINE):
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= _exported(tree)
+        unused += [
+            "%s:%d %s" % (path.relative_to(ENGINE), line, name)
+            for line, name in _imports(tree)
+            if name not in names
+        ]
+    assert unused == []

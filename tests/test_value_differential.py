@@ -29,7 +29,13 @@ from dicritical.atinfinity import dicriticals_at_infinity, points_at_infinity
 from dicritical.cli import parse_polynomial
 from dicritical.divisors import PrimeDivisor, RationalFn, initial_ratio, residue_image
 from dicritical.nearpoints import LocalIdeal, QdtPath, pullback_order
-from dicritical.zariski import dicritical_of_rational, dicritical_set, zariski_factorization
+from dicritical.zariski import (
+    base_point_tree,
+    dicritical_of_rational,
+    dicritical_set,
+    records_from_tree,
+    zariski_factorization,
+)
 
 V = props.V
 W = ("X", "Y")
@@ -88,11 +94,12 @@ def _coefficients(image):
 
 def _check_images(z):
     """initial_ratio at each dicritical node against residue_image(V, z)."""
-    J = LocalIdeal(z.tower, z.vars, [z.num, z.den])
-    records = dicritical_set(J)
-    for r in records:
+    tree = base_point_tree(LocalIdeal(z.tower, z.vars, [z.num, z.den]))
+    records = records_from_tree(tree)
+    nodes = [node for node in tree.nodes() if node.zariski > 0]
+    for r, node in zip(records, nodes):
         expected = residue_image(r.divisor, z)
-        assert _coefficients(initial_ratio(*r.node.ideal.gens)) == _coefficients(expected)
+        assert _coefficients(initial_ratio(*node.ideal.gens)) == _coefficients(expected)
     if z.num.is_unit_at_origin() or z.den.is_unit_at_origin():
         return 0
     degrees = [r.degree for r in dicritical_of_rational(z)]

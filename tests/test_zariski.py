@@ -142,3 +142,33 @@ def test_f5_tree():
     records = dicritical_set(J)
     assert len(records) == 1
     assert records[0].values == {"x": 2, "y": 3}
+
+
+def test_records_keep_no_tree(monkeypatch):
+    """Once dicritical_of_rational and dicriticals_at_infinity return, no node
+    of a tree they built is alive; the records are."""
+    import gc
+    import weakref
+
+    from dicritical import zariski
+    from dicritical.atinfinity import dicriticals_at_infinity
+    from dicritical.cli import parse_polynomial
+
+    built = []
+
+    def tracked(J, config=None):
+        tree = base_point_tree(J, config)
+        built.extend(weakref.ref(node) for node in tree.nodes())
+        return tree
+
+    monkeypatch.setattr(zariski, "base_point_tree", tracked)
+    F7 = FieldTower.prime_field(7)
+    W = ("X", "Y")
+    f = parse_polynomial("(X^3 + X*Y^2 + 1)^2 + Y + X^5*Y^2 + X^2*Y^5", F7, W)
+    report = dicriticals_at_infinity(f)
+    records = dicritical_of_rational(RationalFn(X.pow(3), Y.pow(2)))
+    gc.collect()
+    assert built and records and report.total > 0
+    assert [ref for ref in built if ref() is not None] == []
+    assert [(r.values, r.degree) for r in records] == [({"x": 2, "y": 3}, 1)]
+    assert all(r.degree and r.global_values for _, recs in report.entries for r in recs)
