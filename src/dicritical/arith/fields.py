@@ -253,9 +253,6 @@ class FieldTower:
     def is_zero(self, e):
         return self._is_zero(e)
 
-    def eq(self, a, b):
-        return a == b
-
     # ---------------------------------------------------------- arithmetic
 
     def add(self, a, b):

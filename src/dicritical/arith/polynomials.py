@@ -147,13 +147,6 @@ class UniPoly:
             T, [T.mul(T.from_int(k), c) for k, c in enumerate(self.coeffs)][1:]
         )
 
-    def compose(self, inner):
-        T = self.tower
-        acc = UniPoly.zero(T)
-        for c in reversed(self.coeffs):
-            acc = acc.mul(inner).add(UniPoly.constant(T, c))
-        return acc
-
     def pow(self, e):
         if e < 0:
             raise ValueError("negative exponent")
@@ -181,9 +174,15 @@ class UniPoly:
         return acc
 
     def shift(self, c):
-        # p(t + c) via composition with t + c
+        """p(t + c) by the Taylor shift: n(n + 1)/2 multiply-adds for degree n."""
         T = self.tower
-        return self.compose(UniPoly(T, (c, T.one())))
+        if T.is_zero(c):
+            return self
+        a = list(self.coeffs)
+        for k in range(len(a) - 1):
+            for j in range(len(a) - 2, k - 1, -1):
+                a[j] = T.add(a[j], T.mul(c, a[j + 1]))
+        return UniPoly(T, a)
 
     def render(self, varname):
         T = self.tower
@@ -431,28 +430,20 @@ class BiPoly:
                 out[key] = val
         return BiPoly(T, self.vars, out)
 
-    def substitute(self, px, py):
-        """Value of self with vars[0] := px and vars[1] := py."""
-        if px.tower != self.tower or py.tower != self.tower:
-            raise ValueError("substitution requires matching towers")
-        if px.vars != py.vars:
-            raise ValueError("substitution targets disagree on variables")
+    def shifted(self, c):
+        """f(x, y + c): the y-polynomial at each power of x, Taylor-shifted."""
         T = self.tower
-        max_i = self.degree_in(0)
-        max_j = self.degree_in(1)
-        xpows = [BiPoly.one(T, px.vars)]
-        for _ in range(max(max_i, 0)):
-            xpows.append(xpows[-1].mul(px))
-        ypows = [BiPoly.one(T, py.vars)]
-        for _ in range(max(max_j, 0)):
-            ypows.append(ypows[-1].mul(py))
+        if T.is_zero(c):
+            return self
+        rows = {}
+        for (i, j), a in self.terms.items():
+            rows.setdefault(i, {})[j] = a
         out = {}
-        for (i, j), c in self.terms.items():
-            part = ypows[j] if i == 0 else xpows[i] if j == 0 else xpows[i].mul(ypows[j])
-            for key, a in part.terms.items():
-                a = T.mul(c, a)
-                out[key] = T.add(out[key], a) if key in out else a
-        return BiPoly(T, px.vars, out)
+        for i, row in rows.items():
+            p = UniPoly(T, [row.get(j, T.zero()) for j in range(max(row) + 1)]).shift(c)
+            for j, a in enumerate(p.coeffs):
+                out[(i, j)] = a
+        return BiPoly(T, self.vars, out)
 
     def lift_to(self, bigger):
         T = self.tower

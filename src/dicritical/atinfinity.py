@@ -55,19 +55,9 @@ class InfinityReport:
 
 
 def _finite_numerator(f, tower, c, n):
-    """z^N * f(1/z, (y+c)/z) as a polynomial in the chart coordinates."""
-    z = BiPoly.variable(tower, FINITE_CHART, "z")
-    shifted = BiPoly.variable(tower, FINITE_CHART, "y").add(
-        BiPoly.constant(tower, FINITE_CHART, c)
-    )
-    out = BiPoly.zero(tower, FINITE_CHART)
-    ypows = [BiPoly.one(tower, FINITE_CHART)]
-    for _ in range(max(j for _, j in f.terms) if f.terms else 0):
-        ypows.append(ypows[-1].mul(shifted))
-    for (i, j), a in sorted(f.terms.items()):
-        term = ypows[j].mul_monomial((n - i - j, 0), tower.lift_from(f.tower, a))
-        out = out.add(term)
-    return out
+    """z^N * f(1/z, (y+c)/z): x^i*y^j becomes z^(N-i-j)*y^j, then y becomes y + c."""
+    terms = {(n - i - j, j): tower.lift_from(f.tower, a) for (i, j), a in f.terms.items()}
+    return BiPoly(tower, FINITE_CHART, terms).shifted(c)
 
 
 def _vertical_numerator(f, n):

@@ -55,11 +55,6 @@ class RationalFn:
     def is_zero(self):
         return self.num.is_zero()
 
-    def inverted(self):
-        if self.num.is_zero():
-            raise ZeroInput("cannot invert zero")
-        return RationalFn(self.den, self.num)
-
     def __eq__(self, other):
         return (
             isinstance(other, RationalFn)
@@ -107,14 +102,6 @@ class PrimeDivisor:
 
     def value(self, f):
         return pullback_order(self.path, f)
-
-    def value_rational(self, z):
-        if z.is_zero():
-            raise ZeroInput("the zero function has no value")
-        return self.value(z.num) - self.value(z.den)
-
-    def value_of_ideal(self, J):
-        return min(self.value(g) for g in J.gens)
 
     def coordinate_values(self):
         """(v(u), v(w)) for the root coordinates: the first pair of the backward walk."""
@@ -187,9 +174,7 @@ def residue_image(V, z):
     """Image of a value-zero rational function in the divisor's residue field."""
     if z.is_zero():
         raise ZeroInput("the zero function has no residue image")
-    fx, fy = V.path.substitution()
-    T = V.path.terminal_tower
-    A, B = ((f if f.tower == T else f.lift_to(T)).substitute(fx, fy) for f in (z.num, z.den))
+    A, B = V.path.pullback(z.num), V.path.pullback(z.den)
     if A.ord_at_origin() != B.ord_at_origin():
         raise NonzeroValue(
             "value %d differs from 0; the image is 0 or infinite"
@@ -224,7 +209,7 @@ def _valuation_rows(divisor, floor, columns):
     vx, vy = divisor.coordinate_values()
     def below(f):  # terms of degree >= floor only feed terms of degree >= floor
         return BiPoly(terminal, f.vars, {m: c for m, c in f.terms.items() if sum(m) < floor})
-    fx, fy = map(below, path.substitution())
+    fx, fy = (below(path.pullback(BiPoly.variable(root, path.vars, v))) for v in path.vars)
     deg = max(e[0] + e[1] for e in columns) if columns else 0
     xpows = [BiPoly.one(terminal, fx.vars)]
     ypows = [BiPoly.one(terminal, fx.vars)]

@@ -123,10 +123,8 @@ def colength(ideal):
     return stabilized_frame(ideal).colength()
 
 
-def membership(f, ideal, frame=None):
-    if frame is None:
-        frame = stabilized_frame(ideal)
-    return frame.contains(f)
+def membership(f, ideal):
+    return stabilized_frame(ideal).contains(f)
 
 
 def ideal_equals(j, k):

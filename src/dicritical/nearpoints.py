@@ -7,8 +7,10 @@ transforms.  Each step picks a point on the exceptional line of the blowup:
   * Infinity:   u = u'w', w = w'
 
 Affine steps may extend the residue tower when the chosen point is not
-rational over it.  Composed substitutions stay polynomial, so all valuation
-work reduces to orders of polynomial pullbacks.
+rational over it.  A polynomial crosses a step by a monomial map, followed
+in an affine chart by a Taylor shift in w: x^i·y^j becomes x^(i+j)·(y + c)^j,
+or x^i·y^(i+j) at infinity.  Pullbacks stay polynomial, so all valuation
+work reduces to orders of pullbacks.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ class QdtStep:
 
 
 class QdtPath:
-    """A chain of QDT steps from a root ring, with cached pullback data."""
+    """A chain of QDT steps from a root ring, with the residue tower at each node."""
 
-    __slots__ = ("tower", "vars", "steps", "_towers", "_subst")
+    __slots__ = ("tower", "vars", "steps", "_towers")
 
     def __init__(self, tower, vars, steps=()):
         vars = tuple(vars)
@@ -75,7 +77,6 @@ class QdtPath:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_towers", tuple(towers))
-        object.__setattr__(self, "_subst", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QdtPath is immutable")
@@ -93,10 +94,6 @@ class QdtPath:
 
     def extended(self, step):
         return QdtPath(self.tower, self.vars, self.steps + (step,))
-
-    def suffix(self, i):
-        """The tail of the path, rooted at node i."""
-        return QdtPath(self._towers[i], self.vars, self.steps[i:])
 
     def __eq__(self, other):
         return (
@@ -120,33 +117,24 @@ class QdtPath:
                 bits.append("Aff(%s)" % self._towers[i + 1].render(step.c))
         return "QdtPath[%s]" % ", ".join(bits)
 
-    def substitution(self):
-        """Root coordinates as polynomials in terminal coordinates."""
-        if self._subst is not None:
-            return self._subst
-        T = self._towers[0]
-        fx = BiPoly.variable(T, self.vars, self.vars[0])
-        fy = BiPoly.variable(T, self.vars, self.vars[1])
+    def pullback(self, f):
+        """f in the terminal chart's coordinates, walked through the steps; f may
+        lie over the tower of any node of the path."""
         for i, step in enumerate(self.steps):
-            Tn = self._towers[i + 1]
-            if fx.tower != Tn:
-                fx = fx.lift_to(Tn)
-                fy = fy.lift_to(Tn)
-            su, sw = step_substitution(Tn, self.vars, step)
-            fx = fx.substitute(su, sw)
-            fy = fy.substitute(su, sw)
-        object.__setattr__(self, "_subst", (fx, fy))
-        return fx, fy
+            f = _step_image(f, step, self._towers[i + 1])
+        return f
 
 
-def step_substitution(tower, vars, step):
-    """The (old u, old w) pair expressed in the new chart coordinates."""
-    u = BiPoly.variable(tower, vars, vars[0])
-    w = BiPoly.variable(tower, vars, vars[1])
-    if step.kind == "affine":
-        c = step.constant_in(tower)
-        return u, u.mul(w.add(BiPoly.constant(tower, vars, c)))
-    return u.mul(w), w
+def _step_image(f, step, tower):
+    """f in the chart after the step, whose node has the given residue tower:
+    x^i·y^j becomes x^(i+j)·(y + c)^j in an affine chart, x^i·y^(i+j) at
+    infinity.  f stays over its own tower when that one is larger."""
+    if f.tower.height < tower.height:
+        f = f.lift_to(tower)
+    if step.kind == "infinity":
+        return BiPoly(f.tower, f.vars, {(i, i + j): a for (i, j), a in f.terms.items()})
+    image = BiPoly(f.tower, f.vars, {(i + j, j): a for (i, j), a in f.terms.items()})
+    return image.shifted(f.tower.lift_from(tower, step.constant_in(tower)))
 
 
 class LocalIdeal:
@@ -175,11 +163,13 @@ class LocalIdeal:
         return any(g.is_unit_at_origin() for g in self.gens)
 
     def content(self):
-        """Polynomial GCD of the generators: a unit at once when they include a
-        pure power of x and a pure power of y, which share no factor."""
-        exps = [e for g in self.gens if g.is_monomial() for e in g.terms]
-        if any(j == 0 for _, j in exps) and any(i == 0 for i, _ in exps):
-            return BiPoly.one(self.tower, self.vars)
+        """Polynomial GCD of the generators.  x and y are prime, so a monomial
+        generator x^a·y^b shares x^min(a, ord_x g)·y^min(b, ord_y g) with each
+        generator g: then the GCD is the least such monomial, with no gcd taken."""
+        if any(g.is_monomial() for g in self.gens):
+            exps = [e for g in self.gens for e in g.terms]
+            least = (min(i for i, _ in exps), min(j for _, j in exps))
+            return BiPoly.monomial(self.tower, self.vars, least)
         g = self.gens[0]
         for other in self.gens[1:]:
             if g.is_constant():
@@ -198,11 +188,7 @@ def pullback_order(path, f):
     """ord of f under the terminal ring's order valuation."""
     if f.is_zero():
         raise ZeroPolynomial("the zero element has no order")
-    fx, fy = path.substitution()
-    T = path.terminal_tower
-    if f.tower != T:
-        f = f.lift_to(T)
-    return f.substitute(fx, fy).ord_at_origin()
+    return path.pullback(f).ord_at_origin()
 
 
 def transform_ideal(J, step):
@@ -210,48 +196,42 @@ def transform_ideal(J, step):
 
     u is the exceptional variable of the new chart.  In an affine chart
     u = x and x^i·y^j becomes x^(i+j)·(y + c)^j; at infinity u = y and it
-    becomes x^i·y^(i+j).  So a generator of order o substitutes to u^o
-    times a polynomial, and dividing by u^(ord J) is an exponent shift.
+    becomes x^i·y^(i+j).  So a generator of order o maps to u^o times a
+    polynomial, and dividing by u^(ord J) is an exponent shift.
     For coprime generators nothing else is shared: the transform is an
     isomorphism away from u = 0.  The generators are scaled so that the
     first one's lex-least term has coefficient one.
     """
     T2 = step.extend_tower(J.tower)
-    su, sw = step_substitution(T2, J.vars, step)
     d = J.min_order()
     shift = (-d, 0) if step.kind == "affine" else (0, -d)
-    subs = []
-    for g in J.gens:
-        if g.tower != T2:
-            g = g.lift_to(T2)
-        subs.append(g.substitute(su, sw))
+    subs = [_step_image(g, step, T2) for g in J.gens]
     inv = T2.inv(subs[0].terms[min(subs[0].terms)])
     return LocalIdeal(T2, J.vars, [g.mul_monomial(shift, inv) for g in subs])
 
 
-def _min_order_forms(J):
+def _initial_gcd(J):
+    """(d, gamma): the least order d of J's generators and the gcd gamma of
+    their initial forms of order d."""
     orders = [g.ord_at_origin() for g in J.gens]
     d = min(orders)
-    return d, [g.initial_form() for g, o in zip(J.gens, orders) if o == d]
+    return d, homogeneous_gcd([g.initial_form() for g, o in zip(J.gens, orders) if o == d])
 
 
 def zariski_number(J):
     """d - s: minimal order minus the degree of the initial-form GCD."""
     if J.is_unit():
         raise UnitIdeal("the unit ideal has no Zariski number")
-    d, forms = _min_order_forms(J)
-    s = homogeneous_gcd(forms).total_degree
-    return d - s
+    d, gamma = _initial_gcd(J)
+    return d - gamma.total_degree
 
 
-def _direction_steps(J):
+def _direction_steps(gamma):
     """Candidate steps from the projective zeros of the initial-form GCD."""
-    _, forms = _min_order_forms(J)
-    gamma = homogeneous_gcd(forms)
     s = gamma.total_degree
     if s == 0:
         return []
-    T = J.tower
+    T = gamma.tower
     q = gamma.dehomogenized()
     plain = []
     extending = []
@@ -271,6 +251,15 @@ def _direction_steps(J):
     return steps
 
 
+def base_point(J):
+    """(d, Zariski number, [(step, transform), ...]) of J, read off one gcd
+    gamma of its initial forms of least order d: the number is d - deg gamma,
+    and the directions, in canonical order, are the projective zeros of gamma."""
+    d, gamma = _initial_gcd(J)
+    pairs = [(step, transform_ideal(J, step)) for step in _direction_steps(gamma)]
+    return d, d - gamma.total_degree, pairs
+
+
 def directions_with_transforms(J):
     """(step, transform) for each base direction, in canonical order."""
-    return [(step, transform_ideal(J, step)) for step in _direction_steps(J)]
+    return base_point(J)[2]

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 from .arith.polynomials import BiPoly, squarefree_part
 from .divisors import PrimeDivisor, RationalFn, initial_ratio, residue_image
 from .errors import ConstantImage, DepthExceeded, NodeBudgetExceeded, NonzeroValue, ZeroInput
-from .nearpoints import (
-    LocalIdeal,
-    QdtPath,
-    directions_with_transforms,
-    zariski_number,
-)
+from .nearpoints import LocalIdeal, QdtPath, base_point
 
 
 @dataclass(frozen=True)
@@ -90,9 +85,10 @@ def base_point_tree(J, config=None):
         count[0] += 1
         if count[0] > config.max_nodes:
             raise NodeBudgetExceeded("tree exceeds %d nodes" % config.max_nodes)
-        orders += (ideal.min_order(),)
-        node = TreeNode(path=path, ideal=ideal, zariski=zariski_number(ideal), orders=orders)
-        for step, transform in directions_with_transforms(ideal):
+        d, zariski, pairs = base_point(ideal)
+        orders += (d,)
+        node = TreeNode(path=path, ideal=ideal, zariski=zariski, orders=orders)
+        for step, transform in pairs:
             node.children.append(build(path.extended(step), transform, orders))
         return node
 

@@ -45,6 +45,16 @@ PER_FIELD = 30
 # ---------------------------------------------------------------- references
 
 
+def value_of_ideal(v, ideal):
+    """v(I): the least value of a generator."""
+    return min(v.value(g) for g in ideal.gens)
+
+
+def suffix(path, i):
+    """The tail of the path, rooted at node i."""
+    return QdtPath(path.node_tower(i), path.vars, path.steps[i:])
+
+
 def _member(f, principal, floors):
     if f.is_zero():
         return True
@@ -57,7 +67,7 @@ def _member(f, principal, floors):
 
 def _floors(ideal):
     fact = zariski_factorization(ideal)
-    return fact, tuple((v, v.value_of_ideal(ideal)) for v, _ in fact.exponents)
+    return fact, tuple((v, value_of_ideal(v, ideal)) for v, _ in fact.exponents)
 
 
 def _echelon_colength(principal, floors, tower):
@@ -106,7 +116,7 @@ def _two_tree_equals(j, k):
 def _suffix_multiplicities(v):
     out = []
     for i in range(v.path.length + 1):
-        tail = v.path.suffix(i)
+        tail = suffix(v.path, i)
         u = BiPoly.variable(tail.tower, V, V[0])
         w = BiPoly.variable(tail.tower, V, V[1])
         out.append(min(pullback_order(tail, u), pullback_order(tail, w)))

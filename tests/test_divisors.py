@@ -36,7 +36,6 @@ def test_rational_fn_eq_cross_multiplies():
     a = RationalFn(X, Y)
     b = RationalFn(X.pow(2), X.mul(Y))
     assert a == b
-    assert a.inverted() == RationalFn(Y, X)
 
 
 def test_values_on_golden_divisor():
@@ -47,16 +46,7 @@ def test_values_on_golden_divisor():
     assert v.value(X.mul(Y)) == 5
     from dicritical.nearpoints import LocalIdeal
 
-    assert v.value_of_ideal(LocalIdeal(QQ, V, [X.pow(3), Y.pow(2)])) == 6
-
-
-def test_value_rational():
-    v = divisor(QdtStep.affine(QQ.zero()), QdtStep.infinity())
-    z = RationalFn(Y.pow(2), X.pow(3))
-    assert v.value_rational(z) == 0
-    assert v.value_rational(RationalFn(Y, X)) == 1
-    with pytest.raises(ZeroInput):
-        v.value_rational(RationalFn(BiPoly.zero(QQ, V), X))
+    assert min(v.value(g) for g in LocalIdeal(QQ, V, [X.pow(3), Y.pow(2)]).gens) == 6
 
 
 def test_intermediate_multiplicities():

@@ -24,7 +24,7 @@ def mk(tower=QQ):
 def test_affine_step_substitution():
     x, y = mk()
     path = QdtPath(QQ, V, [QdtStep.affine(QQ.from_int(2))])
-    fx, fy = path.substitution()
+    fx, fy = path.pullback(x), path.pullback(y)
     # x = x', y = x'(y' + 2)
     assert fx == BiPoly.variable(QQ, V, "x")
     xs, ys = mk()
@@ -32,8 +32,9 @@ def test_affine_step_substitution():
 
 
 def test_infinity_step_substitution():
+    x, y = mk()
     path = QdtPath(QQ, V, [QdtStep.infinity()])
-    fx, fy = path.substitution()
+    fx, fy = path.pullback(x), path.pullback(y)
     xs, ys = mk()
     assert fx == xs.mul(ys)
     assert fy == ys
@@ -138,15 +139,6 @@ def test_is_mprimary_is_local():
     assert J.is_mprimary()
     assert not LocalIdeal(QQ, V, [x.pow(2).sub(x), x.mul(y).sub(x)]).is_mprimary()
     assert not LocalIdeal(QQ, V, [x.sub(one), y]).is_mprimary()  # the unit ideal
-
-
-def test_path_suffix():
-    steps = [QdtStep.affine(QQ.zero()), QdtStep.infinity(), QdtStep.affine(QQ.one())]
-    path = QdtPath(QQ, V, steps)
-    tail = path.suffix(1)
-    assert tail.length == 2
-    assert tail.steps[0].kind == "infinity"
-    assert path.suffix(0) == path
 
 
 def test_extension_step_tower_chain():

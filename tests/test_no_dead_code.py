@@ -1,9 +1,10 @@
-"""Every function the engine defines is used somewhere in the engine or its tests,
-and every name an engine module imports is used in that module.
+"""Every function the engine defines is used somewhere in the engine or its
+benchmark, and every name an engine module imports is used in that module.
 
 A def counts as used when its name appears as a name, an attribute or an
-imported name anywhere in src/ or tests/; its own def statement does not
-count.  A method defined in a class body counts as used only when its name
+imported name anywhere in src/ or perfbench/; its own def statement does not
+count.  The tests do not count: a def only they call is kept alive by its
+own test, and belongs in the tests as a reference if anything.  A method defined in a class body counts as used only when its name
 appears as an attribute, since a bare name or an import reaches a
 same-named function instead.  Dunder methods are called by the language
 and are exempt.
@@ -18,7 +19,7 @@ import pathlib
 import dicritical
 
 ENGINE = pathlib.Path(dicritical.__file__).parent
-TESTS = pathlib.Path(__file__).parent
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
 def _trees(root):
@@ -29,7 +30,7 @@ def _trees(root):
 def _used_names():
     """(names used in any way, names used as attributes)."""
     used, attrs = set(), set()
-    for root in (ENGINE, TESTS):
+    for root in (ENGINE, PERFBENCH):
         for _, tree in _trees(root):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):

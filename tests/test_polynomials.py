@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly, bipoly_gcd, homogeneous_gcd, squarefree_part
@@ -34,7 +36,6 @@ class TestUniPoly:
 
     def test_compose_and_shift(self):
         f = up(1, 2, 1)  # (t+1)^2
-        assert f.compose(up(-1, 1)) == up(0, 0, 1)
         assert f.shift(QQ.from_int(-1)) == up(0, 0, 1)
 
     def test_eval(self):
@@ -54,12 +55,6 @@ class TestUniPoly:
 
 
 class TestBiPoly:
-    def test_substitute(self):
-        x, y = xy()
-        f = x.pow(2).add(y)
-        g = f.substitute(y, x.mul(y))  # x -> y, y -> x*y
-        assert g == y.pow(2).add(x.mul(y))
-
     def test_ord_and_forms(self):
         x, y = xy()
         f = x.pow(3).add(x.mul(y)).add(y.pow(4))
@@ -199,3 +194,35 @@ def test_render_order():
     x, y = xy()
     f = y.pow(2).sub(x.pow(3))
     assert f.render() == "-x^3 + y^2"
+
+
+F7 = FieldTower.prime_field(7)
+F7A = F7.extended("a", (1, 0, 1))  # a^2 = -1; -1 is not a square mod 7
+
+
+def _composed_shift(p, c):
+    """p(t + c) by Horner's rule with products of polynomials."""
+    T = p.tower
+    acc = UniPoly.zero(T)
+    for a in reversed(p.coeffs):
+        acc = acc.mul(UniPoly(T, (c, T.one()))).add(UniPoly.constant(T, a))
+    return acc
+
+
+@pytest.mark.parametrize("tower", [QQ, F7, F7A], ids=["Q", "F7", "F7(a)"])
+def test_taylor_shift_matches_composition(tower):
+    rng = random.Random("shift/%r" % (tower,))
+
+    def element():
+        e = tower.from_int(rng.randint(-3, 3))
+        if tower.height:
+            e = tower.add(e, tower.mul(tower.from_int(rng.randint(-3, 3)), tower.generator()))
+        return e
+
+    for degree in range(-1, 8):
+        for c in (tower.zero(), tower.one(), element(), element()):
+            p = UniPoly(tower, [element() for _ in range(degree + 1)])
+            assert p.shift(c) == _composed_shift(p, c), (p, c)
+    # the zero polynomial and the constants are fixed points
+    for p in (UniPoly.zero(tower), UniPoly.one(tower), UniPoly.constant(tower, element())):
+        assert p.shift(element()) == p

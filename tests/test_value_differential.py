@@ -1,6 +1,6 @@
-"""Values read off the tree and the path, against the substitutions they replaced.
+"""Values read off the tree and the path, against the pullbacks they replaced.
 
-The dicritical pipeline composes no substitution along a divisor's path:
+The dicritical pipeline pulls nothing back along a divisor's path:
 
   * coordinate_values walks the path back from the terminal node, where
     both coordinates have value 1;
@@ -10,10 +10,10 @@ The dicritical pipeline composes no substitution along a divisor's path:
     the terminal node's two generators (initial_ratio);
   * the global values at infinity come from the chart's coordinate values.
 
-Each reading must equal the substitution it replaced: pullback_order of x
-and y, value_of_ideal, residue_image(V, z) coefficient for coefficient, and
-the values of the chart coordinates.  A guard checks that the tree-derived
-entry points run with QdtPath.substitution disabled.
+Each reading must equal the pullback it replaced: pullback_order of x and
+y, the least value of a generator, residue_image(V, z) coefficient for
+coefficient, and the values of the chart coordinates.  A guard checks that
+the tree-derived entry points run with QdtPath.pullback disabled.
 """
 
 import random
@@ -43,6 +43,41 @@ F7 = cd.F7
 F32003 = FieldTower.prime_field(32003)
 
 
+def _pullback_by_substitution(path, f):
+    """f under the substitution composed from the steps of the path."""
+    T = path.tower
+    fx, fy = BiPoly.variable(T, V, V[0]), BiPoly.variable(T, V, V[1])
+    for i, step in enumerate(path.steps):
+        Tn = path.node_tower(i + 1)
+        su, sw = td.step_substitution(Tn, V, step)
+        fx, fy = td.substitute(fx.lift_to(Tn), su, sw), td.substitute(fy.lift_to(Tn), su, sw)
+    return td.substitute(f.lift_to(path.terminal_tower), fx, fy)
+
+
+def _random_over(rng, tower):
+    """A random polynomial whose coefficients involve the top generator of the tower."""
+    f = props.random_poly(rng, tower, 4)
+    if tower.height:
+        f = f + props.random_poly(rng, tower, 4).scale(tower.generator())
+    return f
+
+
+@pytest.mark.parametrize(
+    "name,tower,second", cd.EXTENSION_FIELDS, ids=[n for n, _, _ in cd.EXTENSION_FIELDS]
+)
+def test_pullback_matches_the_substitution(name, tower, second):
+    rng = random.Random("pullback/%s" % name)
+    paths = [td._bench_divisor(shape, tower, rng).path for shape in td.SHAPES]
+    paths += [w.path for w in cd._extension_paths(tower, second)]
+    extended = 0
+    for path in paths:
+        for node_tower in {path.tower, path.node_tower(path.length // 2), path.terminal_tower}:
+            f = _random_over(rng, node_tower)
+            assert path.pullback(f) == _pullback_by_substitution(path, f), (path, f)
+            extended += node_tower.height > 0
+    assert extended >= 9
+
+
 def _pulled_back_values(v):
     x, y = (BiPoly.variable(v.tower, V, name) for name in V)
     return pullback_order(v.path, x), pullback_order(v.path, y)
@@ -65,8 +100,8 @@ def test_coordinate_values_match_pullbacks(name, tower, second):
         assert v.coordinate_values() == _pulled_back_values(v), path
 
 
-def _substituted_floors(ideal):
-    return tuple((v, v.value_of_ideal(ideal)) for v, _ in zariski_factorization(ideal).exponents)
+def _pulled_back_floors(ideal):
+    return tuple((v, cd.value_of_ideal(v, ideal)) for v, _ in zariski_factorization(ideal).exponents)
 
 
 @pytest.mark.parametrize(
@@ -83,7 +118,7 @@ def test_floors_match_value_of_ideal(name, tower, ground):
             J = td._with_a(J, tower)
         for ideal in (J, cd._scaled(J, x - one), cd._scaled(J, x * (x - one))):
             got = ic.closure_data(ideal).floors
-            assert got == _substituted_floors(ideal), ideal
+            assert got == _pulled_back_floors(ideal), ideal
             floors += len(got)
     assert floors >= 3 * cd.PER_FIELD
 
@@ -150,7 +185,7 @@ def test_images_of_property_pencils_match_residue_image(name, tower, ground):
     assert checked >= cd.PER_FIELD
 
 
-def _substituted_global_values(point, divisor):
+def _pulled_back_global_values(point, divisor):
     """v of the input coordinates from the values of the chart's z and w + c."""
     tower, chart = point.tower, point.chart_vars
     vz = divisor.value(BiPoly.variable(tower, chart, "z"))
@@ -169,7 +204,7 @@ def test_global_values_match_the_chart(tower):
     for f in _curves(tower, rng, count=4 if tower is QQ else 12):
         for point, records in dicriticals_at_infinity(f).entries:
             for r in records:
-                assert r.global_values == _substituted_global_values(point, r.divisor)
+                assert r.global_values == _pulled_back_global_values(point, r.divisor)
                 checked += 1
     assert checked > 10
 
@@ -181,15 +216,15 @@ def test_tree_readings_compose_no_substitution(monkeypatch):
     unit = [cd._scaled(J, x - BiPoly.one(QQ, V)) for J in ideals[:5]]
     curves = [parse_polynomial(text, F7, W) for text in td.CURVES]
 
-    def refuse(self):
-        raise AssertionError("composed a substitution along %r" % (self,))
+    def refuse(self, f):
+        raise AssertionError("pulled %r back along %r" % (f, self))
 
-    monkeypatch.setattr(QdtPath, "substitution", refuse)
+    monkeypatch.setattr(QdtPath, "pullback", refuse)
     for f in curves:
         assert dicriticals_at_infinity(f).total > 0
     for J in ideals + unit:
         assert dicritical_set(J)
         assert zariski_factorization(J).exponents
         assert ic.closure_colength(J) > 0
-        # building the floors is guarded; ClosureData.contains substitutes by design
+        # building the floors is guarded; ClosureData.contains pulls back by design
         assert ic.closure_data(J).floors
