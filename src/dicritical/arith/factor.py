@@ -12,8 +12,6 @@ Three regimes share one entry point, factor_univariate:
 All returned factors are monic and canonically ordered.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

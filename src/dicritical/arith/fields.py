@@ -11,8 +11,6 @@ constructed: plain Fraction or mod-p int operations at the ground, and for
 every extension level operations composed from the level below.
 """
 
-from __future__ import annotations
-
 import operator
 from collections import namedtuple
 from fractions import Fraction

@@ -6,8 +6,6 @@ the pivot at the row's smallest key and scaled to 1, so reducing a vector is
 a single ascending sweep.
 """
 
-from __future__ import annotations
-
 import heapq
 
 

@@ -5,8 +5,6 @@ a sparse exponent dict keyed by (i, j).  Both are value objects: operations
 return fresh instances and never mutate their arguments.
 """
 
-from __future__ import annotations
-
 from ..errors import EmptyInput, InternalInconsistency, ZeroPolynomial
 
 

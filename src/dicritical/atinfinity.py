@@ -6,7 +6,7 @@ coordinate z.  The dicritical divisors of the polynomial are the dicritical
 divisors of these local rational functions, taken over all the points.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import BiPoly, factor_univariate
 from .arith.factor import extend
@@ -19,18 +19,17 @@ FINITE_CHART = ("z", "y")
 VERTICAL_CHART = ("z", "x")
 
 
-@dataclass(eq=False)
-class InfinityPoint:
-    """A zero of the degree form on the line at infinity, with its chart."""
+class InfinityPoint(
+    namedtuple("InfinityPoint", "kind tower c minpoly chart_vars input_vars z ideal")
+):
+    """A zero of the degree form on the line at infinity, with its chart.
 
-    kind: str  # "finite" for [1:c:0], "vertical" for [0:1:0]
-    tower: object
-    c: object  # finite points only
-    minpoly: object  # UniPoly when the point needed a tower extension
-    chart_vars: tuple
-    input_vars: tuple
-    z: RationalFn
-    ideal: LocalIdeal
+    kind is "finite" for [1:c:0] and "vertical" for [0:1:0]; c is set at
+    finite points only; minpoly is the UniPoly of the point's tower extension,
+    or None; z is the chart's RationalFn and ideal its LocalIdeal (num, den).
+    """
+
+    __slots__ = ()
 
     @property
     def extension_degree(self):
@@ -42,12 +41,10 @@ class InfinityPoint:
         return "[1:%s:0]" % self.tower.render(self.c)
 
 
-@dataclass(eq=False)
-class InfinityReport:
-    f: BiPoly
-    degree: int
-    degree_form: BiPoly
-    entries: tuple  # ((InfinityPoint, (DicriticalRecord, ...)), ...)
+class InfinityReport(namedtuple("InfinityReport", "f degree degree_form entries")):
+    """entries: ((InfinityPoint, (DicriticalRecord, ...)), ...)."""
+
+    __slots__ = ()
 
     @property
     def total(self):
@@ -127,10 +124,11 @@ def dicriticals_at_infinity(f, config=None):
     points = points_at_infinity(f)
     entries = []
     for point in points:
-        records = dicritical_of_rational(point.z, config)
-        for record in records:
-            record.global_values = _global_values(point, record.divisor)
-        entries.append((point, tuple(records)))
+        records = tuple(
+            r._replace(global_values=_global_values(point, r.divisor))
+            for r in dicritical_of_rational(point.z, config)
+        )
+        entries.append((point, records))
     return InfinityReport(
         f=f, degree=f.total_degree, degree_form=f.degree_form(), entries=tuple(entries)
     )

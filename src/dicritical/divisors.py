@@ -7,13 +7,9 @@ function is a rational function in tau = (second coordinate)/(first
 coordinate) on the exceptional line.
 """
 
-from __future__ import annotations
-
-import dataclasses
-
 from .arith.linalg import kernel_basis
 from .arith.polynomials import BiPoly, bipoly_gcd
-from .errors import InternalInconsistency, NonzeroValue, ZeroInput
+from .errors import BudgetExceeded, InternalInconsistency, NonzeroValue, ZeroInput
 from .nearpoints import LocalIdeal, pullback_order
 
 
@@ -250,8 +246,15 @@ def simple_ideal(V):
     c = sum(a * b for a, b in zip(V.point_basis(), r))
     D = -(-c // r[0])
 
-    from .idealcalc import minimal_generators
+    from .idealcalc import MAX_FRAME_DEGREE, minimal_generators
     from .zariski import zariski_factorization
+
+    if D > MAX_FRAME_DEGREE:
+        # D grows like the Fibonacci numbers along a path that alternates charts
+        raise BudgetExceeded(
+            "the simple ideal needs monomials of degree %s, beyond the budget "
+            "MAX_FRAME_DEGREE = %d" % (D if D < 10 ** 18 else "above 10^18", MAX_FRAME_DEGREE)
+        )
 
     # a column that _valuation_rows skips has value >= c: a zero column,
     # whose kernel vector is its unit vector
@@ -276,6 +279,6 @@ def _unnamed(path):
     """A path's root, steps, minimal polynomials and coordinates, without the
     names of its extension generators, which the round trip chooses anew."""
     steps = tuple(
-        dataclasses.replace(step, ext_name=None) if step.extends else step for step in path.steps
+        step._replace(ext_name=None) if step.extends else step for step in path.steps
     )
     return path.tower, path.vars, steps

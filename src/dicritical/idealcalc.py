@@ -1,7 +1,6 @@
 """Finite-colength ideal arithmetic: truncation frames, closures, reductions."""
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from heapq import heappop, heappush
 from itertools import count
 
@@ -9,7 +8,7 @@ from .arith import QQ, BiPoly, SparseEchelon, bipoly_gcd
 from .divisors import PrimeDivisor, simple_ideal
 from .errors import BudgetExceeded, InternalInconsistency, NotMPrimary, Unstable
 from .nearpoints import LocalIdeal, QdtPath, QdtStep
-from .zariski import BasePointTree, base_point_tree, strip_principal
+from .zariski import base_point_tree, strip_principal
 
 MAX_FRAME_DEGREE = 1024
 
@@ -216,12 +215,10 @@ def minimal_generators(ideal, frame_degree=None):
     return LocalIdeal(tower, ideal.vars, kept)
 
 
-@dataclass(frozen=True)
-class ClosureData:
+class ClosureData(namedtuple("ClosureData", "tree floors")):
     """Valuative description of an integral closure: base-point tree plus value floors."""
 
-    tree: BasePointTree
-    floors: tuple
+    __slots__ = ()
 
     def contains(self, f):
         if f.is_zero():
@@ -295,12 +292,7 @@ def closure_equals(j, k, config=None):
     return colength(residual) == _hoskin_deligne(data.tree)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    decision: bool
-    witness: int | None
-    by_direct: bool | None
-    by_valuative: bool
+ReductionResult = namedtuple("ReductionResult", "decision witness by_direct by_valuative")
 
 
 def is_reduction(j, i, n_max=None, config=None):
@@ -356,6 +348,11 @@ def abhyankar_family(m, tower=QQ, vars=("x", "y")):
     """
     if m < 1:
         raise ValueError("family index must be positive")
+    if _triangular(m) > MAX_FRAME_DEGREE:
+        raise BudgetExceeded(
+            "the pencil (F_m, G_m) has degree m(m+1)/2, beyond the budget "
+            "MAX_FRAME_DEGREE = %d" % MAX_FRAME_DEGREE
+        )
 
     def mono(a, b):
         return BiPoly.monomial(tower, vars, (a, b))

@@ -13,21 +13,15 @@ or x^i·y^(i+j) at infinity.  Pullbacks stay polynomial, so all valuation
 work reduces to orders of pullbacks.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith.factor import extend, factor_univariate, _poly_key
 from .arith.polynomials import BiPoly, UniPoly, bipoly_gcd, homogeneous_gcd
 from .errors import EmptyInput, UnitIdeal, ZeroPolynomial
 
 
-@dataclass(frozen=True)
-class QdtStep:
-    kind: str
-    c: object = None
-    ext_name: str = None
-    ext_minpoly: tuple = None
+class QdtStep(namedtuple("QdtStep", "kind c ext_name ext_minpoly", defaults=(None, None, None))):
+    __slots__ = ()
 
     @classmethod
     def affine(cls, c):

@@ -6,36 +6,32 @@ number is a dicritical divisor; the numbers are the exponents of the
 factorization of the integral closure into simple complete ideals.
 """
 
-from __future__ import annotations
+from collections import namedtuple
 
-from dataclasses import dataclass, field
-
-from .arith.polynomials import BiPoly, squarefree_part
+from .arith.polynomials import squarefree_part
 from .divisors import PrimeDivisor, RationalFn, initial_ratio, residue_image
 from .errors import ConstantImage, DepthExceeded, NodeBudgetExceeded, NonzeroValue, ZeroInput
 from .nearpoints import LocalIdeal, QdtPath, base_point
 
-
-@dataclass(frozen=True)
-class TreeConfig:
-    max_depth: int = 64
-    max_nodes: int = 4096
+TreeConfig = namedtuple("TreeConfig", "max_depth max_nodes", defaults=(64, 4096))
 
 
-@dataclass(eq=False)
 class TreeNode:
-    path: QdtPath
-    ideal: LocalIdeal
-    zariski: int
-    orders: tuple  # ord of the transform at each node from the root down to this one
-    children: list = field(default_factory=list)
+    """A base point, made after its children.  orders holds the ord of the
+    transform at each node from the root down to this one."""
+
+    __slots__ = ("path", "ideal", "zariski", "orders", "children", "__weakref__")
+
+    def __init__(self, path, ideal, zariski, orders, children):
+        self.path = path
+        self.ideal = ideal
+        self.zariski = zariski
+        self.orders = orders
+        self.children = children
 
 
-@dataclass(eq=False)
-class BasePointTree:
-    ideal: LocalIdeal
-    principal: BiPoly
-    root: TreeNode | None
+class BasePointTree(namedtuple("BasePointTree", "ideal principal root")):
+    __slots__ = ()
 
     def nodes(self):
         """All nodes, depth-first in canonical child order."""
@@ -48,19 +44,12 @@ class BasePointTree:
         return out
 
 
-@dataclass(eq=False)
-class DicriticalRecord:
-    divisor: PrimeDivisor
-    index: int
-    values: dict
-    degree: int | None = None
-    global_values: dict | None = None
-
-
-@dataclass(eq=False)
-class Factorization:
-    principal: BiPoly
-    exponents: tuple  # ((PrimeDivisor, positive exponent), ...) in tree order
+DicriticalRecord = namedtuple(
+    "DicriticalRecord", "divisor index values degree global_values", defaults=(None, None)
+)
+# exponents: ((PrimeDivisor, positive exponent), ...) in tree order
+Factorization = namedtuple("Factorization", "principal exponents")
+SpecialPencilResult = namedtuple("SpecialPencilResult", "decision witness")
 
 
 def strip_principal(J):
@@ -87,10 +76,10 @@ def base_point_tree(J, config=None):
             raise NodeBudgetExceeded("tree exceeds %d nodes" % config.max_nodes)
         d, zariski, pairs = base_point(ideal)
         orders += (d,)
-        node = TreeNode(path=path, ideal=ideal, zariski=zariski, orders=orders)
+        children = []
         for step, transform in pairs:
-            node.children.append(build(path.extended(step), transform, orders))
-        return node
+            children.append(build(path.extended(step), transform, orders))
+        return TreeNode(path, ideal, zariski, orders, tuple(children))
 
     root = build(QdtPath(residual.tower, residual.vars), residual, ())
     return BasePointTree(ideal=J, principal=principal, root=root)
@@ -136,20 +125,14 @@ def dicritical_of_rational(z, config=None):
     if z.num.is_unit_at_origin() or z.den.is_unit_at_origin():
         return []
     tree = base_point_tree(LocalIdeal(z.tower, z.vars, [z.num, z.den]), config)
-    records = records_from_tree(tree)
     nodes = (node for node in tree.nodes() if node.zariski > 0)
-    for r, node in zip(records, nodes):
+    out = []
+    for r, node in zip(records_from_tree(tree), nodes):
         image = initial_ratio(*node.ideal.gens)
         if image.is_constant():
             raise ConstantImage("the image is algebraic; V is not dicritical for z")
-        r.degree = r.divisor.residue_degree() * image.degree
-    return records
-
-
-@dataclass(eq=False)
-class SpecialPencilResult:
-    decision: bool
-    witness: int | None
+        out.append(r._replace(degree=r.divisor.residue_degree() * image.degree))
+    return out
 
 
 def special_pencil_test(z):

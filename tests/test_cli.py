@@ -1,6 +1,5 @@
 """Expression parsing, subcommand output, exit codes, and determinism."""
 
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -207,6 +206,19 @@ SYMPY_FREE_REQUESTS = [
 ]
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # measured against the modules loaded before the import, whatever site preloads
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import dicritical.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("argv,digest", SYMPY_FREE_REQUESTS, ids=["at-infinity", "batch", "simple-ideal"])
 def test_engine_runs_without_sympy(capsys, argv, digest):
     script = (
@@ -401,6 +413,32 @@ def test_exit_parse_expansion_budget(capsys, text, budget):
     assert time.perf_counter() - start < 2
 
 
+def _alternating_path(steps):
+    return json.dumps(
+        [{"chart": "infinity", "c": None, "extension": None}, {"chart": "affine", "c": "0", "extension": None}]
+        * (steps // 2)
+    )
+
+
+@pytest.mark.parametrize("steps", [16, 200])
+def test_exit_simple_ideal_degree_budget(capsys, steps):
+    # the degree bound grows like the Fibonacci numbers: 2584 at 16 steps,
+    # about 7*10^41 at 200; refused before any column is built
+    start = time.perf_counter()
+    code, _, err = run(capsys, "simple-ideal", _alternating_path(steps))
+    assert code == 5 and "MAX_FRAME_DEGREE" in err
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("m", ["45", "100000000000000000000"])
+def test_exit_abhyankar_family_degree_budget(capsys, m):
+    # deg G_m = m(m+1)/2 passes MAX_FRAME_DEGREE = 1024 from m = 45 on
+    start = time.perf_counter()
+    code, _, err = run(capsys, "abhyankar-family", m)
+    assert code == 5 and "MAX_FRAME_DEGREE" in err
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -462,7 +500,7 @@ def test_exit_internal_inconsistency(capsys, monkeypatch):
     def shifted_floors(ideal, config=None):
         data = real(ideal, config)
         floors = tuple((v, c + 1) for v, c in data.floors)
-        return dataclasses.replace(data, floors=floors)
+        return data._replace(floors=floors)
 
     monkeypatch.setattr(idealcalc, "closure_data", shifted_floors)
     code, _, err = run(capsys, "reduction-check", "x^3, y^2", "x^3, y^2, x^2*y")

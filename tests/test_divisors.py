@@ -9,7 +9,7 @@ from dicritical.divisors import (
     residue_image,
     simple_ideal,
 )
-from dicritical.errors import NonzeroValue, ZeroInput
+from dicritical.errors import BudgetExceeded, NonzeroValue, ZeroInput
 from dicritical.idealcalc import closure_colength, colength
 from dicritical.nearpoints import QdtPath, QdtStep
 from dicritical.zariski import dicritical_set
@@ -132,3 +132,11 @@ def test_simple_ideal_after_two_extension_levels_and_infinity():
     v = divisor(QdtStep.infinity(), first, second, QdtStep.infinity())
     zeta = simple_ideal(v)
     assert colength(zeta) == closure_colength(zeta) == 100
+
+
+@pytest.mark.parametrize("steps", [16, 200])
+def test_simple_ideal_degree_budget(steps):
+    # the degree bound D is 2584 at 16 steps of [inf, aff(0)], about 7*10^41 at 200
+    v = divisor(*[QdtStep.infinity(), QdtStep.affine(QQ.zero())] * (steps // 2))
+    with pytest.raises(BudgetExceeded, match="MAX_FRAME_DEGREE"):
+        simple_ideal(v)

@@ -172,3 +172,23 @@ def test_records_keep_no_tree(monkeypatch):
     assert [ref for ref in built if ref() is not None] == []
     assert [(r.values, r.degree) for r in records] == [({"x": 2, "y": 3}, 1)]
     assert all(r.degree and r.global_values for _, recs in report.entries for r in recs)
+
+
+def test_records_are_built_whole():
+    """The records the engine returns refuse attribute assignment."""
+    from dicritical.atinfinity import dicriticals_at_infinity
+    from dicritical.idealcalc import is_reduction
+
+    J = LocalIdeal(QQ, V, [X.pow(3), Y.pow(2)])
+    report = dicriticals_at_infinity(X.pow(3).mul(Y.pow(2)) + X)
+    fields = [
+        (dicritical_of_rational(RationalFn(X.pow(3), Y.pow(2)))[0], "degree"),
+        (report.entries[0][1][0], "global_values"),
+        (is_reduction(J, J), "decision"),
+        (zariski_factorization(J), "principal"),
+    ]
+    for record, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.note = None
