@@ -605,22 +605,29 @@ def _ylist_prem(f, g):
     return f
 
 
-def bipoly_gcd(f, g):
-    """Gcd in K[x, y], normalized so the lex-least exponent has coefficient 1.
+def bipoly_gcd(f, *others):
+    """Gcd in K[x, y] of f and the others, normalized so the lex-least exponent
+    has coefficient 1.
 
-    The monomial parts split off exactly (x and y are prime); the PRS runs on
-    the rest only when specialization cannot certify it coprime.
+    The monomial parts split off exactly (x and y are prime).  One
+    specialization certificate covers all the rest at once; when it fails,
+    the PRS takes the gcd of the first two and each further polynomial is
+    certified coprime to the running gcd or taken into it by the PRS.
     """
-    if f.is_zero():
-        return g.normalized()
-    if g.is_zero():
-        return f.normalized()
-    (a1, b1), f0 = _split_monomial(f)
-    (a2, b2), g0 = _split_monomial(g)
-    shift = (min(a1, a2), min(b1, b2))
-    if _coprime_by_specialization(f0, g0):
+    polys = [p for p in (f,) + others if not p.is_zero()]
+    if len(polys) < 2:
+        return (polys[0] if polys else f).normalized()
+    split = [_split_monomial(p) for p in polys]
+    shift = (min(a for (a, _), _ in split), min(b for (_, b), _ in split))
+    rest = [p0 for _, p0 in split]
+    if _coprime_by_specialization(rest):
         return BiPoly.monomial(f.tower, f.vars, shift)
-    return _prs_gcd(f0, g0).mul_monomial(shift)
+    g = _prs_gcd(rest[0], rest[1])
+    for p in rest[2:]:
+        if g.is_constant() or _coprime_by_specialization([g, p]):
+            return BiPoly.monomial(f.tower, f.vars, shift)
+        g = _prs_gcd(g, p)
+    return g.mul_monomial(shift)
 
 
 def _split_monomial(f):
@@ -641,24 +648,32 @@ def _specialize(f, axis, c):
     return UniPoly(T, coeffs)
 
 
-def _coprime_by_specialization(f0, g0):
-    """True only if f0 and g0 are coprime.
+def _coprime_by_specialization(polys):
+    """True only if the polynomials, none divisible by x or y, share no factor.
 
-    For each variable v of positive degree in both, the other is set to some
-    c in 1, 2, 3 (0 is useless when both vanish at the origin, as the
-    generators of a non-unit ideal do) that keeps lc_v(f0) nonzero.  A
-    common factor h has lc_v(h) | lc_v(f0), so h(c) keeps its v-degree and
-    divides both specializations; if these are coprime, h has degree 0 in v.
+    For each variable v of positive degree in all of them, the other is set
+    to some c in 1, 2, 3 (0 is useless when all vanish at the origin, as the
+    generators of a non-unit ideal do) that keeps lc_v(f0) nonzero, f0 the
+    first.  A common factor h has lc_v(h) | lc_v(f0), so h(c) keeps its
+    v-degree and divides every specialization; if these have gcd 1, h has
+    degree 0 in v.
     """
+    f0 = polys[0]
     T = f0.tower
     consts = [c for c in dict.fromkeys(map(T.from_int, (1, 2, 3))) if not T.is_zero(c)]
     for axis in (0, 1):
-        d = f0.degree_in(axis)
-        if d == 0 or g0.degree_in(axis) == 0:
+        if any(p.degree_in(axis) == 0 for p in polys):
             continue
+        d = f0.degree_in(axis)
         for c in consts:
-            sf = _specialize(f0, axis, c)
-            if sf.degree == d and sf.gcd(_specialize(g0, axis, c)).degree == 0:
+            g = _specialize(f0, axis, c)
+            if g.degree != d:
+                continue
+            for p in polys[1:]:
+                g = g.gcd(_specialize(p, axis, c))
+                if g.degree == 0:
+                    break
+            if g.degree == 0:
                 break
         else:
             return False

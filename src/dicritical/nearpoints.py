@@ -164,12 +164,7 @@ class LocalIdeal:
             exps = [e for g in self.gens for e in g.terms]
             least = (min(i for i, _ in exps), min(j for _, j in exps))
             return BiPoly.monomial(self.tower, self.vars, least)
-        g = self.gens[0]
-        for other in self.gens[1:]:
-            if g.is_constant():
-                break
-            g = bipoly_gcd(g, other)
-        return g.normalized()
+        return bipoly_gcd(*self.gens)
 
     def is_mprimary(self):
         return not self.is_unit() and self.content().is_unit_at_origin()

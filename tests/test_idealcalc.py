@@ -14,8 +14,9 @@ import pytest
 import test_properties as props
 from dicritical import idealcalc as ic
 from dicritical.arith import QQ, BiPoly, FieldTower
+from dicritical.divisors import PrimeDivisor, simple_ideal
 from dicritical.errors import NotMPrimary, Unstable
-from dicritical.nearpoints import LocalIdeal
+from dicritical.nearpoints import LocalIdeal, QdtPath, QdtStep
 from dicritical.zariski import base_point_tree
 
 V = ("x", "y")
@@ -320,6 +321,33 @@ def test_abhyankar_family_shapes():
     assert sorted(next(iter(p.terms)) for p in i5.gens) == [
         (0, 5), (1, 4), (3, 3), (6, 2), (10, 1), (15, 0),
     ]
+
+
+def test_abhyankar_family_golden_6_to_8():
+    """The family past the acceptance tier (m <= 5): J_m = (F_m, G_m) reduces
+    I_m with witness 1, and the colengths are the tetrahedral and
+    square-pyramidal numbers, with cl(J_m) = I_m."""
+    for m in range(6, 9):
+        f, g, I = ic.abhyankar_family(m)
+        J = LocalIdeal(QQ, V, [f, g])
+        assert ic.is_reduction(J, I) == ic.ReductionResult(True, 1, True, True)
+        assert ic.colength(I) == m * (m + 1) * (m + 2) // 6
+        assert ic.colength(J) == m * (m + 1) * (2 * m + 1) // 6
+        assert ic.closure_colength(J) == ic.colength(I)
+
+
+def test_simple_ideal_coefficients_stay_fractions():
+    # the kernel's integer rows must not leak ints into generators: rendering
+    # and _gen_key read Fractions
+    inf, aff = QdtStep.infinity(), QdtStep.affine
+    paths = [
+        [aff(Fraction(0))] * 7,
+        [inf, aff(Fraction(2)), aff(Fraction(2)), inf, aff(Fraction(0))],
+        [aff(Fraction(-1, 3)), inf, aff(Fraction(5, 2))],
+    ]
+    for steps in paths:
+        ideal = simple_ideal(PrimeDivisor(QdtPath(QQ, V, steps)))
+        assert all(type(c) is Fraction for g in ideal.gens for c in g.terms.values())
 
 
 def test_abhyankar_family_over_f5():
