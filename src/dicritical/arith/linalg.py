@@ -1,9 +1,11 @@
-"""Sparse echelon forms and kernels over a field tower.
+"""Sparse echelon forms, kernels, and the reduction sweep they share with
+the truncation frames.
 
 Vectors are dicts mapping a comparable column key (usually an exponent pair)
-to a nonzero field element.  The echelon keeps one stored row per pivot, with
-the pivot at the row's smallest key, so reducing a vector is a single
-ascending sweep.
+to a nonzero field element.  A stored row has its pivot at its smallest key,
+so reducing a vector is a single ascending sweep; the sweep asks a lookup
+for the row to use at each key, which the echelon answers from its rows and
+a truncation frame from its staircase, with a shifted element.
 
 Over F_p and its extensions a stored row is scaled so that its pivot is 1.
 Over Q it is a primitive integer row (content 1, positive pivot) and the
@@ -25,10 +27,6 @@ class SparseEchelon:
         self.rows = {}
         self.integral = tower.base is None and not tower.levels
 
-    @property
-    def rank(self):
-        return len(self.rows)
-
     def reduce(self, vec):
         """(w, s): w is s times the residual of vec after elimination.
 
@@ -36,102 +34,81 @@ class SparseEchelon:
         vanishes at every pivot.  s is 1 except over Q, where w is integral.
         Does not modify the echelon.
         """
-        if self.integral:
-            return _reduce_integral(self.rows, vec)
-        T = self.tower
-        work = {k: c for k, c in vec.items() if not T.is_zero(c)}
-        heap = list(work)
-        heapq.heapify(heap)
-        seen = set()
-        residual = {}
-        while heap:
-            k = heapq.heappop(heap)
-            if k in seen:
-                continue
-            seen.add(k)
-            c = work.get(k)
-            if c is None or T.is_zero(c):
-                continue
-            row = self.rows.get(k)
-            if row is None:
-                residual[k] = c
-                continue
-            del work[k]
-            for kk, rc in row.items():
-                if kk == k:
-                    continue
-                delta = T.mul(c, rc)
-                cur = work.get(kk)
-                nxt = T.sub(cur, delta) if cur is not None else T.neg(delta)
-                if T.is_zero(nxt):
-                    work.pop(kk, None)
-                else:
-                    if kk not in work and kk not in seen:
-                        heapq.heappush(heap, kk)
-                    work[kk] = nxt
-        return residual, 1
+        rows = self.rows
+        return sweep(self.tower, vec, lambda k: (rows[k][k], rows[k].items()) if k in rows else None)
 
     def insert(self, vec):
         """Add vec to the span; returns the new stored row when the rank grew, else False."""
         res, _ = self.reduce(vec)
         if not res:
             return False
-        pivot = min(res)
-        if self.integral:
-            g = gcd(*res.values())
-            if res[pivot] < 0:
-                g = -g
-            row = res if g == 1 else {k: c // g for k, c in res.items()}
-        else:
-            T = self.tower
-            inv = T.inv(res[pivot])
-            row = {k: T.mul(inv, c) for k, c in res.items()}
-        self.rows[pivot] = row
+        row = self.rows[min(res)] = stored_row(self.tower, res)
         return row
 
-    def contains(self, vec):
-        return not self.reduce(vec)[0]
+
+def stored_row(tower, res):
+    """res scaled to a stored row: pivot 1, or over Q primitive with a positive pivot."""
+    pivot = res[min(res)]
+    if tower.base is None and not tower.levels:
+        g = gcd(*res.values())
+        if pivot < 0:
+            g = -g
+        return res if g == 1 else {k: c // g for k, c in res.items()}
+    inv = tower.inv(pivot)
+    return {k: tower.mul(inv, c) for k, c in res.items()}
 
 
-def _reduce_integral(rows, vec):
-    """SparseEchelon.reduce over Q, on the primitive integer rows."""
-    scale = lcm(*[c.denominator for c in vec.values()])
-    if scale == 1:  # ints, such as the shifts of stored rows
-        work = {k: c.numerator for k, c in vec.items() if c}
-    else:
+def sweep(tower, vec, lookup, top=False):
+    """(w, s): w is s times the residual of vec after elimination by stored rows.
+
+    lookup(k) is None when no stored row has its pivot at key k, else
+    (p, terms): the row's pivot coefficient and its (key, coefficient) pairs,
+    pivot included, every other key above k.  Keys pop in ascending order and
+    a row only reaches keys above its pivot, so a key pushed twice pops twice
+    in a row: harmless.  With top set, the sweep stops at the first key no
+    row reduces and returns what is left of vec.
+    """
+    level = tower._at[-1]
+    submul, is_zero = level.submul, level.is_zero
+    integral = tower.base is None and not tower.levels
+    if integral:
+        scale, zero = lcm(*[c.denominator for c in vec.values()]), 0
         work = {k: c.numerator * (scale // c.denominator) for k, c in vec.items() if c}
+    else:
+        scale, zero = 1, level.zero
+        work = {k: c for k, c in vec.items() if not is_zero(c)}
     heap = list(work)
     heapq.heapify(heap)
     residual = {}
-    # keys pop in ascending order and a stored row only reaches keys above
-    # its pivot, so a key pushed twice pops twice in a row: harmless
     while heap:
         k = heapq.heappop(heap)
         c = work.get(k)
-        if not c:
+        if c is None:
             continue
-        row = rows.get(k)
-        if row is None:
+        hit = lookup(k)
+        if hit is None:
+            if top:
+                return work, scale
             residual[k] = c
             continue
         del work[k]
-        p = row[k]
-        g = gcd(p, c)
-        a, b = p // g, c // g
-        if a != 1:
-            scale *= a
-            work = {kk: a * v for kk, v in work.items()}
-            residual = {kk: a * v for kk, v in residual.items()}
-        for kk, rc in row.items():
-            if kk == k:
-                continue
-            nxt = work.get(kk, 0) - b * rc
-            if nxt:
-                if kk not in work:
-                    heapq.heappush(heap, kk)
-                work[kk] = nxt
-            else:
-                work.pop(kk, None)
+        p, terms = hit
+        if integral:
+            g = gcd(p, c)
+            a, c = p // g, c // g
+            if a != 1:
+                scale *= a
+                work = {kk: a * v for kk, v in work.items()}
+                residual = {kk: a * v for kk, v in residual.items()}
+        for kk, rc in terms:
+            if kk != k:
+                nxt = submul(work.get(kk, zero), c, rc)
+                if is_zero(nxt):
+                    work.pop(kk, None)
+                else:
+                    if kk not in work:
+                        heapq.heappush(heap, kk)
+                    work[kk] = nxt
     return residual, scale
 
 

@@ -1,10 +1,12 @@
 """Finite-colength ideal arithmetic: truncation frames, closures, reductions."""
 
-from collections import Counter, namedtuple
+from bisect import bisect_left
+from collections import namedtuple
 from heapq import heappop, heappush
 from itertools import count
 
-from .arith import QQ, BiPoly, SparseEchelon, bipoly_gcd
+from .arith import QQ, BiPoly, bipoly_gcd
+from .arith.linalg import stored_row, sweep
 from .divisors import PrimeDivisor, simple_ideal
 from .errors import BudgetExceeded, InternalInconsistency, NotMPrimary, Unstable
 from .nearpoints import LocalIdeal, QdtPath, QdtStep
@@ -13,76 +15,140 @@ from .zariski import base_point_tree, strip_principal
 MAX_FRAME_DEGREE = 1024
 
 
-def _truncated_row(g, bound):
-    # columns keyed degree-first, (i + j, i): a row's pivot is its lowest-degree term
-    return {(i + j, i): c for (i, j), c in g.terms.items() if i + j < bound}
-
-
-def _shifts(row, bound):
-    """x * row and y * row, truncated below bound; none once row is past it."""
-    x = {(d + 1, i + 1): c for (d, i), c in row.items() if d + 1 < bound}
-    if not x:
-        return ()
-    return x, {(d + 1, i): c for (d, i), c in row.items() if d + 1 < bound}
-
-
-def _close(ech, rows, bound):
-    """Insert rows and the x- and y-shifts of every row that raises the rank.
-
-    Stored rows never change, so their span ends closed under x and y: the
-    image in R / M^bound of the ideal the rows generate, for at most
-    len(rows) + 2 * rank inserts.  Highest pivot first, so each stored row is
-    reduced against the rows above it and stays short.
-    """
-    heap = []
-    tick = count()
-
-    def push(row):
-        if row:
-            d, i = min(row)
-            heappush(heap, (-d, -i, next(tick), row))
-
-    for row in rows:
-        push(row)
-    while heap:
-        row = ech.insert(heappop(heap)[3])
-        if row:
-            for shifted in _shifts(row, bound):
-                push(shifted)
-
-
 class TruncationFrame:
-    """Echelonized image of an ideal in R / M^bound, with degree-first columns.
+    """Truncated standard basis of an ideal's image in R / M^bound.
 
-    Every pivot is its row's lowest-degree term, so the pivots of degree < N
-    span the image in R / M^N for every N <= bound.
+    A monomial x^i y^j is keyed (i + j) * W + i with W = bound, so keys order
+    by degree first and a polynomial's lead is its lowest key.  Modulo
+    M^bound that local order is a well-order compatible with multiplication,
+    so Buchberger's algorithm with plain top reduction terminates: the
+    highest-corner case of Greuel-Pfister, "A Singular Introduction to
+    Commutative Algebra".  The basis keeps one element per corner
+    of the staircase: leads form an antichain, sorted by the power of x, and
+    S-pairs are formed only between neighbours, which the chain criterion
+    makes enough in two variables.  A key is reduced by the element with the
+    lowest lead dividing it.  Once a degree layer d of the leading ideal is
+    full, M^d lies in the image and every term of degree d or more is dropped.
     """
 
-    __slots__ = ("ideal", "bound", "ech")
+    __slots__ = ("ideal", "bound", "_width", "_limit", "_basis", "_queue", "_tick")
 
-    def __init__(self, ideal, bound):
-        self.ideal = ideal
-        self.bound = bound
-        ech = SparseEchelon(ideal.tower)
-        _close(ech, [_truncated_row(g, bound) for g in ideal.gens], bound)
-        self.ech = ech
+    def __init__(self, ideal, bound, target=None):
+        """target: stop once the colength falls to it; only colength is then exact."""
+        self.ideal, self.bound = ideal, bound
+        self._width = max(bound, 1)
+        self._limit = bound * self._width
+        # [a, b, (keys, coefficients)] per lead x^a y^b, keys ascending; the
+        # terms become None once a new lead divides x^a y^b
+        self._basis, self._queue, self._tick = [], [], count()
+        for g in ideal.gens:
+            self._push(self._row(g))
+        self._complete(target)
+
+    def _row(self, f):
+        w = self._width
+        return {(i + j) * w + i: c for (i, j), c in f.terms.items() if i + j < self.bound}
+
+    def _push(self, row, degree=None):
+        """Queue a row, or an S-pair (left, right) with its lcm's degree."""
+        if row:
+            degree = min(row) // self._width if degree is None else degree
+            heappush(self._queue, (degree, next(self._tick), row))
+
+    def _lookup(self, k):
+        """The element with the lowest lead dividing key k, shifted onto k."""
+        d, i = divmod(k, self._width)
+        e = min(
+            (e for e in self._basis if e[0] <= i and e[1] <= d - i),
+            key=lambda e: e[0] + e[1], default=None,
+        )
+        return e and self._shifted(e, k)
+
+    def _shifted(self, e, k):
+        """(lead coefficient, terms) of element e times the monomial taking its lead to key k."""
+        keys, coefs = e[2]
+        off = k - keys[0]
+        n = bisect_left(keys, self._limit - off)
+        return coefs[0], zip(map(off.__add__, keys[:n]), coefs[:n])
+
+    def _reduce(self, row, lookup=None):
+        """Top reduction: what is left of row once its lead lies outside the leading ideal."""
+        row = {k: c for k, c in row.items() if k < self._limit}
+        return sweep(self.ideal.tower, row, lookup or self._lookup, top=True)[0]
+
+    def _complete(self, target=None):
+        """Reduce the queued rows and S-pairs, adding each nonzero remainder."""
+        while self._queue:
+            row, lookup = heappop(self._queue)[2], None
+            if type(row) is tuple:
+                # leads x^a y^b (left) and x^a' y^b' (right), a < a' and b > b':
+                # x^(a'-a).left is reduced first by y^(b-b').right, then as usual
+                left, right = row
+                lcm = (right[0] + left[1]) * self._width + right[0]
+                if left[2] is None or right[2] is None or lcm >= self._limit:
+                    continue
+                first = self._shifted(right, lcm)
+                row = dict(self._shifted(left, lcm)[1])
+                lookup = lambda k: first if k == lcm else self._lookup(k)
+            res = self._reduce(row, lookup)
+            if res:
+                self._add(stored_row(self.ideal.tower, res))
+                if target is not None and self.colength() <= target:
+                    return
+
+    def _add(self, row):
+        keys = sorted(row)
+        d, a = divmod(keys[0], self._width)
+        new = [a, d - a, (tuple(keys), tuple(map(row.__getitem__, keys)))]
+        basis = []
+        for e in self._basis:
+            if e[0] >= a and e[1] >= new[1]:
+                self._push(dict(zip(*e[2])))
+                e[2] = None
+            else:
+                basis.append(e)
+        pos = bisect_left([e[0] for e in basis], a)
+        basis.insert(pos, new)
+        self._basis = basis
+        lo = max(pos - 1, 0)
+        for left, right in zip(basis[lo:pos + 1], basis[lo + 1:pos + 2]):
+            self._push((left, right), right[0] + left[1])
+        full = self.full_degree()
+        if full is not None:
+            self._limit = min(self._limit, full * self._width)
+
+    def insert(self, f):
+        """Add f to the ideal; False when it already lay in the image."""
+        res = self._reduce(self._row(f))
+        self._push(res)
+        self._complete()
+        return bool(res)
 
     def colength(self):
-        total = self.bound * (self.bound + 1) // 2
-        return total - self.ech.rank
+        """Monomials below the bound outside the leading ideal, column by column."""
+        n = self.bound
+        total, height, i = 0, n, 0
+        for a, b, _ in self._basis + [(n, 0, None)]:
+            total += sum(min(height, n - x) for x in range(i, a))
+            height, i = b, a
+        return total
 
     def contains(self, f):
-        if f.is_zero():
-            return True
-        return self.ech.contains(_truncated_row(f, self.bound))
+        return f.is_zero() or not self._reduce(self._row(f))
 
     def full_degree(self):
-        """Least d < bound whose d + 1 monomials are all pivots, else None.
+        """Least d < bound whose d + 1 monomials all lie in the leading ideal, else None.
 
         Then M^d lies in the ideal plus M^(d+1), so in the ideal by Nakayama.
+        With leads x^a_k y^b_k sorted by a, that takes a_1 = 0 and b_s = 0, and
+        d is the highest degree of an inner corner x^(a_(k+1) - 1) y^b_k.
         """
-        layers = Counter(d for d, _ in self.ech.rows)
-        return next((d for d in range(self.bound) if layers[d] == d + 1), None)
+        basis = self._basis
+        if not basis or basis[0][0] or basis[-1][1]:
+            return None
+        inner = [right[0] + left[1] - 1 for left, right in zip(basis, basis[1:])]
+        d = max([basis[0][1], basis[-1][0]] + inner)
+        return d if d < self.bound else None
 
 
 def stabilized_frame(ideal):
@@ -155,24 +221,22 @@ def _dedupe(tower, gens):
     return out
 
 
-def _prune_monomials(gens):
-    exps = sorted(next(iter(g.terms)) for g in gens)
+def _prune_monomials(tower, vars, gens):
+    """The monomial ideal of the minimal exponents of gens: sorted by (i, j),
+    an exponent is kept when its j is below every kept j."""
     keep = []
-    for e in exps:
-        if not any(k[0] <= e[0] and k[1] <= e[1] for k in keep):
+    for e in sorted(next(iter(g.terms)) for g in gens):
+        if not keep or e[1] < keep[-1][1]:
             keep.append(e)
-    return keep
+    return LocalIdeal(tower, vars, [BiPoly.monomial(tower, vars, e) for e in keep])
 
 
 def product(j, k):
     tower, vars = j.tower, j.vars
     gens = [a * b for a in j.gens for b in k.gens]
     if all(g.is_monomial() for g in gens):
-        keep = _prune_monomials(gens)
-        gens = [BiPoly.monomial(tower, vars, e) for e in keep]
-    else:
-        gens = _dedupe(tower, gens)
-    return LocalIdeal(tower, vars, gens)
+        return _prune_monomials(tower, vars, gens)
+    return LocalIdeal(tower, vars, _dedupe(tower, gens))
 
 
 def power(j, n):
@@ -191,10 +255,7 @@ def minimal_generators(ideal, frame_degree=None):
     if ideal.is_unit():
         return LocalIdeal(tower, ideal.vars, [BiPoly.one(tower, ideal.vars)])
     if all(g.is_monomial() for g in gens):
-        keep = _prune_monomials(gens)
-        return LocalIdeal(
-            tower, ideal.vars, [BiPoly.monomial(tower, ideal.vars, e) for e in keep]
-        )
+        return _prune_monomials(tower, ideal.vars, gens)
     if frame_degree is None:
         principal, residual = strip_principal(ideal)
         if not principal.is_constant():
@@ -203,15 +264,12 @@ def minimal_generators(ideal, frame_degree=None):
                 tower, ideal.vars, [g.mul(principal) for g in trimmed.gens]
             )
         frame_degree = stabilized_frame(ideal).full_degree()
-    # M^frame_degree lies in the ideal, so M^(frame_degree + 1) lies in M.I
-    bound = frame_degree + 1
-    ech = SparseEchelon(tower)
-    # M.I is closed under x and y and generated by the x.g and y.g
-    _close(ech, [s for g in gens for s in _shifts(_truncated_row(g, bound), bound)], bound)
-    kept = []
-    for g in sorted(gens, key=lambda g: _gen_key(tower, g)):
-        if ech.insert(_truncated_row(g, bound)):
-            kept.append(g)
+    # M^frame_degree lies in the ideal, so M^(frame_degree + 1) lies in M.I;
+    # M.I is generated by the x.g and y.g, and M.I plus the kept generators is
+    # an ideal, since M.g lies in M.I
+    shifts = [g.mul_monomial(e) for g in gens for e in ((1, 0), (0, 1))]
+    frame = TruncationFrame(LocalIdeal(tower, ideal.vars, shifts), frame_degree + 1)
+    kept = [g for g in sorted(gens, key=lambda g: _gen_key(tower, g)) if frame.insert(g)]
     return LocalIdeal(tower, ideal.vars, kept)
 
 
@@ -314,15 +372,17 @@ def is_reduction(j, i, n_max=None, config=None):
     valuative = data.tree.principal.is_unit_at_origin() and all(map(data.contains, i.gens))
     if n_max is None:
         n_max = frame_i.colength()
-    # M^d_i lies in I, so M^((n+1)d_i + 1) lies in M.I^(n+1): containment
-    # modulo that power gives containment by Nakayama
+    # M^d_i lies in I, so M^((n+1)d_i + 1) lies in M.I^(n+1): equality modulo
+    # that power gives equality by Nakayama.  J in I puts J.I^n inside
+    # I^(n+1), so the two agree there exactly when their colengths do
     d_i = frame_i.full_degree()
     witness = None
     current = power(i, 0)
     for n in range(n_max + 1):
-        frame = TruncationFrame(product(j, current), (n + 1) * d_i + 1)
+        bound = (n + 1) * d_i + 1
         lifted = product(i, current)
-        if all(frame.contains(g) for g in lifted.gens):
+        target = TruncationFrame(lifted, bound).colength()
+        if TruncationFrame(product(j, current), bound, target).colength() == target:
             witness = n
             break
         current = lifted

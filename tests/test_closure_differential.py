@@ -81,7 +81,7 @@ def _echelon_colength(principal, floors, tower):
     for v, c in floors:
         for row in _valuation_rows(v, c, columns):
             ech.insert(row)
-    return ech.rank
+    return len(ech.rows)
 
 
 def ref_closure_colength(ideal):

@@ -159,14 +159,14 @@ def test_integer_rows_match_fraction_echelon(kind):
             if got:
                 # feed back the stored rows' shifts, ints on the integer side
                 assert bool(ech.insert(_shifted(got))) == bool(ref.insert(_shifted(want)))
-        assert ech.rank == ref.rank
+        assert len(ech.rows) == ref.rank
         assert set(ech.rows) == set(ref.rows)
         _assert_primitive(ech)
         for p, row in ech.rows.items():
             assert {k: Fraction(c, row[p]) for k, c in row.items()} == ref.rows[p]
         probes = _rows(rng, columns, kind) + [_shifted(r) for r in _rows(rng, columns, kind)]
         for vec in probes:
-            assert ech.contains(vec) == ref.contains(vec)
+            assert (not ech.reduce(vec)[0]) == ref.contains(vec)
             w, scale = ech.reduce(vec)
             assert {k: Fraction(c, scale) for k, c in w.items()} == ref.reduce(vec)
 
@@ -191,6 +191,6 @@ def test_rows_over_finite_towers_keep_pivot_one():
         for _ in range(30):
             keys = rng.sample(range(12), rng.randint(1, 5))
             ech.insert({k: T.element_from_index(rng.randrange(T.element_count())) for k in keys})
-        assert ech.rank > 0
+        assert len(ech.rows) > 0
         assert all(row[p] == T.one() for p, row in ech.rows.items())
         assert ech.reduce({0: T.one()})[1] == 1

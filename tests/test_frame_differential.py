@@ -1,19 +1,30 @@
-"""The degree-graded truncation frame against the rules it replaced.
+"""The truncation frame, a truncated standard basis, against the rules it replaced.
 
-The first reference keeps the earlier frame: rows keyed by exponent pairs
+The first reference keeps an early frame: rows keyed by exponent pairs
 (lex pivots), a bound accepted once the frames at N and N + 1 have equal
 colength, doubled otherwise, and a minimal generating set read modulo
 M^(N + 1).  Colength, membership, the reduction witness and minimal
 generators must agree with the engine on the seeded property-suite ideals
 and on the Abhyankar family over Q and F_5.
 
-The second reference inserts every shift g * x^a * y^b of every generator
-that leaves a term below the bound.  A frame built by closure must have
-exactly its pivots, over Q, F_5 and F_7(a), at bounds below, at and above
+The second reference is the echelon frame the standard basis replaced: the
+Macaulay matrix of the ideal modulo M^bound with degree-first columns (d, i),
+one stored row per pivot, closed under x and y.  Colength, full degree,
+membership, the set of leading monomials and minimal generators must agree
+with the engine over Q, F_5, F_32003 and F_7(a), on the property-suite
+ideals, the Abhyankar I, J and J.I for m <= 8 (m <= 5 over F_7(a)) and
+ideals with coefficients up to 3^200 and 7^150, at bounds d - 1, d, d + 1
+and 2d + 1 around the full degree d.
+
+The third reference inserts every shift g * x^a * y^b of every generator
+that leaves a term below the bound.  The leading monomials of a frame must
+be exactly its pivots, over Q, F_5 and F_7(a), at bounds below, at and above
 the frame's full degree.
 """
 
 import random
+from heapq import heappop, heappush
+from itertools import count
 
 import pytest
 
@@ -25,8 +36,10 @@ from dicritical.nearpoints import LocalIdeal
 
 V = ("x", "y")
 F5 = FieldTower.prime_field(5)
+F7 = FieldTower.prime_field(7)
+F32003 = FieldTower.prime_field(32003)
 FIELDS = [(QQ, 0), (F5, 5)]
-F7A = FieldTower.prime_field(7).extended("a", (1, 0, 1))  # a^2 = -1
+F7A = F7.extended("a", (1, 0, 1))  # a^2 = -1
 
 
 def _lex_row(g, bound):
@@ -49,10 +62,10 @@ class LexFrame:
                         self.ech.insert(row)
 
     def colength(self):
-        return self.bound * (self.bound + 1) // 2 - self.ech.rank
+        return self.bound * (self.bound + 1) // 2 - len(self.ech.rows)
 
     def contains(self, f):
-        return f.is_zero() or self.ech.contains(_lex_row(f, self.bound))
+        return f.is_zero() or not self.ech.reduce(_lex_row(f, self.bound))[0]
 
 
 def ref_frame(ideal):
@@ -146,6 +159,93 @@ def test_graded_frame_on_abhyankar_family(tower, char):
         assert r.witness == ref_witness(J, I, ic.colength(I))
 
 
+def _truncated_row(g, bound):
+    # columns keyed degree-first, (i + j, i): a row's pivot is its lowest-degree term
+    return {(i + j, i): c for (i, j), c in g.terms.items() if i + j < bound}
+
+
+def _shifts(row, bound):
+    """x * row and y * row, truncated below bound; none once row is past it."""
+    x = {(d + 1, i + 1): c for (d, i), c in row.items() if d + 1 < bound}
+    if not x:
+        return ()
+    return x, {(d + 1, i): c for (d, i), c in row.items() if d + 1 < bound}
+
+
+def _close(ech, rows, bound):
+    """Insert rows and the x- and y-shifts of every row that raises the rank,
+    highest pivot first: the image in R / M^bound of the ideal the rows generate."""
+    heap = []
+    tick = count()
+
+    def push(row):
+        if row:
+            d, i = min(row)
+            heappush(heap, (-d, -i, next(tick), row))
+
+    for row in rows:
+        push(row)
+    while heap:
+        row = ech.insert(heappop(heap)[3])
+        if row:
+            for shifted in _shifts(row, bound):
+                push(shifted)
+
+
+class EchelonFrame:
+    """The echelon frame: the pivots of degree < N span the image in R / M^N."""
+
+    def __init__(self, ideal, bound):
+        self.bound = bound
+        self.ech = SparseEchelon(ideal.tower)
+        _close(self.ech, [_truncated_row(g, bound) for g in ideal.gens], bound)
+
+    def colength(self):
+        return self.bound * (self.bound + 1) // 2 - len(self.ech.rows)
+
+    def contains(self, f):
+        return f.is_zero() or not self.ech.reduce(_truncated_row(f, self.bound))[0]
+
+    def full_degree(self):
+        layers = [0] * self.bound
+        for d, _ in self.ech.rows:
+            layers[d] += 1
+        return next((d for d in range(self.bound) if layers[d] == d + 1), None)
+
+
+def echelon_minimal_generators(ideal, frame_degree):
+    """minimal_generators on the echelon of M.I modulo M^(frame_degree + 1)."""
+    tower = ideal.tower
+    gens = ic._dedupe(tower, ideal.gens)
+    bound = frame_degree + 1
+    ech = SparseEchelon(tower)
+    _close(ech, [s for g in gens for s in _shifts(_truncated_row(g, bound), bound)], bound)
+    return [
+        g for g in sorted(gens, key=lambda g: ic._gen_key(tower, g))
+        if ech.insert(_truncated_row(g, bound))
+    ]
+
+
+def leading_keys(frame):
+    """The frame's leading monomials below its bound, keyed (i + j, i)."""
+    leads = [(a, b) for a, b, _ in frame._basis]
+    return {
+        (d, i)
+        for d in range(frame.bound)
+        for i in range(d + 1)
+        if any(a <= i and b <= d - i for a, b in leads)
+    }
+
+
+def corners(keys):
+    """The minimal monomials of a set keyed (i + j, i), as exponent pairs."""
+    exps = {(i, d - i) for d, i in keys}
+    return {
+        (a, b) for a, b in exps
+        if (a - 1, b) not in exps and (a, b - 1) not in exps
+    }
+
+
 def shifted_pivots(ideal, bound):
     """Pivots of the frame that inserts every shift of every generator."""
     ech = SparseEchelon(ideal.tower)
@@ -153,7 +253,7 @@ def shifted_pivots(ideal, bound):
         top = max(bound - g.ord_at_origin(), 0)
         for j in range(top):
             for i in range(top - j):
-                row = ic._truncated_row(g.mul_monomial((i, j)), bound)
+                row = _truncated_row(g.mul_monomial((i, j)), bound)
                 if row:
                     ech.insert(row)
     return set(ech.rows)
@@ -169,7 +269,7 @@ def _twisted(J, tower):
 
 @pytest.mark.parametrize(
     "tower,ground,seed",
-    [(QQ, QQ, 1300), (F5, F5, 1305), (F7A, FieldTower.prime_field(7), 1307)],
+    [(QQ, QQ, 1300), (F5, F5, 1305), (F7A, F7, 1307)],
     ids=["Q", "F5", "F7(a)"],
 )
 def test_closure_frame_matches_shifted_rows(tower, ground, seed):
@@ -185,4 +285,107 @@ def test_closure_frame_matches_shifted_rows(tower, ground, seed):
         d = ic.stabilized_frame(J).full_degree()
         for bound in {1, max(d - 1, 1), d, d + 1, d + 3}:
             frame = ic.TruncationFrame(J, bound)
-            assert set(frame.ech.rows) == shifted_pivots(J, bound)
+            assert leading_keys(frame) == shifted_pivots(J, bound)
+
+
+def _big(tower):
+    """Ideals with coefficients up to 3^200 and 7^150 (reduced mod p over F_p)."""
+    x, y = (BiPoly.variable(tower, V, v) for v in V)
+
+    def c(n):
+        return BiPoly.from_int(tower, V, n if not tower.char or n % tower.char else n + 1)
+
+    a, b = c(3 ** 200), c(7 ** 150)
+    return [
+        LocalIdeal(tower, V, [x.mul(a).add(y.mul(c(5 ** 90))).pow(3).add(y.pow(5)),
+                              x.pow(4).add(y.pow(3).mul(b))]),
+        LocalIdeal(tower, V, [x.pow(2).mul(a).add(y.pow(3)), y.pow(2).mul(b).add(x.mul(y).mul(a)),
+                              x.pow(3).add(y.pow(4).mul(c(2 ** 100 + 1)))]),
+        LocalIdeal(tower, V, [y.pow(2).mul(b).add(x.pow(3).mul(a)),
+                              x.pow(2).mul(y).add(x.pow(5).mul(b))]),
+    ]
+
+
+def _frame_cases(tower, ground, rng):
+    for k in range(props.PER_FIELD // 5):
+        J = props.random_primary(rng, ground)
+        if tower is not ground:
+            J = _twisted(J, tower)
+        if k % 2:
+            f, g = J.gens
+            J = LocalIdeal(tower, V, [f, g, f.add(g), g.mul(f).add(f.pow(2))])
+        yield J
+    # the extension arithmetic is slow: the family stops at m = 5 over F_7(a)
+    for m in range(2, 6 if tower.levels else 9):
+        f, g, I = ic.abhyankar_family(m, tower)
+        J = LocalIdeal(tower, V, [f, g])
+        yield from (I, J, ic.product(J, I))
+    yield from _big(tower)
+
+
+def _probes(rng, tower, ideal, bound):
+    x, y = (BiPoly.variable(tower, V, v) for v in V)
+    gens = ideal.gens
+    out = list(gens) + [props.random_poly(rng, tower, 6) for _ in range(3)]
+    out += [gens[0].mul(x).add(gens[-1].mul(y)), gens[0].add(x.pow(bound // 2)),
+            gens[-1].mul(gens[0]).add(y.pow(bound - 1)), gens[0].add(gens[-1].mul(x).mul(y))]
+    # monomials on and near the staircase
+    out += [BiPoly.monomial(tower, V, (i, d - i))
+            for d in (bound // 2, bound - 1) for i in (0, d // 2, d)]
+    if tower.levels:
+        out.append(gens[0].scale(tower.generator()).add(y.pow(bound)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "tower,ground,seed",
+    [(QQ, QQ, 1400), (F5, F5, 1405), (F32003, F32003, 1413), (F7A, F7, 1407)],
+    ids=["Q", "F5", "F32003", "F7(a)"],
+)
+def test_standard_basis_matches_echelon_frame(tower, ground, seed):
+    rng = random.Random(seed)
+    frames = 0
+    for ideal in _frame_cases(tower, ground, rng):
+        d = ic.stabilized_frame(ideal).full_degree()
+        for bound in sorted({max(d - 1, 1), d, d + 1, 2 * d + 1}):
+            frame, ref = ic.TruncationFrame(ideal, bound), EchelonFrame(ideal, bound)
+            frames += 1
+            assert frame.colength() == ref.colength()
+            assert frame.full_degree() == ref.full_degree()
+            assert leading_keys(frame) == set(ref.ech.rows)
+            for p in _probes(rng, tower, ideal, bound):
+                assert frame.contains(p) == ref.contains(p)
+        if len(ideal.gens) > 1 and not all(g.is_monomial() for g in ideal.gens):
+            f, g = ideal.gens[:2]
+            x = BiPoly.variable(tower, V, "x")
+            padded = LocalIdeal(tower, V, list(ideal.gens) + [f.add(g), f.mul(x).add(g)])
+            assert _render(ic.minimal_generators(padded, frame_degree=d).gens) == _render(
+                echelon_minimal_generators(padded, d)
+            )
+    assert frames > 100
+
+
+@pytest.mark.parametrize("tower", [QQ, F5], ids=["Q", "F5"])
+def test_reduction_chase_targets_match_echelon(tower):
+    # the chase compares colengths of J.I^n and I^(n+1) modulo M^B; the
+    # echelon frames must give the same verdict by membership
+    rng = random.Random("chase %s" % tower.char)
+    for k in range(12):
+        J = props.random_primary(rng, tower)
+        f, g = J.gens
+        x, y = (BiPoly.variable(tower, V, v) for v in V)
+        I = ic.power(J, 2) if k % 2 else ic.product(J, LocalIdeal(tower, V, [x, y]))
+        K = LocalIdeal(tower, V, [f.pow(2), g.pow(2)]) if k % 2 else ic.product(
+            J, LocalIdeal(tower, V, [x, y.pow(2)]))
+        d = ic.stabilized_frame(I).full_degree()
+        current = ic.power(I, 0)
+        for n in range(3):
+            bound = (n + 1) * d + 1
+            lifted = ic.product(I, current)
+            small = ic.product(K, current)
+            ref = EchelonFrame(small, bound)
+            by_membership = all(ref.contains(h) for h in lifted.gens)
+            target = ic.TruncationFrame(lifted, bound).colength()
+            assert target == EchelonFrame(lifted, bound).colength()
+            assert (ic.TruncationFrame(small, bound, target).colength() == target) == by_membership
+            current = lifted

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import test_frame_differential as fd
 import test_properties as props
 from dicritical import idealcalc as ic
 from dicritical.arith import QQ, BiPoly, FieldTower
@@ -117,9 +118,9 @@ def _frame_bounds(monkeypatch, call):
     bounds = []
     real = ic.TruncationFrame.__init__
 
-    def logged(self, ideal, bound):
+    def logged(self, ideal, bound, target=None):
         bounds.append(bound)
-        real(self, ideal, bound)
+        real(self, ideal, bound, target)
 
     monkeypatch.setattr(ic.TruncationFrame, "__init__", logged)
     try:
@@ -385,30 +386,26 @@ def test_unstable_message_names_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("tower", [QQ, FieldTower.prime_field(5)], ids=["Q", "F5"])
-def test_frame_insert_budget(monkeypatch, tower):
-    # a frame built by closure inserts each generator and the two shifts of
-    # each row that raised the rank, nothing more
-    calls = []
-    real = ic.SparseEchelon.insert
-
-    def counted(self, vec):
-        calls.append(vec)
-        return real(self, vec)
-
-    monkeypatch.setattr(ic.SparseEchelon, "insert", counted)
+def test_frame_insert_budget(tower):
+    # a frame keeps one element per corner of its staircase: the leads are an
+    # antichain, sorted by the power of x, of at most as many elements as the
+    # leading ideal of the echelon frame has corners
     for m in range(2, 6):
         f, g, I = ic.abhyankar_family(m, tower)
         J = LocalIdeal(tower, V, [f, g])
         for ideal in (I, J, ic.product(J, I)):
             d = ic.stabilized_frame(ideal).full_degree()
             for bound in (d, d + 1, 2 * d + 1):
-                del calls[:]
                 frame = ic.TruncationFrame(ideal, bound)
-                assert 0 < len(calls) <= len(ideal.gens) + 2 * frame.ech.rank
+                leads = [(a, b) for a, b, _ in frame._basis]
+                assert leads
+                assert all(p[0] < q[0] and p[1] > q[1] for p, q in zip(leads, leads[1:]))
+                pivots = fd.EchelonFrame(ideal, bound).ech.rows
+                assert len(leads) <= len(fd.corners(pivots))
 
 
 def test_is_reduction_frame_bounds(monkeypatch):
-    # besides I's own frames, only the frames of J.I^n at (n + 1) d(I) + 1
+    # besides I's own frames, only the frames of I^(n+1) and J.I^n at (n + 1) d(I) + 1
     def bounds_of(call):
         return _frame_bounds(monkeypatch, call)
 
@@ -424,7 +421,8 @@ def test_is_reduction_frame_bounds(monkeypatch):
             assert result.witness == witness
             last = witness if witness is not None else n_max
             d = own.full_degree()
-            assert bounds == own_bounds + [(n + 1) * d + 1 for n in range(last + 1)]
+            chase = [(n + 1) * d + 1 for n in range(last + 1) for _ in range(2)]
+            assert bounds == own_bounds + chase
 
 
 def test_pure_powers_need_no_gcd(monkeypatch):
