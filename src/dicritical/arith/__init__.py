@@ -6,7 +6,6 @@ from .factor import (
     is_irreducible,
     squarefree_decomposition,
 )
-from .linalg import SparseEchelon, kernel_basis
 
 __all__ = [
     "QQ",
@@ -20,6 +19,4 @@ __all__ = [
     "squarefree_decomposition",
     "is_irreducible",
     "extend",
-    "SparseEchelon",
-    "kernel_basis",
 ]

@@ -1,11 +1,12 @@
-"""Sparse echelon forms, kernels, and the reduction sweep they share with
-the truncation frames.
+"""The reduction sweep that the truncation frames and the simple-ideal kernel
+share.
 
-Vectors are dicts mapping a comparable column key (usually an exponent pair)
-to a nonzero field element.  A stored row has its pivot at its smallest key,
-so reducing a vector is a single ascending sweep; the sweep asks a lookup
-for the row to use at each key, which the echelon answers from its rows and
-a truncation frame from its staircase, with a shifted element.
+Vectors are dicts mapping a comparable key (usually an exponent pair) to a
+nonzero field element.  A stored row has its pivot at its smallest key, so
+reducing a vector is a single ascending sweep; the sweep asks a lookup for
+the row to use at each key, which a truncation frame answers from its
+staircase, with a shifted element, and the kernel of a value floor from the
+images it kept.
 
 Over F_p and its extensions a stored row is scaled so that its pivot is 1.
 Over Q it is a primitive integer row (content 1, positive pivot) and the
@@ -17,33 +18,7 @@ times a reported scale: the lcm times the product of the a's.
 """
 
 import heapq
-from fractions import Fraction
 from math import gcd, lcm
-
-
-class SparseEchelon:
-    def __init__(self, tower):
-        self.tower = tower
-        self.rows = {}
-        self.integral = tower.base is None and not tower.levels
-
-    def reduce(self, vec):
-        """(w, s): w is s times the residual of vec after elimination.
-
-        The residual is unique: vec minus the combination of stored rows that
-        vanishes at every pivot.  s is 1 except over Q, where w is integral.
-        Does not modify the echelon.
-        """
-        rows = self.rows
-        return sweep(self.tower, vec, lambda k: (rows[k][k], rows[k].items()) if k in rows else None)
-
-    def insert(self, vec):
-        """Add vec to the span; returns the new stored row when the rank grew, else False."""
-        res, _ = self.reduce(vec)
-        if not res:
-            return False
-        row = self.rows[min(res)] = stored_row(self.tower, res)
-        return row
 
 
 def stored_row(tower, res):
@@ -110,39 +85,3 @@ def sweep(tower, vec, lookup, top=False):
                         heapq.heappush(heap, kk)
                     work[kk] = nxt
     return residual, scale
-
-
-def kernel_basis(tower, rows, columns):
-    """Basis of the null space of the matrix given by rows over columns.
-
-    rows: list of dicts keyed by column.  Returns a list of dicts, one per
-    free column in column order: the free column's unit entry first, then
-    the negated entries of the reduced row echelon form, pivot columns in
-    order.  That form is unique, so the basis depends only on the row span;
-    over Q its entries are Fractions, whatever the rows held.
-    """
-    T = tower
-    col_index = {c: i for i, c in enumerate(columns)}
-    ech = SparseEchelon(T)
-    for row in rows:
-        ech.insert({col_index[c]: v for c, v in row.items()})
-    # a stored row's tail, reduced, keeps only free columns: the row of the
-    # reduced echelon form, once divided by the scale and, over Q, by the
-    # pivot; entries[j] lists free column j's (pivot, entry)
-    entries = {}
-    for p in sorted(ech.rows):
-        row = ech.rows[p]
-        w, scale = ech.reduce({k: c for k, c in row.items() if k != p})
-        for j, c in w.items():
-            entries.setdefault(j, []).append(
-                (p, Fraction(c, scale * row[p]) if ech.integral else c)
-            )
-    basis = []
-    for j, col in enumerate(columns):
-        if j in ech.rows:
-            continue
-        vec = {col: T.one()}
-        for p, c in entries.get(j, ()):
-            vec[columns[p]] = T.neg(c)
-        basis.append(vec)
-    return basis

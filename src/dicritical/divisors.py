@@ -7,7 +7,9 @@ function is a rational function in tau = (second coordinate)/(first
 coordinate) on the exceptional line.
 """
 
-from .arith.linalg import kernel_basis
+from fractions import Fraction
+
+from .arith.linalg import stored_row, sweep
 from .arith.polynomials import BiPoly, bipoly_gcd
 from .errors import BudgetExceeded, InternalInconsistency, NonzeroValue, ZeroInput
 from .nearpoints import LocalIdeal, pullback_order
@@ -191,42 +193,70 @@ def initial_ratio(A, B):
     return ResidueImage(a.scale(inv), b.scale(inv))
 
 
-def _monomials_below(bound):
-    # all (i, j) with i + j < bound, in a fixed deterministic order
-    return [(i, j) for j in range(bound) for i in range(bound - j)]
+def _value_kernel(divisor, floor, bound):
+    """The kernel of 'terminal order >= floor' on the monomials of degree < bound.
 
-
-def _valuation_rows(divisor, floor, columns):
-    """Linear conditions 'terminal order >= floor' on the span of the given monomials."""
+    Columns are the monomials x^i*y^j, (i, j) ascending.  A column of value
+    >= floor gives its unit vector.  Any other column's image, its pullback
+    truncated below degree floor and split into components over the root, is
+    swept by the images kept so far, with the column's own tag keyed after
+    every image key.  An image that survives is kept; one that cancels leaves
+    the column's kernel vector in its tags, scaled so that its own
+    coefficient is 1.  That vector is the only one in the kernel supported on
+    its column and the kept columns before it, so it is the vector of that
+    free column in the reduced row echelon form: the unit entry first, then
+    the kept columns in order, over Q as Fractions.
+    """
     path = divisor.path
     terminal = path.terminal_tower
     root = path.tower
-    ratio = terminal.degree() // root.degree()
+    split = terminal.degree() != root.degree()
+    integral = root.base is None and not root.levels
+    one = root.one()
     vx, vy = divisor.coordinate_values()
     def below(f):  # terms of degree >= floor only feed terms of degree >= floor
         return BiPoly(terminal, f.vars, {m: c for m, c in f.terms.items() if sum(m) < floor})
     fx, fy = (below(path.pullback(BiPoly.variable(root, path.vars, v))) for v in path.vars)
-    deg = max(e[0] + e[1] for e in columns) if columns else 0
     xpows = [BiPoly.one(terminal, fx.vars)]
     ypows = [BiPoly.one(terminal, fx.vars)]
-    for _ in range(deg):
+    for _ in range(bound - 1):
         xpows.append(below(xpows[-1] * fx))
         ypows.append(below(ypows[-1] * fy))
-    rows = {}
-    for e in columns:
-        if e[0] * vx + e[1] * vy >= floor:
-            continue
-        image = xpows[e[0]] * ypows[e[1]]
-        for mono, coeff in image.terms.items():
-            if mono[0] + mono[1] >= floor:
+    kept = {}
+    def lookup(k):
+        row = kept.get(k)
+        return None if row is None else (row[k], row.items())
+    tagged = (floor, 0)  # above the mono of every image key (mono, component)
+    kernel = []
+    for i in range(bound):
+        for j in range(bound - i):
+            e = (i, j)
+            if i * vx + j * vy >= floor:
+                kernel.append({e: one})
                 continue
-            if ratio == 1:
-                rows.setdefault((mono, 0), {})[e] = coeff
-            else:
-                for k, part in enumerate(terminal.components_over(root, coeff)):
-                    if not root.is_zero(part):
-                        rows.setdefault((mono, k), {})[e] = part
-    return [rows[key] for key in sorted(rows)]
+            tag = (tagged, e)
+            vec = {tag: one}
+            for mono, coeff in (xpows[i] * ypows[j]).terms.items():
+                if mono[0] + mono[1] >= floor:
+                    continue
+                if not split:
+                    vec[mono, 0] = coeff
+                else:
+                    for k, part in enumerate(terminal.components_over(root, coeff)):
+                        if not root.is_zero(part):
+                            vec[mono, k] = part
+            res, scale = sweep(root, vec, lookup)
+            pivot = min(res)
+            if pivot[0] != tagged:
+                kept[pivot] = stored_row(root, res)
+                continue
+            # res[tag] is the scale: kept rows carry only earlier tags
+            vec = {e: one}
+            for k, c in res.items():
+                if k != tag:
+                    vec[k[1]] = Fraction(c, scale) if integral else c
+            kernel.append(vec)
+    return kernel
 
 
 def simple_ideal(V):
@@ -256,14 +286,7 @@ def simple_ideal(V):
             "MAX_FRAME_DEGREE = %d" % (D if D < 10 ** 18 else "above 10^18", MAX_FRAME_DEGREE)
         )
 
-    # a column that _valuation_rows skips has value >= c: a zero column,
-    # whose kernel vector is its unit vector
-    columns = sorted(_monomials_below(D))
-    kernel = kernel_basis(T, _valuation_rows(V, c, columns), columns)
-
-    gens = []
-    for vec in kernel:
-        gens.append(BiPoly(T, vars, dict(vec)))
+    gens = [BiPoly(T, vars, vec) for vec in _value_kernel(V, c, D)]
     for i in range(D + 1):
         gens.append(BiPoly.monomial(T, vars, (i, D - i)))
     ideal = minimal_generators(LocalIdeal(T, vars, gens), frame_degree=D)

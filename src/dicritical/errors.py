@@ -56,12 +56,6 @@ class NotMPrimary(EngineError):
     exit_code = 3
 
 
-class UnitIdeal(EngineError):
-    """The unit ideal is outside the domain of this operation."""
-
-    exit_code = 3
-
-
 class NonzeroValue(EngineError):
     """A rational function had nonzero value where zero was required."""
 

@@ -251,11 +251,10 @@ def power(j, n):
 def minimal_generators(ideal, frame_degree=None):
     """Trim a generating set to a minimal one (Nakayama on I / M.I)."""
     tower = ideal.tower
-    gens = _dedupe(tower, ideal.gens)
     if ideal.is_unit():
         return LocalIdeal(tower, ideal.vars, [BiPoly.one(tower, ideal.vars)])
-    if all(g.is_monomial() for g in gens):
-        return _prune_monomials(tower, ideal.vars, gens)
+    if all(g.is_monomial() for g in ideal.gens):
+        return _prune_monomials(tower, ideal.vars, ideal.gens)
     if frame_degree is None:
         principal, residual = strip_principal(ideal)
         if not principal.is_constant():
@@ -267,6 +266,7 @@ def minimal_generators(ideal, frame_degree=None):
     # M^frame_degree lies in the ideal, so M^(frame_degree + 1) lies in M.I;
     # M.I is generated by the x.g and y.g, and M.I plus the kept generators is
     # an ideal, since M.g lies in M.I
+    gens = _dedupe(tower, ideal.gens)
     shifts = [g.mul_monomial(e) for g in gens for e in ((1, 0), (0, 1))]
     frame = TruncationFrame(LocalIdeal(tower, ideal.vars, shifts), frame_degree + 1)
     kept = [g for g in sorted(gens, key=lambda g: _gen_key(tower, g)) if frame.insert(g)]

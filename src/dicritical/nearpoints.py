@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .arith.factor import extend, factor_univariate, _poly_key
 from .arith.polynomials import BiPoly, UniPoly, bipoly_gcd, homogeneous_gcd
-from .errors import EmptyInput, UnitIdeal, ZeroPolynomial
+from .errors import EmptyInput, ZeroPolynomial
 
 
 class QdtStep(namedtuple("QdtStep", "kind c ext_name ext_minpoly", defaults=(None, None, None))):
@@ -207,14 +207,6 @@ def _initial_gcd(J):
     return d, homogeneous_gcd([g.initial_form() for g, o in zip(J.gens, orders) if o == d])
 
 
-def zariski_number(J):
-    """d - s: minimal order minus the degree of the initial-form GCD."""
-    if J.is_unit():
-        raise UnitIdeal("the unit ideal has no Zariski number")
-    d, gamma = _initial_gcd(J)
-    return d - gamma.total_degree
-
-
 def _direction_steps(gamma):
     """Candidate steps from the projective zeros of the initial-form GCD."""
     s = gamma.total_degree
@@ -247,8 +239,3 @@ def base_point(J):
     d, gamma = _initial_gcd(J)
     pairs = [(step, transform_ideal(J, step)) for step in _direction_steps(gamma)]
     return d, d - gamma.total_degree, pairs
-
-
-def directions_with_transforms(J):
-    """(step, transform) for each base direction, in canonical order."""
-    return base_point(J)[2]

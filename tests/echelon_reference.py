@@ -1,0 +1,115 @@
+"""The row echelon and the kernel path that simple_ideal used before the
+column sweep, kept as references for the differential tests.
+
+SparseEchelon inserts row vectors through the engine's sweep; kernel_basis
+reads the null space off the reduced row echelon form; _valuation_rows turns
+'value >= floor' into one row per (monomial, component) of the truncated
+pullbacks, over the columns that _monomials_below lists.
+"""
+
+from fractions import Fraction
+
+from dicritical.arith.linalg import stored_row, sweep
+from dicritical.arith.polynomials import BiPoly
+
+
+class SparseEchelon:
+    def __init__(self, tower):
+        self.tower = tower
+        self.rows = {}
+        self.integral = tower.base is None and not tower.levels
+
+    def reduce(self, vec):
+        """(w, s): w is s times the residual of vec after elimination.
+
+        The residual is unique: vec minus the combination of stored rows that
+        vanishes at every pivot.  s is 1 except over Q, where w is integral.
+        Does not modify the echelon.
+        """
+        rows = self.rows
+        return sweep(self.tower, vec, lambda k: (rows[k][k], rows[k].items()) if k in rows else None)
+
+    def insert(self, vec):
+        """Add vec to the span; returns the new stored row when the rank grew, else False."""
+        res, _ = self.reduce(vec)
+        if not res:
+            return False
+        row = self.rows[min(res)] = stored_row(self.tower, res)
+        return row
+
+
+
+
+def kernel_basis(tower, rows, columns):
+    """Basis of the null space of the matrix given by rows over columns.
+
+    rows: list of dicts keyed by column.  Returns a list of dicts, one per
+    free column in column order: the free column's unit entry first, then
+    the negated entries of the reduced row echelon form, pivot columns in
+    order.  That form is unique, so the basis depends only on the row span;
+    over Q its entries are Fractions, whatever the rows held.
+    """
+    T = tower
+    col_index = {c: i for i, c in enumerate(columns)}
+    ech = SparseEchelon(T)
+    for row in rows:
+        ech.insert({col_index[c]: v for c, v in row.items()})
+    # a stored row's tail, reduced, keeps only free columns: the row of the
+    # reduced echelon form, once divided by the scale and, over Q, by the
+    # pivot; entries[j] lists free column j's (pivot, entry)
+    entries = {}
+    for p in sorted(ech.rows):
+        row = ech.rows[p]
+        w, scale = ech.reduce({k: c for k, c in row.items() if k != p})
+        for j, c in w.items():
+            entries.setdefault(j, []).append(
+                (p, Fraction(c, scale * row[p]) if ech.integral else c)
+            )
+    basis = []
+    for j, col in enumerate(columns):
+        if j in ech.rows:
+            continue
+        vec = {col: T.one()}
+        for p, c in entries.get(j, ()):
+            vec[columns[p]] = T.neg(c)
+        basis.append(vec)
+    return basis
+
+
+def _monomials_below(bound):
+    # all (i, j) with i + j < bound, in a fixed deterministic order
+    return [(i, j) for j in range(bound) for i in range(bound - j)]
+
+
+def _valuation_rows(divisor, floor, columns):
+    """Linear conditions 'terminal order >= floor' on the span of the given monomials."""
+    path = divisor.path
+    terminal = path.terminal_tower
+    root = path.tower
+    ratio = terminal.degree() // root.degree()
+    vx, vy = divisor.coordinate_values()
+    def below(f):  # terms of degree >= floor only feed terms of degree >= floor
+        return BiPoly(terminal, f.vars, {m: c for m, c in f.terms.items() if sum(m) < floor})
+    fx, fy = (below(path.pullback(BiPoly.variable(root, path.vars, v))) for v in path.vars)
+    deg = max(e[0] + e[1] for e in columns) if columns else 0
+    xpows = [BiPoly.one(terminal, fx.vars)]
+    ypows = [BiPoly.one(terminal, fx.vars)]
+    for _ in range(deg):
+        xpows.append(below(xpows[-1] * fx))
+        ypows.append(below(ypows[-1] * fy))
+    rows = {}
+    for e in columns:
+        if e[0] * vx + e[1] * vy >= floor:
+            continue
+        image = xpows[e[0]] * ypows[e[1]]
+        for mono, coeff in image.terms.items():
+            if mono[0] + mono[1] >= floor:
+                continue
+            if ratio == 1:
+                rows.setdefault((mono, 0), {})[e] = coeff
+            else:
+                for k, part in enumerate(terminal.components_over(root, coeff)):
+                    if not root.is_zero(part):
+                        rows.setdefault((mono, k), {})[e] = part
+    return [rows[key] for key in sorted(rows)]
+

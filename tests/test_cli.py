@@ -193,16 +193,32 @@ def test_simple_ideal_extension_name(capsys, field):
     assert outputs[0] == outputs[1] == "values x:1 y:1\ngenerators (x^2 + y^2, y^3, x*y^2)\n"
 
 
-# requests over Q that factor, with the sha256 of their machine output; the
-# at-infinity digests are those of the output when sympy factored over Q
+def _alternating_path(steps):
+    return json.dumps(
+        [{"chart": "infinity", "c": None, "extension": None}, {"chart": "affine", "c": "0", "extension": None}]
+        * (steps // 2)
+    )
+
+
+RATIONAL_PATH = (
+    '[{"chart":"affine","c":"1","extension":null},{"chart":"infinity","c":null,"extension":null},'
+    '{"chart":"affine","c":"-1","extension":null}]'
+)
+# requests with the sha256 of their machine output; the at-infinity digests
+# are those of the output when sympy factored over Q, and the simple-ideal
+# digests after the first are those of the row-echelon kernel: a path with
+# c != 0 over Q and F_7, and the 10-step path alternating infinity and aff(0)
 SYMPY_FREE_REQUESTS = [
-    (["at-infinity", "(X^2+Y^2)^3+X"], "b09e4abc853e5185ca2df9fc3a348f37bf7ec76686fd44baf22c83f52def02d5"),
+    (["at-infinity", "(X^2+Y^2)^3+X", "--field", "Q"], "b09e4abc853e5185ca2df9fc3a348f37bf7ec76686fd44baf22c83f52def02d5"),
     # one of the benchmark's CLI batch
     (
-        ["at-infinity", "6*X^4 - 3*X^3*Y - 2*X^2*Y^2 + X*Y^3 - 2*X^2*Y + Y^2 - 3*X"],
+        ["at-infinity", "6*X^4 - 3*X^3*Y - 2*X^2*Y^2 + X*Y^3 - 2*X^2*Y + Y^2 - 3*X", "--field", "Q"],
         "c6cefbe859b7737c9f08441e09192dc7f7209bf7523213d0838528332e9edce8",
     ),
-    (["simple-ideal", EXTENSION_PATH % "b"], "49e4468bffe9616f70c42e29ec7a3f9538e396701b51dbb73cb910b7a44e501f"),
+    (["simple-ideal", EXTENSION_PATH % "b", "--field", "Q"], "49e4468bffe9616f70c42e29ec7a3f9538e396701b51dbb73cb910b7a44e501f"),
+    (["simple-ideal", RATIONAL_PATH, "--field", "Q"], "455411b6305c084568e3e0fd89f490c2c5cf371f2ee3fae2d4a6174bc7e5d08c"),
+    (["simple-ideal", RATIONAL_PATH, "--field", "Fp:7"], "1f1feafb16bff76654d31ee19708ee9a678449785370dab52135b56398d6ebdd"),
+    (["simple-ideal", _alternating_path(10), "--field", "Q"], "d1edf0a107dc7abdc73b351055d0c3c49f0725e451def9b0579f06b7f4dcba0d"),
 ]
 
 
@@ -219,7 +235,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv,digest", SYMPY_FREE_REQUESTS, ids=["at-infinity", "batch", "simple-ideal"])
+@pytest.mark.parametrize(
+    "argv,digest",
+    SYMPY_FREE_REQUESTS,
+    ids=["at-infinity", "batch", "simple-ideal", "simple-ideal-Q", "simple-ideal-Fp7", "simple-ideal-alternating"],
+)
 def test_engine_runs_without_sympy(capsys, argv, digest):
     script = (
         "import sys\n"
@@ -227,7 +247,7 @@ def test_engine_runs_without_sympy(capsys, argv, digest):
         "from dicritical import cli\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    argv = argv + ["--field", "Q", "--format", "machine"]
+    argv = argv + ["--format", "machine"]
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     code, out, _ = run(capsys, *argv)
@@ -411,13 +431,6 @@ def test_exit_parse_expansion_budget(capsys, text, budget):
     code, _, err = run(capsys, "colength", text)
     assert code == 5 and budget in err
     assert time.perf_counter() - start < 2
-
-
-def _alternating_path(steps):
-    return json.dumps(
-        [{"chart": "infinity", "c": None, "extension": None}, {"chart": "affine", "c": "0", "extension": None}]
-        * (steps // 2)
-    )
 
 
 @pytest.mark.parametrize("steps", [16, 200])

@@ -27,10 +27,11 @@ import pytest
 
 import test_properties as props
 import test_transform_differential as td
+from echelon_reference import SparseEchelon, _monomials_below, _valuation_rows
 from dicritical import idealcalc as ic
-from dicritical.arith import QQ, BiPoly, FieldTower, SparseEchelon, UniPoly, bipoly_gcd
+from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly, bipoly_gcd
 from dicritical.arith.factor import is_irreducible
-from dicritical.divisors import PrimeDivisor, _monomials_below, _valuation_rows, simple_ideal
+from dicritical.divisors import PrimeDivisor, simple_ideal
 from dicritical.errors import NotMPrimary
 from dicritical.nearpoints import LocalIdeal, QdtPath, QdtStep, pullback_order
 from dicritical.zariski import strip_principal, zariski_factorization

@@ -125,7 +125,7 @@ def test_simple_ideal_over_q_with_common_transform_factors():
 
 def test_simple_ideal_after_two_extension_levels_and_infinity():
     # [inf, aff(a1!), aff(a2!), inf] with a1^2 = -1 and a2^2 = 2 over Q(a1):
-    # the truncated powers of _valuation_rows still give the simple ideal
+    # the truncated powers of _value_kernel still give the simple ideal
     first = QdtStep.affine_ext("a1", (QQ.one(), QQ.zero(), QQ.one()))
     K = first.extend_tower(QQ)
     second = QdtStep.affine_ext("a2", (K.from_int(-2), K.zero(), K.one()))

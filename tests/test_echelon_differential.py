@@ -1,7 +1,7 @@
 """Primitive integer rows over Q against the Fraction echelon they replaced.
 
-Over Q, SparseEchelon keeps primitive integer rows and reduces fraction
-free.  The reference below is the earlier echelon, which scales every
+Over Q, SparseEchelon (tests/echelon_reference.py, a row echelon on the
+engine's sweep) keeps primitive integer rows and reduces fraction free.  The reference below is the earlier echelon, which scales every
 stored row to pivot 1 with Fraction arithmetic.  On seeded random matrices
 (dependent and zero rows, huge numerators and denominators, int entries
 and the shifted stored rows a truncation frame feeds back) both must give
@@ -17,7 +17,9 @@ from math import gcd
 
 import pytest
 
-from dicritical.arith import QQ, FieldTower, SparseEchelon, kernel_basis
+from dicritical.arith import QQ, FieldTower
+
+from echelon_reference import SparseEchelon, kernel_basis
 
 F7 = FieldTower.prime_field(7)
 F7A = F7.extended("a", (1, 0, 1))  # a^2 = -1

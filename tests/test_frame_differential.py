@@ -30,8 +30,9 @@ import pytest
 
 import test_properties as props
 import test_transform_differential as td
+from echelon_reference import SparseEchelon
 from dicritical import idealcalc as ic
-from dicritical.arith import QQ, BiPoly, FieldTower, SparseEchelon
+from dicritical.arith import QQ, BiPoly, FieldTower
 from dicritical.nearpoints import LocalIdeal
 
 V = ("x", "y")

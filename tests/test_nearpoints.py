@@ -3,15 +3,14 @@
 import pytest
 
 from dicritical.arith import QQ, BiPoly, FieldTower
-from dicritical.errors import UnitIdeal, ZeroPolynomial
+from dicritical.errors import ZeroPolynomial
 from dicritical.nearpoints import (
     LocalIdeal,
     QdtPath,
     QdtStep,
-    directions_with_transforms,
+    base_point,
     pullback_order,
     transform_ideal,
-    zariski_number,
 )
 
 V = ("x", "y")
@@ -54,19 +53,17 @@ def test_zariski_number():
     x, y = mk()
     J = LocalIdeal(QQ, V, [x.pow(3), y.pow(2)])
     # order 2, single minimal-order form y^2 of degree 2: m = 0
-    assert zariski_number(J) == 0
+    assert base_point(J)[1] == 0
     K = LocalIdeal(QQ, V, [x.pow(3), x.pow(2).mul(y), y.pow(7)])
     # order 3, gcd of x^3 and x^2 y is x^2: m = 1
-    assert zariski_number(K) == 1
-    with pytest.raises(UnitIdeal):
-        zariski_number(LocalIdeal(QQ, V, [BiPoly.one(QQ, V)]))
+    assert base_point(K)[1] == 1
 
 
 def test_direction_discovery_affine_roots():
     x, y = mk()
     # initial form y^2 - x^2 = (y-x)(y+x): two affine directions
     J = LocalIdeal(QQ, V, [y.pow(2).sub(x.pow(2)), x.pow(3)])
-    steps = [step for step, _ in directions_with_transforms(J)]
+    steps = [s for s, _ in base_point(J)[2]]
     cs = sorted(QQ.render(s.c) for s in steps if s.kind == "affine")
     assert cs == ["-1", "1"]
 
@@ -75,7 +72,7 @@ def test_direction_discovery_infinity():
     x, y = mk()
     # gcd of the order-3 initial forms is x^2: direction at infinity only
     J = LocalIdeal(QQ, V, [x.pow(3), x.pow(2).mul(y), y.pow(5)])
-    steps = [step for step, _ in directions_with_transforms(J)]
+    steps = [s for s, _ in base_point(J)[2]]
     assert [s.kind for s in steps] == ["infinity"]
 
 
@@ -83,7 +80,7 @@ def test_direction_extension():
     x, y = mk()
     # initial form y^2 + x^2 is irreducible over QQ
     J = LocalIdeal(QQ, V, [y.pow(2).add(x.pow(2)), x.pow(3)])
-    steps = [step for step, _ in directions_with_transforms(J)]
+    steps = [s for s, _ in base_point(J)[2]]
     assert len(steps) == 1
     assert steps[0].extends
     tower = steps[0].extend_tower(QQ)
@@ -94,19 +91,19 @@ def test_transform_golden_chain():
     # (x^3, x^2 y, y^7): transforms along the two infinity steps
     x, y = mk()
     K = LocalIdeal(QQ, V, [x.pow(3), x.pow(2).mul(y), y.pow(7)])
-    pairs = directions_with_transforms(K)
+    pairs = base_point(K)[2]
     assert len(pairs) == 1
     step, t1 = pairs[0]
     assert step.kind == "infinity"
     assert sorted(g.render() for g in t1.gens) == ["x^2", "x^3", "y^4"]
-    pairs = directions_with_transforms(t1)
+    pairs = base_point(t1)[2]
     assert len(pairs) == 1
     step, t2 = pairs[0]
     assert step.kind == "infinity"
     assert sorted(g.render() for g in t2.gens) == ["x^2", "x^3*y", "y^2"]
     # t2 has zariski number 2 and no further proper directions
-    assert zariski_number(t2) == 2
-    assert directions_with_transforms(t2) == []
+    assert base_point(t2)[1] == 2
+    assert base_point(t2)[2] == []
 
 
 def test_transform_divides_out_gcd():
@@ -144,7 +141,7 @@ def test_is_mprimary_is_local():
 def test_extension_step_tower_chain():
     x, y = mk()
     J = LocalIdeal(QQ, V, [y.pow(2).add(x.pow(2)), x.pow(3)])
-    (step, transform), = directions_with_transforms(J)
+    (step, transform), = base_point(J)[2]
     assert transform.tower.height == 1
     # the transform lives over the extension and is still proper
     assert transform.min_order() >= 1
@@ -156,6 +153,6 @@ def test_f5_directions():
     xf = BiPoly.variable(F5, V, "x")
     yf = BiPoly.variable(F5, V, "y")
     J = LocalIdeal(F5, V, [yf.pow(2).sub(xf.pow(2)), xf.pow(4)])
-    steps = [step for step, _ in directions_with_transforms(J)]
+    steps = [s for s, _ in base_point(J)[2]]
     cs = sorted(F5.render(s.c) for s in steps if s.kind == "affine")
     assert cs == ["1", "4"]
