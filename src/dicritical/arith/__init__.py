@@ -1,5 +1,5 @@
 from .fields import QQ, FieldTower
-from .polynomials import BiPoly, UniPoly, bipoly_gcd, homogeneous_gcd, squarefree_part
+from .polynomials import BiPoly, UniPoly, bipoly_gcd, squarefree_part
 from .factor import (
     extend,
     factor_univariate,
@@ -13,7 +13,6 @@ __all__ = [
     "UniPoly",
     "BiPoly",
     "bipoly_gcd",
-    "homogeneous_gcd",
     "squarefree_part",
     "factor_univariate",
     "squarefree_decomposition",

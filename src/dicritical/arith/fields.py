@@ -382,9 +382,15 @@ class FieldTower:
         if k == 0:
             if isinstance(data, list):
                 raise ValueError("nested element data deeper than the tower")
+            # only what element_to_data writes: a signed integer, over Q maybe
+            # p/q, in ASCII digits, so that int()'s digit limit applies
+            text = str(data)
+            body = text[1:] if text[:1] in "+-" else text
+            if not all(part.isascii() and part.isdigit() for part in body.split("/", 1)):
+                raise ValueError("element data %.40r is neither an integer nor p/q" % text)
             if self.base is None:
-                return Fraction(str(data))
-            return int(data) % self.base
+                return Fraction(text)
+            return int(text) % self.base
         if not isinstance(data, list):
             # a bare scalar lifts as a constant
             return (self._from_data_k(k - 1, data),) + self._at[k].zero[1:]

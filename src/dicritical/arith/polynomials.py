@@ -5,7 +5,7 @@ a sparse exponent dict keyed by (i, j).  Both are value objects: operations
 return fresh instances and never mutate their arguments.
 """
 
-from ..errors import EmptyInput, InternalInconsistency, ZeroPolynomial
+from ..errors import InternalInconsistency, ZeroPolynomial
 
 
 class UniPoly:
@@ -537,17 +537,6 @@ class BiPoly:
             coeffs[j] = c
         return UniPoly(T, coeffs)
 
-    @classmethod
-    def homogenized(cls, tower, vars, p, degree):
-        """Inverse of dehomogenized: u^degree * p(w/u) for p of degree <= degree."""
-        if p.degree > degree:
-            raise ValueError("degree too small to homogenize")
-        terms = {}
-        for j, c in enumerate(p.coeffs):
-            if not tower.is_zero(c):
-                terms[(degree - j, j)] = c
-        return cls(tower, vars, terms)
-
     def render(self):
         if not self.terms:
             return "0"
@@ -739,34 +728,3 @@ def _pth_root(f):
         terms[(i // p, j // p)] = T.pow(c, e)
     return BiPoly(T, f.vars, terms)
 
-
-def homogeneous_gcd(forms):
-    """Gcd of a list of nonzero homogeneous forms, as a homogeneous form.
-
-    The result is normalized (lex-least exponent has coefficient 1); its
-    degree is the s of the Zariski number d - s.
-    """
-    forms = list(forms)
-    if not forms:
-        raise EmptyInput("homogeneous gcd of an empty list")
-    tower = forms[0].tower
-    vars = forms[0].vars
-    min_u = None
-    min_w = None
-    reduced = []
-    for h in forms:
-        if h.is_zero():
-            raise ZeroPolynomial("homogeneous gcd of a zero form")
-        if not h.is_homogeneous():
-            raise ValueError("inputs must be homogeneous")
-        (a, b), stripped = _split_monomial(h)
-        min_u = a if min_u is None else min(min_u, a)
-        min_w = b if min_w is None else min(min_w, b)
-        reduced.append(stripped.dehomogenized())
-    g = reduced[0]
-    for p in reduced[1:]:
-        g = g.gcd(p)
-        if g.degree == 0:
-            break
-    core = BiPoly.homogenized(tower, vars, g, g.degree)
-    return core.mul_monomial((min_u, min_w)).normalized()

@@ -28,6 +28,8 @@ from . import idealcalc
 MAX_PARSE_PRODUCT = 10 ** 6
 # bits of the coefficients one parse-time product or power may reach over Q
 MAX_PARSE_COEFF_BITS = 10 ** 5
+# parentheses one expression may nest; each level takes four parser frames
+MAX_PARSE_NESTING = 100
 
 
 def _check_degree(degree):
@@ -77,6 +79,8 @@ def _power_terms(f, k):
 # ---------------------------------------------------------------- tokenizer
 
 _OPS = "+-*^/(),"
+# str.isdigit also holds for superscripts and non-ASCII decimal digits
+_DIGITS = "0123456789"
 
 
 def _tokenize(text):
@@ -87,9 +91,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -124,6 +128,7 @@ class _Parser:
     def __init__(self, text, tower, vars):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.tower = tower
         self.vars = vars
         # only rational coefficients grow; F_p ones stay below p
@@ -205,10 +210,22 @@ class _Parser:
                 raise ParseError("unknown variable %r" % value, pos)
             return BiPoly.variable(self.tower, self.vars, value)
         if kind == "-":
-            return self.parse_atom().neg()
+            # a chain of unary minuses is read in a loop, not recursively
+            negate = True
+            while self.peek()[0] == "-":
+                self.take()
+                negate = not negate
+            atom = self.parse_atom()
+            return atom.neg() if negate else atom
         if kind == "(":
+            if self.depth == MAX_PARSE_NESTING:
+                raise ParseError(
+                    "parentheses nested deeper than MAX_PARSE_NESTING = %d" % MAX_PARSE_NESTING, pos
+                )
+            self.depth += 1
             inner = self.parse_sum()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "/":
             raise DivisionNotTopLevel(
@@ -539,6 +556,9 @@ def _cmd_simple_ideal(args, tower):
         data = json.loads(args.expressions[0])
     except json.JSONDecodeError as exc:
         raise ParseError("path is not valid JSON: %s" % exc.msg, exc.pos)
+    except (RecursionError, ValueError) as exc:
+        # nested past the recursion limit, or an integer past int()'s digit limit
+        raise ParseError("path cannot be read as JSON (%s: %s)" % (type(exc).__name__, exc), 0) from None
     path = parse_path(data, tower, args.vars)
     divisor = PrimeDivisor(path)
     ideal = simple_ideal(divisor)

@@ -15,8 +15,8 @@ work reduces to orders of pullbacks.
 
 from collections import namedtuple
 
-from .arith.factor import extend, factor_univariate, _poly_key
-from .arith.polynomials import BiPoly, UniPoly, bipoly_gcd, homogeneous_gcd
+from .arith.factor import extend, factor_univariate
+from .arith.polynomials import BiPoly, UniPoly, bipoly_gcd
 from .errors import EmptyInput, ZeroPolynomial
 
 
@@ -199,43 +199,40 @@ def transform_ideal(J, step):
     return LocalIdeal(T2, J.vars, [g.mul_monomial(shift, inv) for g in subs])
 
 
-def _initial_gcd(J):
-    """(d, gamma): the least order d of J's generators and the gcd gamma of
-    their initial forms of order d."""
-    orders = [g.ord_at_origin() for g in J.gens]
+def base_point(J):
+    """(d, Zariski number, [(step, transform), ...]) of J.
+
+    Each initial form of least order d splits as u^i·w^j·h.  With a = min i,
+    b = min j and g the gcd of the h(1, t), the gcd of the forms is u^a·w^b
+    times g homogenized, so the Zariski number is d - (a + b + deg g).  Its
+    projective zeros are the directions, in canonical order: the affine ones
+    (c = 0 when b > 0, then the roots of g) by sort_key(c), then g's
+    nonlinear factors as extensions, as factor_univariate orders them by
+    _poly_key, then infinity when a > 0.
+    """
+    T = J.tower
+    orders = [f.ord_at_origin() for f in J.gens]
     d = min(orders)
-    return d, homogeneous_gcd([g.initial_form() for g, o in zip(J.gens, orders) if o == d])
-
-
-def _direction_steps(gamma):
-    """Candidate steps from the projective zeros of the initial-form GCD."""
-    s = gamma.total_degree
-    if s == 0:
-        return []
-    T = gamma.tower
-    q = gamma.dehomogenized()
-    plain = []
+    a = b = d
+    g = None
+    for f, o in zip(J.gens, orders):
+        if o != d:
+            continue
+        form = {j: c for (i, j), c in f.terms.items() if i + j == d}
+        lo, hi = min(form), max(form)
+        a, b = min(a, d - hi), min(b, lo)
+        if g is None or g.degree > 0:
+            h = UniPoly(T, [form.get(j, T.zero()) for j in range(lo, hi + 1)])
+            g = h if g is None else g.gcd(h)
+    plain = [QdtStep.affine(T.zero())] if b else []
     extending = []
-    if q.degree >= 1:
-        _, factors = factor_univariate(q)
-        for irr, _ in factors:
+    if g.degree > 0:
+        for irr, _ in factor_univariate(g)[1]:
             if irr.degree == 1:
                 plain.append(QdtStep.affine(T.neg(irr.coeff(0))))
             else:
-                name = "a%d" % (T.height + 1)
-                extending.append(QdtStep.affine_ext(name, irr.coeffs))
+                extending.append(QdtStep.affine_ext("a%d" % (T.height + 1), irr.coeffs))
     plain.sort(key=lambda st: T.sort_key(st.c))
-    extending.sort(key=lambda st: _poly_key(UniPoly(T, st.ext_minpoly)))
-    steps = plain + extending
-    if q.degree < s:
-        steps.append(QdtStep.infinity())
-    return steps
-
-
-def base_point(J):
-    """(d, Zariski number, [(step, transform), ...]) of J, read off one gcd
-    gamma of its initial forms of least order d: the number is d - deg gamma,
-    and the directions, in canonical order, are the projective zeros of gamma."""
-    d, gamma = _initial_gcd(J)
-    pairs = [(step, transform_ideal(J, step)) for step in _direction_steps(gamma)]
-    return d, d - gamma.total_degree, pairs
+    steps = plain + extending + ([QdtStep.infinity()] if a else [])
+    pairs = [(step, transform_ideal(J, step)) for step in steps]
+    return d, d - (a + b + g.degree), pairs

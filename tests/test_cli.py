@@ -32,6 +32,9 @@ def test_parse_precedence():
 def test_parse_unary_minus_and_constants():
     f = cli.parse_polynomial("-3 + x - -y", QQ, ("x", "y"))
     assert f.render() == "x + y - 3"
+    # a chain of unary minuses is read in a loop, not one frame per minus
+    assert cli.parse_polynomial("-" * 1000 + "x", QQ, ("x", "y")).render() == "x"
+    assert cli.parse_polynomial("y*" + "-" * 1001 + "x", QQ, ("x", "y")).render() == "-x*y"
 
 
 def test_parse_error_position():
@@ -386,6 +389,17 @@ def _step(**fields):
         (["basepoints", "x^2, y^2", "--depth", "-1"], 2),
         (["basepoints", "x^2, y^2", "--nodes", "-1"], 2),
         (["reduction-check", "x^3, y^2", "x^3, y^2, x^2*y", "--nmax", "-1"], 2),
+        # nested too deeply for the parser or for json, and a JSON integer
+        # of more digits than int() converts
+        (["colength", "(" * 300 + "x" + ")" * 300 + ", y"], 2),
+        (["simple-ideal", "[" * 100000], 2),
+        (["simple-ideal", '[{"chart":"affine","c":%s,"extension":null}]' % ("7" * 5000)], 2),
+        # only the integers and p/q that element_to_data writes
+        (["simple-ideal", _step(c="1e5000")], 2),
+        (["simple-ideal", _step(c="1e-99999999")], 2),
+        # only ASCII digits
+        (["colength", "x^\u00b2, y"], 2),
+        (["colength", "x^\u0663, y"], 2),
     ],
 )
 def test_bad_input_exits_with_engine_error(capsys, argv, code):

@@ -105,6 +105,12 @@ def test_element_data_round_trip():
     # plain rationals serialize as strings
     assert QQ.element_to_data(Fraction(-2, 9)) == "-2/9"
     assert QQ.element_from_data("-2/9") == Fraction(-2, 9)
+    # nothing else: no exponents, decimals or non-ASCII digits
+    for data in ("1e5", "0.5", "1e-99999999", " 1", "1_0", "\u0663"):
+        with pytest.raises(ValueError):
+            QQ.element_from_data(data)
+    with pytest.raises(ValueError):
+        FieldTower.prime_field(7).element_from_data("1/2")
 
 
 def test_prefix_relations():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly, bipoly_gcd, homogeneous_gcd, squarefree_part
+from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly, bipoly_gcd, squarefree_part
 from dicritical.arith.factor import extend
 from dicritical.errors import ZeroPolynomial
+from direction_reference import homogeneous_gcd
 
 F5 = FieldTower.prime_field(5)
 V = ("x", "y")
