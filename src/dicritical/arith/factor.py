@@ -16,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .fields import QQ, FieldTower, _is_prime
+from .fields import QQ, FieldTower, _convolution, _is_prime, _long_division
 from .polynomials import UniPoly
 from ..errors import BudgetExceeded, InternalInconsistency, NotIrreducible, ZeroPolynomial
 
@@ -79,6 +79,8 @@ def _pth_root_poly(f):
 
 def factor_univariate(f):
     """Full factorization: (lc, [(monic irreducible, multiplicity), ...])."""
+    if f.degree == 1:
+        return f.lc(), [(f.monic(), 1)]
     lc, squarefree = squarefree_decomposition(f)
     out = []
     for g, m in squarefree:
@@ -358,25 +360,14 @@ def _zadd(a, b, m, sign=1):
 
 
 def _zmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim([c % m for c in out])
+    return _trim([c % m for c in _convolution(a, b, 0)])
 
 
 def _zdivmod(a, b, m):
     """Quotient and remainder mod m; the leading coefficient of b is a unit."""
-    r, d = [c % m for c in a], len(b) - 1
     inv = pow(b[-1], -1, m)
-    q = [0] * max(len(r) - d, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + d] * inv % m
-        for i, y in enumerate(b):
-            r[k + i] = (r[k + i] - c * y) % m
-    return _trim(q), _trim(r[:d])
+    q, r = _long_division(list(a), [c * inv % m for c in b], m.__rmod__)
+    return _trim([c * inv % m for c in q]), _trim([c % m for c in r])
 
 
 def _zxgcd(g, h, p):

@@ -46,8 +46,17 @@ def _is_prime(n):
     return True
 
 
-# The arithmetic of a tower truncated to some number of levels
-_Level = namedtuple("_Level", "zero one add sub neg mul addmul submul inv is_zero")
+# The arithmetic of a tower truncated to some number of levels: element
+# closures, and kernels on coefficient lists (low to high) over the level:
+#   pmul(a, b)     the product;
+#   pdivmod(a, m)  the quotient and remainder by a monic m of degree d, the
+#                  remainder as a list of min(len(a), d) coefficients;
+#   mulmod(m)      for a monic m of degree d, the function (a, b) -> the
+#                  remainder of a * b modulo m as a d-tuple, for products of
+#                  at least d coefficients.
+_Level = namedtuple(
+    "_Level", "zero one add sub neg mul addmul submul inv is_zero pmul pdivmod mulmod"
+)
 
 
 def _rational_inv(a):
@@ -56,12 +65,60 @@ def _rational_inv(a):
     return 1 / a
 
 
+def _convolution(a, b, zero):
+    """The product of the scalar lists a and b, each coefficient one unreduced sum."""
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def _long_division(r, m, reduce):
+    """Divide the scalar list r (consumed) by the monic list m: the quotient,
+    each coefficient reduced once as it is found, and the unreduced remainder."""
+    d = len(m) - 1
+    tail = [(j, y) for j, y in enumerate(m[:d]) if y]
+    q = [None] * max(len(r) - d, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = reduce(r[k + d])
+        if c:
+            for j, y in tail:
+                r[k + j] -= c * y
+    return q, r[:d]
+
+
+def _composed_mulmod(pmul, pdivmod):
+    """The mulmod kernel as a product followed by a division."""
+
+    def mulmod(m):
+        return lambda a, b: tuple(pdivmod(pmul(a, b), m)[1])
+
+    return mulmod
+
+
 def _ground(p):
-    """Q for p None, else F_p, on Fractions or ints in [0, p)."""
+    """Q for p None, else F_p, on Fractions or ints in [0, p).
+
+    The kernels add up plain products; over F_p each output coefficient
+    takes one % p, and a remainder may start from unreduced ints.  A product
+    modulo m is one such sum per coefficient, divided by m before any % p."""
     if p is None:
+        zero = Fraction(0)
+
+        def pmul(a, b):
+            return _convolution(a, b, zero)
+
+        def pdivmod(a, m):
+            return _long_division(list(a), m, operator.pos)
+
         return _Level(
-            Fraction(0), Fraction(1), operator.add, operator.sub, operator.neg, operator.mul,
+            zero, Fraction(1), operator.add, operator.sub, operator.neg, operator.mul,
             lambda s, a, b: s + a * b, lambda s, a, b: s - a * b, _rational_inv, operator.not_,
+            pmul, pdivmod, _composed_mulmod(pmul, pdivmod),
         )
 
     def inv(a):
@@ -69,39 +126,82 @@ def _ground(p):
             raise ZeroInput("division by zero")
         return pow(a, -1, p)
 
+    def pdivmod(a, m):
+        q, r = _long_division(list(a), m, p.__rmod__)
+        return q, [c % p for c in r]
+
+    def mulmod(m):
+        d = len(m) - 1
+        tail = [(j, y) for j, y in enumerate(m[:d]) if y]
+
+        def mul(a, b):
+            c = _convolution(a, b, 0)
+            for i in range(len(c) - 1, d - 1, -1):
+                top = c[i] % p
+                if top:
+                    for j, y in tail:
+                        c[i - d + j] -= top * y
+            return tuple([x % p for x in c[:d]])
+
+        return mul
+
     return _Level(
         0, 1, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a: -a % p,
         lambda a, b: a * b % p, lambda s, a, b: (s + a * b) % p,
         lambda s, a, b: (s - a * b) % p, inv, operator.not_,
+        lambda a, b: [c % p for c in _convolution(a, b, 0)], pdivmod, mulmod,
     )
 
 
 def _extension(below, mp):
-    """below[t]/(mp) for a monic mp over below; elements are d-tuples, low to high."""
+    """below[t]/(mp) for a monic mp over below; elements are d-tuples, low to high.
+
+    A product is the product of the level below followed by its remainder
+    modulo mp, one mulmod kernel call below.  The polynomial kernels pack a
+    list of elements into one list over the level below, each element
+    followed by d - 1 zeros, so that the products of two elements never
+    overlap: one product kernel below then gives, for every output
+    coefficient, the unreduced sum of its products, and each output
+    coefficient is reduced modulo mp once.
+    """
     zb, ob = below.zero, below.one
     add_b, sub_b, mul_b, inv_b, is_zero_b = below.add, below.sub, below.mul, below.inv, below.is_zero
-    addmul_b, submul_b = below.addmul, below.submul
+    submul_b, pmul_b, pdivmod_b = below.submul, below.pmul, below.pdivmod
+    mul = below.mulmod(mp)
     d = len(mp) - 1
-    tail = [(j, m) for j, m in enumerate(mp[:d]) if not is_zero_b(m)]
+    w = 2 * d - 1  # the stride of a packed list
+    pad = (zb,) * (d - 1)
     zero = (zb,) * d
 
     def reduce(c):
-        """The list c (low to high) modulo mp, as a d-tuple; c is consumed."""
-        for i in range(len(c) - 1, d - 1, -1):
-            top = c[i]
-            if not is_zero_b(top):
-                for j, m in tail:
-                    c[i - d + j] = submul_b(c[i - d + j], top, m)
-        return tuple(c[:d]) + (zb,) * (d - len(c))
+        """A list over the level below, of d to 2d - 1 entries, modulo mp."""
+        return tuple(pdivmod_b(c, mp)[1])
 
-    def mul(a, b):
-        nz = [(j, y) for j, y in enumerate(b) if not is_zero_b(y)]
-        c = [zb] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if not is_zero_b(x):
-                for j, y in nz:
-                    c[i + j] = addmul_b(c[i + j], x, y)
-        return reduce(c)
+    def pack(a):
+        """The elements of a, each followed by d - 1 zeros but the last."""
+        out = [x for e in a for x in e + pad]
+        del out[len(out) - d + 1:]
+        return out
+
+    def pmul(a, b):
+        if not a or not b:
+            return []
+        c = pmul_b(pack(a), pack(b))
+        return [reduce(c[k:k + w]) for k in range(0, len(c), w)]
+
+    def pdivmod(a, m):
+        dm = len(m) - 1
+        if len(a) <= dm:
+            return [], list(a)
+        r, tail = pack(a), pack(m[:dm])
+        q = [None] * (len(a) - dm)
+        for k in range(len(q) - 1, -1, -1):
+            top = (k + dm) * w
+            c = q[k] = reduce(r[top:top + w])
+            if c != zero and tail:
+                lo = k * w
+                r[lo:top] = map(sub_b, r[lo:top], pmul_b(c, tail))
+        return q, [reduce(r[k:k + w]) for k in range(0, dm * w, w)]
 
     def trim(p):
         while p and is_zero_b(p[-1]):
@@ -132,8 +232,9 @@ def _extension(below, mp):
             r0, s0, r1, s1 = r1, s1, r0, s0
             if not r1:
                 raise ZeroInput("element not invertible; minimal polynomial not irreducible?")
+        # the cofactor has degree below d
         c = inv_b(r1[0])
-        return reduce([mul_b(c, x) for x in s1])
+        return tuple([mul_b(c, x) for x in s1]) + zero[len(s1):]
 
     return _Level(
         zero,
@@ -146,6 +247,9 @@ def _extension(below, mp):
         lambda s, a, b: tuple(map(sub_b, s, mul(a, b))),
         inv,
         lambda a: a == zero,
+        pmul,
+        pdivmod,
+        _composed_mulmod(pmul, pdivmod),
     )
 
 

@@ -89,34 +89,20 @@ class UniPoly:
 
     def mul(self, other):
         T = self.tower
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(T)
-        out = [T.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if T.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = T.add(out[i + j], T.mul(a, b))
-        return UniPoly(T, out)
+        return UniPoly(T, T._at[-1].pmul(self.coeffs, other.coeffs))
 
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         T = self.tower
-        rem = list(self.coeffs)
-        d = other.degree
-        inv_lc = T.inv(other.lc())
-        quo = [T.zero()] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d:
-            while rem and T.is_zero(rem[-1]):
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            q = T.mul(rem[-1], inv_lc)
-            quo[k] = q
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = T.sub(rem[k + i], T.mul(q, b))
+        level = T._at[-1]
+        m = other.coeffs
+        if m[-1] == level.one:
+            quo, rem = level.pdivmod(self.coeffs, m)
+        else:
+            inv = level.inv(m[-1])
+            quo, rem = level.pdivmod(self.coeffs, [level.mul(inv, c) for c in m])
+            quo = [level.mul(inv, c) for c in quo]
         return UniPoly(T, quo), UniPoly(T, rem)
 
     def mod(self, other):
@@ -134,10 +120,15 @@ class UniPoly:
         return self.scale(self.tower.inv(self.lc()))
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.mod(b).monic()
-        return a.monic()
+        if other.is_zero():
+            return self.monic()
+        level = self.tower._at[-1]
+        a, b = self.coeffs, other.coeffs
+        while b:
+            inv = level.inv(b[-1])
+            b = [level.mul(inv, c) for c in b]
+            a, b = b, _trimmed(level, level.pdivmod(a, b)[1])
+        return UniPoly(self.tower, a)
 
     def derivative(self):
         T = self.tower
@@ -159,28 +150,36 @@ class UniPoly:
         return acc
 
     def pow_mod(self, e, modulus):
+        """self^e modulo modulus, on residues of deg(modulus) coefficients until the end."""
         if e < 0:
             raise ValueError("negative exponent")
-        acc = UniPoly.one(self.tower)
-        base = self.mod(modulus)
+        if modulus.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        level = self.tower._at[-1]
+        m = modulus.monic().coeffs
+        mul = level.mulmod(m)
+        base = level.pdivmod(self.coeffs, m)[1]
+        base += [level.zero] * (len(m) - 1 - len(base))
+        acc = (level.one,)
         while e:
             if e & 1:
-                acc = acc.mul(base).mod(modulus)
+                acc = mul(acc, base)
             e >>= 1
             if e:
-                base = base.mul(base).mod(modulus)
-        return acc
+                base = mul(base, base)
+        return UniPoly(self.tower, acc)
 
     def shift(self, c):
         """p(t + c) by the Taylor shift: n(n + 1)/2 multiply-adds for degree n."""
-        T = self.tower
-        if T.is_zero(c):
+        level = self.tower._at[-1]
+        if level.is_zero(c):
             return self
+        addmul = level.addmul
         a = list(self.coeffs)
         for k in range(len(a) - 1):
             for j in range(len(a) - 2, k - 1, -1):
-                a[j] = T.add(a[j], T.mul(c, a[j + 1]))
-        return UniPoly(T, a)
+                a[j] = addmul(a[j], c, a[j + 1])
+        return UniPoly(self.tower, a)
 
     def render(self, varname):
         T = self.tower
@@ -193,6 +192,13 @@ class UniPoly:
                 continue
             parts.append(_term_str(T, c, ((varname, k),), first=not parts))
         return " ".join(parts)
+
+
+def _trimmed(level, c):
+    """The coefficient list c without its top zeros."""
+    while c and level.is_zero(c[-1]):
+        c.pop()
+    return c
 
 
 def _coeff_str(tower, c):

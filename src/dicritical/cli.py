@@ -285,6 +285,24 @@ def _path_data(path):
     return [_step_data(path.node_tower(i), step) for i, step in enumerate(path.steps)]
 
 
+def _clipped(value, limit=40):
+    """value's JSON text (an exception's str), cut to at most limit characters."""
+    text = str(value) if isinstance(value, Exception) else json.dumps(_shallow(value, limit))
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
+def _shallow(value, depth):
+    """value with its lists and objects below depth levels cut off: their JSON
+    starts past the first depth characters, and json.dumps need not recurse there."""
+    if depth == 0:
+        return None
+    if isinstance(value, list):
+        return [_shallow(v, depth - 1) for v in value]
+    if isinstance(value, dict):
+        return {k: _shallow(v, depth - 1) for k, v in value.items()}
+    return value
+
+
 def _parse_step(entry, tower):
     """One step from its JSON object; a missing or malformed field raises
     KeyError, TypeError, ValueError or ZeroDivisionError."""
@@ -292,7 +310,7 @@ def _parse_step(entry, tower):
     if chart == "infinity":
         return QdtStep.infinity()
     if chart != "affine":
-        raise ParseError("unknown chart %r" % chart, 0)
+        raise ParseError("unknown chart %s" % _clipped(chart), 0)
     ext = entry.get("extension")
     if ext is None:
         return QdtStep.affine(tower.element_from_data(entry["c"]))
@@ -315,7 +333,10 @@ def parse_path(data, tower, vars):
             step = _parse_step(entry, current)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(
-                "malformed step %s (%s: %s)" % (json.dumps(entry), type(exc).__name__, exc), 0
+                "malformed step %d, chart %s: %s (%s: %s)" % (
+                    len(steps), _clipped(entry.get("chart")), _clipped(entry),
+                    type(exc).__name__, _clipped(exc),
+                ), 0,
             ) from None
         # a reducible minimal polynomial is refused here, before the round trip
         current = step.extend_tower(current, check=True)

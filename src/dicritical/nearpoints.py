@@ -208,7 +208,8 @@ def base_point(J):
     projective zeros are the directions, in canonical order: the affine ones
     (c = 0 when b > 0, then the roots of g) by sort_key(c), then g's
     nonlinear factors as extensions, as factor_univariate orders them by
-    _poly_key, then infinity when a > 0.
+    _poly_key, then infinity when a > 0.  A linear g has the one root
+    -g0/g1 and is not factored.
     """
     T = J.tower
     orders = [f.ord_at_origin() for f in J.gens]
@@ -226,7 +227,9 @@ def base_point(J):
             g = h if g is None else g.gcd(h)
     plain = [QdtStep.affine(T.zero())] if b else []
     extending = []
-    if g.degree > 0:
+    if g.degree == 1:
+        plain.append(QdtStep.affine(T.neg(T.mul(g.coeffs[0], T.inv(g.coeffs[1])))))
+    elif g.degree > 1:
         for irr, _ in factor_univariate(g)[1]:
             if irr.degree == 1:
                 plain.append(QdtStep.affine(T.neg(irr.coeff(0))))

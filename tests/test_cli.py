@@ -411,6 +411,21 @@ def test_bad_input_exits_with_engine_error(capsys, argv, code):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize(
+    "c",
+    ["[" * 900 + "1" + "]" * 900, '"%s"' % ("7" * 5000)],
+    ids=["nested-900", "digits-5000"],
+)
+def test_malformed_step_message_is_bounded(capsys, c):
+    # the refused step is quoted by its chart and a bounded prefix of its JSON
+    argv = ["simple-ideal", '[{"chart":"affine","c":%s,"extension":null}]' % c]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed step 0, chart \"affine\": ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200
+
+
 def test_non_monic_minimal_polynomial(capsys):
     # 2*t^2 + 2 names the same point as t^2 + 1
     for minpoly in (["1", "0", "1"], ["2", "0", "2"]):

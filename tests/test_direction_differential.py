@@ -13,7 +13,9 @@ one- and two-level extension paths over Q and F_7, and of the benchmark's
 16 simple-ideal shapes over Q, F_7 and F_32003.  Seeded random ideals of up
 to four generators, each a random polynomial times a random monomial,
 cover initial forms that share u and w in every way, where a later form may
-lower a or b after the gcd of the h(1, t) has reached degree 0.
+lower a or b after the gcd of the h(1, t) has reached degree 0.  On trees
+at infinity shaped like the benchmark's, a node whose g is linear reads its
+one root off g and calls no factorization.
 """
 
 import random
@@ -24,7 +26,10 @@ import direction_reference as ref
 import test_closure_differential as cd
 import test_properties as props
 import test_transform_differential as td
-from dicritical.arith import QQ, FieldTower
+from dicritical import nearpoints
+from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly, is_irreducible
+from dicritical.arith.polynomials import _split_monomial
+from dicritical.atinfinity import points_at_infinity
 from dicritical.divisors import simple_ideal
 from dicritical.nearpoints import LocalIdeal, base_point
 from dicritical.zariski import base_point_tree
@@ -104,3 +109,68 @@ def test_random_ideals(name, tower):
         ]
         kinds |= _check(LocalIdeal(tower, props.V, gens))
     assert {"zero", "root", "infinity"} <= kinds
+
+
+# degree-form factor patterns at infinity: degrees of distinct irreducible
+# factors of phi(1, t), "v" for a factor X (the point [0:1:0])
+SWEEP_PATTERNS = [(2,), (1, 1), (1, "v"), (3,), (1, 2), (2, "v"), (1, 1, 1), (1, 3), (2, 2),
+                  (3, "v"), (1, 1, 2), (1, 4), (2, 3), (1, 2, 2), (1, 1, 4)]
+
+
+def _sweep_polynomial(tower, pattern, rng):
+    """A polynomial in X, Y whose degree form splits as the pattern, plus two
+    or three terms of lower degree."""
+    p = tower.char
+    core = UniPoly(tower, [rng.randrange(1, p)])
+    seen = set()
+    for part in pattern:
+        if part == "v":
+            continue
+        while True:
+            f = UniPoly(tower, [rng.randrange(p) for _ in range(part)] + [1])
+            if f.coeffs not in seen and is_irreducible(f):
+                break
+        seen.add(f.coeffs)
+        core = core.mul(f)
+    degree = sum(1 if part == "v" else part for part in pattern)
+    terms = {(degree - j, j): c for j, c in enumerate(core.coeffs) if c}
+    for _ in range(rng.randint(2, 3)):
+        e = rng.randrange(degree)
+        i = rng.randint(0, e)
+        terms[(i, e - i)] = rng.randrange(1, p)
+    return BiPoly(tower, ("X", "Y"), terms)
+
+
+def _g_degree(J):
+    """deg g at J, read off the reference's homogeneous gcd."""
+    _, gamma = ref._initial_gcd(J)
+    return _split_monomial(gamma)[1].total_degree
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+def test_linear_gcd_is_not_factored(p, monkeypatch):
+    tower = FieldTower.prime_field(p)
+    rng = random.Random("direction/linear/%d" % p)
+    nodes = [
+        node.ideal
+        for pattern in SWEEP_PATTERNS
+        for point in points_at_infinity(_sweep_polynomial(tower, pattern, rng))
+        for node in base_point_tree(point.ideal).nodes()
+    ]
+    calls = []
+    real = nearpoints.factor_univariate
+    monkeypatch.setattr(nearpoints, "factor_univariate", lambda f: calls.append(f) or real(f))
+    linear = 0
+    for J in nodes:
+        degree = _g_degree(J)
+        del calls[:]
+        base_point(J)
+        assert len(calls) == (degree > 1), (J, degree)
+        linear += degree == 1
+    assert {J.tower.height for J in nodes} == {0, 1}
+    assert linear > 20
+    # x^2 + y^2 is irreducible for p = 3 mod 4: its g is factored
+    x, y = (BiPoly.variable(tower, props.V, v) for v in props.V)
+    del calls[:]
+    base_point(LocalIdeal(tower, props.V, [x * x + y * y, x ** 3 + y ** 4]))
+    assert len(calls) == 1

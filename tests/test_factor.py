@@ -165,3 +165,27 @@ def test_exit_recombination_budget(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 5 and "MAX_RECOMBINATION_SUBSETS = 100" in err
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [QQ, FieldTower.prime_field(7), FieldTower(7, [("a", (1, 0, 1))])],
+    ids=["Q", "F7", "F7(a)"],
+)
+def test_linear_input_skips_the_squarefree_decomposition(tower, monkeypatch):
+    # the path a degree-1 input took before: squarefree parts, each split
+    def old_path(f):
+        lc, parts = squarefree_decomposition(f)
+        out = [(irr, m) for g, m in parts for irr in factor._factor_squarefree_monic(g)]
+        return lc, sorted(out, key=lambda im: factor._poly_key(im[0]))
+
+    rng = random.Random("factor/linear/%r" % tower)
+    elements = [tower.from_int(n) for n in (3, -2, 5, 11)]
+    if tower.height:
+        elements.append(tower.generator())
+    cases = [UniPoly(tower, [c, d]) for c in elements + [tower.zero()] for d in elements]
+    cases += [UniPoly(tower, [rng.choice(elements), rng.choice(elements)]) for _ in range(10)]
+    expected = [old_path(f) for f in cases]
+    monkeypatch.setattr(factor, "squarefree_decomposition", None)
+    for f, want in zip(cases, expected):
+        assert factor_univariate(f) == want

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly, bipoly_gcd, squarefree_part
+from dicritical.arith import fields
 from dicritical.arith.factor import extend
 from dicritical.errors import ZeroPolynomial
 from direction_reference import homogeneous_gcd
@@ -127,11 +128,23 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
     assert x.add(y).pow(7).coeff(3, 4) == QQ.from_int(35)
     assert max(degrees) == 7
 
+    # pow multiplies with the ground level's product kernel and pow_mod with
+    # its product modulo the modulus; towers built after the patch count both
     products = []
-    real_umul = UniPoly.mul
-    monkeypatch.setattr(UniPoly, "mul", lambda a, b: products.append(1) or real_umul(a, b))
-    assert up(1, 1).pow(7).degree == 7
-    t, m = UniPoly(F5, [0, 1]), UniPoly(F5, [3, 0, 1])
+    real_ground = fields._ground
+
+    def counting(mul):
+        return lambda a, b: products.append(1) or mul(a, b)
+
+    def counting_ground(p):
+        level = real_ground(p)
+        mulmod = level.mulmod
+        return level._replace(pmul=counting(level.pmul), mulmod=lambda m: counting(mulmod(m)))
+
+    monkeypatch.setattr(fields, "_ground", counting_ground)
+    Q, F = FieldTower.rationals(), FieldTower.prime_field(5)
+    assert UniPoly(Q, [Q.one(), Q.one()]).pow(7).degree == 7
+    t, m = UniPoly(F, [0, 1]), UniPoly(F, [3, 0, 1])
     assert t.pow_mod(25, m) == t
     # 7 = 0b111: three multiplies and two squarings; 25 = 0b11001: three and four
     assert len(products) == 5 + 7
