@@ -14,9 +14,10 @@ All returned factors are monic and canonically ordered.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
-from .fields import QQ, FieldTower, _convolution, _is_prime, _long_division
+from .fields import QQ, FieldTower, _convolution, _is_prime, _long_division, inv_mod, trim
 from .polynomials import UniPoly
 from ..errors import BudgetExceeded, InternalInconsistency, NotIrreducible, ZeroPolynomial
 
@@ -119,7 +120,7 @@ def _factor_squarefree_monic(g):
             out.extend(_edf(part, d))
         out.sort(key=_poly_key)
         return out
-    if T.height == 0:
+    if T.is_rationals:
         return _factor_rationals(g)
     return _factor_trager(g)
 
@@ -256,13 +257,14 @@ def _good_reductions(f):
 
 def _hensel_lift(f, modular, p, modulus):
     """Monic lifts of f's monic factors mod p to factors mod p^(2^j) = modulus."""
+    level = FieldTower.prime_field(p).top
     out = []
     while len(modular) > 1:
         h = modular.pop()
         g = [f[-1]]
         for u in modular:
             g = _zmul(g, u, p)
-        s, t = _zxgcd(g, h, p)
+        s, t = _bezout(level, g, h)
         m = p
         while m < modulus:
             g, h, s, t = _hensel_step(f, g, h, s, t, m)
@@ -349,38 +351,29 @@ def _zexact_div(f, g):
     return None if any(r[:d]) else q
 
 
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _zadd(a, b, m, sign=1):
-    return _trim([(x + sign * y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+    pairs = itertools.zip_longest(a, b, fillvalue=0)
+    return trim([(x + sign * y) % m for x, y in pairs], operator.not_)
 
 
 def _zmul(a, b, m):
-    return _trim([c % m for c in _convolution(a, b, 0)])
+    return trim([c % m for c in _convolution(a, b, 0)], operator.not_)
 
 
 def _zdivmod(a, b, m):
     """Quotient and remainder mod m; the leading coefficient of b is a unit."""
     inv = pow(b[-1], -1, m)
     q, r = _long_division(list(a), [c * inv % m for c in b], m.__rmod__)
-    return _trim([c * inv % m for c in q]), _trim([c % m for c in r])
+    return trim([c * inv % m for c in q], operator.not_), trim([c % m for c in r], operator.not_)
 
 
-def _zxgcd(g, h, p):
-    """s, t with s g + t h = 1 mod p, for g and h coprime mod p."""
-    r0, s0, t0, r1, s1, t1 = [c % p for c in g], [1], [], [c % p for c in h], [], [1]
-    while r1:
-        q, r = _zdivmod(r0, r1, p)
-        s, t = _zadd(s0, _zmul(q, s1, p), p, -1), _zadd(t0, _zmul(q, t1, p), p, -1)
-        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s, t
-    if len(r0) != 1:
-        raise InternalInconsistency("modular factors are not coprime")
-    inv = [pow(r0[0], -1, p)]
-    return _zmul(s0, inv, p), _zmul(t0, inv, p)
+def _bezout(level, g, h):
+    """s, t with s g + t h = 1 over the prime field level, for g and the monic
+    h coprime: s = 1/g mod h and t = 1/h mod g.  Then s g + t h - 1 vanishes
+    modulo g and modulo h and has degree below deg g + deg h, so it is zero;
+    and these are the only s, t with deg s < deg h and deg t < deg g."""
+    lead = level.inv(g[-1])
+    return inv_mod(level, g, h), inv_mod(level, h, [level.mul(lead, c) for c in g])
 
 
 # ---------------------------------------------------------------- tower case
@@ -396,11 +389,8 @@ def _factor_trager(f):
         shifted = f.shift(K.neg(K.mul(K.from_int(s), alpha)))
         # rewrite with the top generator as a formal variable t
         comps = [K.components_over(sub, c) for c in shifted.coeffs]
-        tcoeffs = []
-        for i in range(deg_top):
-            tcoeffs.append(UniPoly(sub, [row[i] for row in comps]))
-        while tcoeffs and tcoeffs[-1].is_zero():
-            tcoeffs.pop()
+        tcoeffs = [UniPoly(sub, [row[i] for row in comps]) for i in range(deg_top)]
+        trim(tcoeffs, UniPoly.is_zero)
         if len(tcoeffs) <= 1:
             if s == 0:
                 continue

@@ -100,6 +100,46 @@ def _composed_mulmod(pmul, pdivmod):
     return mulmod
 
 
+def trim(c, is_zero):
+    """The coefficient list c without its top zeros, trimmed in place."""
+    while c and is_zero(c[-1]):
+        c.pop()
+    return c
+
+
+def inv_mod(level, a, m):
+    """The inverse of the list a modulo the monic list m over level: a trimmed
+    list of fewer than deg m coefficients.
+
+    Extended Euclid on (m, a), keeping only the cofactors of a, so that
+    r0 = s0 * a and r1 = s1 * a modulo m.  Each divisor's leading coefficient
+    is inverted once, for all its quotient terms; no remainder is made monic.
+    """
+    zero, is_zero, mul, inv, submul = level.zero, level.is_zero, level.mul, level.inv, level.submul
+
+    def sub_shifted(p, c, k, q):
+        """p - c * t^k * q."""
+        p = p + [zero] * (len(q) + k - len(p))
+        for j, y in enumerate(q):
+            p[j + k] = submul(p[j + k], c, y)
+        return p
+
+    r0, s0 = list(m), []
+    r1, s1 = trim(list(a), is_zero), [level.one]
+    while len(r1) > 1:
+        lead = inv(r1[-1])
+        while len(r0) >= len(r1):
+            c, k = mul(r0[-1], lead), len(r0) - len(r1)
+            # the top of r0 cancels; drop it rather than test it
+            r0 = trim(sub_shifted(r0, c, k, r1)[:-1], is_zero)
+            s0 = trim(sub_shifted(s0, c, k, s1), is_zero)
+        r0, s0, r1, s1 = r1, s1, r0, s0
+        if not r1:
+            raise ZeroInput("element not invertible; minimal polynomial not irreducible?")
+    c = inv(r1[0])
+    return [mul(c, x) for x in s1]
+
+
 def _ground(p):
     """Q for p None, else F_p, on Fractions or ints in [0, p).
 
@@ -165,8 +205,7 @@ def _extension(below, mp):
     coefficient is reduced modulo mp once.
     """
     zb, ob = below.zero, below.one
-    add_b, sub_b, mul_b, inv_b, is_zero_b = below.add, below.sub, below.mul, below.inv, below.is_zero
-    submul_b, pmul_b, pdivmod_b = below.submul, below.pmul, below.pdivmod
+    add_b, sub_b, pmul_b, pdivmod_b = below.add, below.sub, below.pmul, below.pdivmod
     mul = below.mulmod(mp)
     d = len(mp) - 1
     w = 2 * d - 1  # the stride of a packed list
@@ -203,38 +242,11 @@ def _extension(below, mp):
                 r[lo:top] = map(sub_b, r[lo:top], pmul_b(c, tail))
         return q, [reduce(r[k:k + w]) for k in range(0, dm * w, w)]
 
-    def trim(p):
-        while p and is_zero_b(p[-1]):
-            p.pop()
-        return p
-
-    def sub_shifted(p, c, k, q):
-        """p - c * t^k * q for lists p, q over the level below."""
-        p = p + [zb] * (len(q) + k - len(p))
-        for j, y in enumerate(q):
-            p[j + k] = submul_b(p[j + k], c, y)
-        return p
-
     def inv(a):
         if a == zero:
             raise ZeroInput("division by zero in extension field")
-        # extended Euclid on (mp, a) over the level below, keeping only the
-        # cofactors of a: r0 = s0 * a and r1 = s1 * a modulo mp
-        r0, s0 = list(mp), []
-        r1, s1 = trim(list(a)), [ob]
-        while len(r1) > 1:
-            lead = inv_b(r1[-1])
-            while len(r0) >= len(r1):
-                c, k = mul_b(r0[-1], lead), len(r0) - len(r1)
-                # the top of r0 cancels; drop it rather than test it
-                r0 = trim(sub_shifted(r0, c, k, r1)[:-1])
-                s0 = trim(sub_shifted(s0, c, k, s1))
-            r0, s0, r1, s1 = r1, s1, r0, s0
-            if not r1:
-                raise ZeroInput("element not invertible; minimal polynomial not irreducible?")
-        # the cofactor has degree below d
-        c = inv_b(r1[0])
-        return tuple([mul_b(c, x) for x in s1]) + zero[len(s1):]
+        s = inv_mod(below, a, mp)
+        return tuple(s) + zero[len(s):]
 
     return _Level(
         zero,
@@ -260,10 +272,13 @@ class FieldTower:
     level k is stored as a monic coefficient tuple (low to high) of degree
     at least 2 over the tower truncated below level k.  Instances are
     immutable; construction does not check irreducibility
-    (arith.factor.extend does).
+    (arith.factor.extend does).  top is the whole tower's arithmetic, for
+    loops that fetch it once.
     """
 
-    __slots__ = ("base", "levels", "_at", "_add", "_sub", "_neg", "_mul", "_inv", "_is_zero")
+    __slots__ = (
+        "base", "levels", "top", "_at", "_add", "_sub", "_neg", "_mul", "_inv", "_is_zero"
+    )
 
     def __init__(self, base=None, levels=()):
         if base is not None and not _is_prime(base):
@@ -276,9 +291,9 @@ class FieldTower:
             at.append(_extension(at[-1], mp))
         top = at[-1]
         for attr, value in (
-            ("base", base), ("levels", levels), ("_at", tuple(at)), ("_add", top.add),
-            ("_sub", top.sub), ("_neg", top.neg), ("_mul", top.mul), ("_inv", top.inv),
-            ("_is_zero", top.is_zero),
+            ("base", base), ("levels", levels), ("top", top), ("_at", tuple(at)),
+            ("_add", top.add), ("_sub", top.sub), ("_neg", top.neg), ("_mul", top.mul),
+            ("_inv", top.inv), ("_is_zero", top.is_zero),
         ):
             object.__setattr__(self, attr, value)
 
@@ -302,6 +317,11 @@ class FieldTower:
     @property
     def height(self):
         return len(self.levels)
+
+    @property
+    def is_rationals(self):
+        """Whether the tower is plain Q, with no extension level."""
+        return self.base is None and not self.levels
 
     def degree(self):
         d = 1
@@ -344,10 +364,10 @@ class FieldTower:
     # ------------------------------------------------------ element basics
 
     def zero(self):
-        return self._at[-1].zero
+        return self.top.zero
 
     def one(self):
-        return self._at[-1].one
+        return self.top.one
 
     def from_int(self, n):
         return self._lift(Fraction(n) if self.base is None else n % self.base, 0)

@@ -24,7 +24,7 @@ from math import gcd, lcm
 def stored_row(tower, res):
     """res scaled to a stored row: pivot 1, or over Q primitive with a positive pivot."""
     pivot = res[min(res)]
-    if tower.base is None and not tower.levels:
+    if tower.is_rationals:
         g = gcd(*res.values())
         if pivot < 0:
             g = -g
@@ -43,9 +43,9 @@ def sweep(tower, vec, lookup, top=False):
     in a row: harmless.  With top set, the sweep stops at the first key no
     row reduces and returns what is left of vec.
     """
-    level = tower._at[-1]
+    level = tower.top
     submul, is_zero = level.submul, level.is_zero
-    integral = tower.base is None and not tower.levels
+    integral = tower.is_rationals
     if integral:
         scale, zero = lcm(*[c.denominator for c in vec.values()]), 0
         work = {k: c.numerator * (scale // c.denominator) for k, c in vec.items() if c}

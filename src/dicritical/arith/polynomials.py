@@ -5,6 +5,9 @@ a sparse exponent dict keyed by (i, j).  Both are value objects: operations
 return fresh instances and never mutate their arguments.
 """
 
+from itertools import zip_longest
+
+from .fields import trim
 from ..errors import InternalInconsistency, ZeroPolynomial
 
 
@@ -14,11 +17,8 @@ class UniPoly:
     __slots__ = ("tower", "coeffs")
 
     def __init__(self, tower, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and tower.is_zero(coeffs[-1]):
-            coeffs.pop()
         object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", tuple(trim(list(coeffs), tower.top.is_zero)))
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -70,32 +70,31 @@ class UniPoly:
         return "UniPoly(%s)" % self.render("t")
 
     def add(self, other):
-        T = self.tower
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(T, [T.add(self.coeff(k), other.coeff(k)) for k in range(n)])
+        level = self.tower.top
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=level.zero)
+        return UniPoly(self.tower, [level.add(a, b) for a, b in pairs])
 
     def sub(self, other):
-        T = self.tower
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(T, [T.sub(self.coeff(k), other.coeff(k)) for k in range(n)])
+        level = self.tower.top
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=level.zero)
+        return UniPoly(self.tower, [level.sub(a, b) for a, b in pairs])
 
     def neg(self):
-        T = self.tower
-        return UniPoly(T, [T.neg(c) for c in self.coeffs])
+        neg = self.tower.top.neg
+        return UniPoly(self.tower, [neg(c) for c in self.coeffs])
 
     def scale(self, c):
-        T = self.tower
-        return UniPoly(T, [T.mul(c, a) for a in self.coeffs])
+        mul = self.tower.top.mul
+        return UniPoly(self.tower, [mul(c, a) for a in self.coeffs])
 
     def mul(self, other):
-        T = self.tower
-        return UniPoly(T, T._at[-1].pmul(self.coeffs, other.coeffs))
+        return UniPoly(self.tower, self.tower.top.pmul(self.coeffs, other.coeffs))
 
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         T = self.tower
-        level = T._at[-1]
+        level = T.top
         m = other.coeffs
         if m[-1] == level.one:
             quo, rem = level.pdivmod(self.coeffs, m)
@@ -122,32 +121,18 @@ class UniPoly:
     def gcd(self, other):
         if other.is_zero():
             return self.monic()
-        level = self.tower._at[-1]
+        level = self.tower.top
         a, b = self.coeffs, other.coeffs
         while b:
             inv = level.inv(b[-1])
             b = [level.mul(inv, c) for c in b]
-            a, b = b, _trimmed(level, level.pdivmod(a, b)[1])
+            a, b = b, trim(level.pdivmod(a, b)[1], level.is_zero)
         return UniPoly(self.tower, a)
 
     def derivative(self):
         T = self.tower
-        return UniPoly(
-            T, [T.mul(T.from_int(k), c) for k, c in enumerate(self.coeffs)][1:]
-        )
-
-    def pow(self, e):
-        if e < 0:
-            raise ValueError("negative exponent")
-        acc = UniPoly.one(self.tower)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc.mul(base)
-            e >>= 1
-            if e:
-                base = base.mul(base)
-        return acc
+        mul = T.top.mul
+        return UniPoly(T, [mul(T.from_int(k), c) for k, c in enumerate(self.coeffs)][1:])
 
     def pow_mod(self, e, modulus):
         """self^e modulo modulus, on residues of deg(modulus) coefficients until the end."""
@@ -155,7 +140,7 @@ class UniPoly:
             raise ValueError("negative exponent")
         if modulus.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        level = self.tower._at[-1]
+        level = self.tower.top
         m = modulus.monic().coeffs
         mul = level.mulmod(m)
         base = level.pdivmod(self.coeffs, m)[1]
@@ -171,7 +156,7 @@ class UniPoly:
 
     def shift(self, c):
         """p(t + c) by the Taylor shift: n(n + 1)/2 multiply-adds for degree n."""
-        level = self.tower._at[-1]
+        level = self.tower.top
         if level.is_zero(c):
             return self
         addmul = level.addmul
@@ -192,13 +177,6 @@ class UniPoly:
                 continue
             parts.append(_term_str(T, c, ((varname, k),), first=not parts))
         return " ".join(parts)
-
-
-def _trimmed(level, c):
-    """The coefficient list c without its top zeros."""
-    while c and level.is_zero(c[-1]):
-        c.pop()
-    return c
 
 
 def _coeff_str(tower, c):
@@ -238,12 +216,13 @@ class BiPoly:
         vars = tuple(vars)
         if len(vars) != 2 or vars[0] == vars[1]:
             raise ValueError("need two distinct variable names")
+        is_zero = tower.top.is_zero
         clean = {}
         for key, c in terms.items():
             i, j = key
             if i < 0 or j < 0:
                 raise ValueError("negative exponent")
-            if not tower.is_zero(c):
+            if not is_zero(c):
                 clean[(i, j)] = c
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "vars", vars)
@@ -259,10 +238,6 @@ class BiPoly:
     @classmethod
     def one(cls, tower, vars):
         return cls(tower, vars, {(0, 0): tower.one()})
-
-    @classmethod
-    def constant(cls, tower, vars, c):
-        return cls(tower, vars, {(0, 0): c})
 
     @classmethod
     def from_int(cls, tower, vars, n):
@@ -303,46 +278,46 @@ class BiPoly:
         return self.terms.get((i, j), self.tower.zero())
 
     def add(self, other):
-        T = self.tower
+        add = self.tower.top.add
         out = dict(self.terms)
         for key, c in other.terms.items():
             if key in out:
-                out[key] = T.add(out[key], c)
+                out[key] = add(out[key], c)
             else:
                 out[key] = c
-        return BiPoly(T, self.vars, out)
+        return BiPoly(self.tower, self.vars, out)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def neg(self):
-        T = self.tower
-        return BiPoly(T, self.vars, {k: T.neg(c) for k, c in self.terms.items()})
+        neg = self.tower.top.neg
+        return BiPoly(self.tower, self.vars, {k: neg(c) for k, c in self.terms.items()})
 
     def scale(self, c):
-        T = self.tower
-        return BiPoly(T, self.vars, {k: T.mul(c, a) for k, a in self.terms.items()})
+        mul = self.tower.top.mul
+        return BiPoly(self.tower, self.vars, {k: mul(c, a) for k, a in self.terms.items()})
 
     def mul(self, other):
-        T = self.tower
+        level = self.tower.top
         out = {}
         for (i1, j1), a in self.terms.items():
             for (i2, j2), b in other.terms.items():
                 key = (i1 + i2, j1 + j2)
-                prod = T.mul(a, b)
                 if key in out:
-                    out[key] = T.add(out[key], prod)
+                    out[key] = level.addmul(out[key], a, b)
                 else:
-                    out[key] = prod
-        return BiPoly(T, self.vars, out)
+                    out[key] = level.mul(a, b)
+        return BiPoly(self.tower, self.vars, out)
 
     def mul_monomial(self, exps, c=None):
         T = self.tower
         di, dj = exps
         if c is None:
             return BiPoly(T, self.vars, {(i + di, j + dj): a for (i, j), a in self.terms.items()})
+        mul = T.top.mul
         return BiPoly(
-            T, self.vars, {(i + di, j + dj): T.mul(c, a) for (i, j), a in self.terms.items()}
+            T, self.vars, {(i + di, j + dj): mul(c, a) for (i, j), a in self.terms.items()}
         )
 
     def pow(self, e):
@@ -421,30 +396,26 @@ class BiPoly:
 
     def derivative(self, axis):
         T = self.tower
+        mul = T.top.mul
         out = {}
         for (i, j), c in self.terms.items():
             e = (i, j)[axis]
-            if e == 0:
-                continue
-            key = (i - 1, j) if axis == 0 else (i, j - 1)
-            val = T.mul(T.from_int(e), c)
-            if key in out:
-                out[key] = T.add(out[key], val)
-            else:
-                out[key] = val
+            if e:
+                out[(i - 1, j) if axis == 0 else (i, j - 1)] = mul(T.from_int(e), c)
         return BiPoly(T, self.vars, out)
 
     def shifted(self, c):
         """f(x, y + c): the y-polynomial at each power of x, Taylor-shifted."""
         T = self.tower
-        if T.is_zero(c):
+        level = T.top
+        if level.is_zero(c):
             return self
         rows = {}
         for (i, j), a in self.terms.items():
             rows.setdefault(i, {})[j] = a
         out = {}
         for i, row in rows.items():
-            p = UniPoly(T, [row.get(j, T.zero()) for j in range(max(row) + 1)]).shift(c)
+            p = UniPoly(T, [row.get(j, level.zero) for j in range(max(row) + 1)]).shift(c)
             for j, a in enumerate(p.coeffs):
                 out[(i, j)] = a
         return BiPoly(T, self.vars, out)
@@ -481,9 +452,9 @@ class BiPoly:
             q = [p.exact_div(gy[0]) for p in fy]
             return BiPoly.from_ylist(T, self.vars, q)
         quo = [UniPoly.zero(T)] * max(len(fy) - dg, 0)
-        rem = list(fy)
+        rem = fy
         while len(rem) - 1 >= dg:
-            rem = _ylist_trim(rem)
+            trim(rem, UniPoly.is_zero)
             if len(rem) - 1 < dg:
                 break
             k = len(rem) - 1 - dg
@@ -492,13 +463,14 @@ class BiPoly:
             for i in range(dg + 1):
                 rem[k + i] = rem[k + i].sub(t.mul(gy[i]))
             rem = rem[:-1]
-        if _ylist_trim(rem):
+        if trim(rem, UniPoly.is_zero):
             raise ValueError("division is not exact")
         return BiPoly.from_ylist(T, self.vars, quo)
 
     def to_ylist(self):
         """Recursive view: list of UniPoly in vars[0], indexed by vars[1] power."""
         T = self.tower
+        zero = T.top.zero
         dy = self.degree_in(1)
         if dy < 0:
             return []
@@ -508,27 +480,15 @@ class BiPoly:
         out = []
         for row in rows:
             n = max(row) + 1 if row else 0
-            out.append(UniPoly(T, [row.get(k, T.zero()) for k in range(n)]))
-        while out and out[-1].is_zero():
-            out.pop()
-        return out
+            out.append(UniPoly(T, [row.get(k, zero) for k in range(n)]))
+        return trim(out, UniPoly.is_zero)
 
     @classmethod
     def from_ylist(cls, tower, vars, ylist):
-        terms = {}
-        for j, p in enumerate(ylist):
-            for i, c in enumerate(p.coeffs):
-                if not tower.is_zero(c):
-                    terms[(i, j)] = c
-        return cls(tower, vars, terms)
-
-    @classmethod
-    def from_unipoly(cls, p, vars, axis):
-        terms = {}
-        for k, c in enumerate(p.coeffs):
-            if not p.tower.is_zero(c):
-                terms[(k, 0) if axis == 0 else (0, k)] = c
-        return cls(p.tower, vars, terms)
+        """The polynomial with the UniPoly ylist[j] in vars[0] at vars[1]^j."""
+        return cls(
+            tower, vars, {(i, j): c for j, p in enumerate(ylist) for i, c in enumerate(p.coeffs)}
+        )
 
     def dehomogenized(self):
         """For a homogeneous form h, the UniPoly h(1, t) in vars[1]."""
@@ -538,7 +498,7 @@ class BiPoly:
         if not self.terms:
             return UniPoly.zero(T)
         d = self.total_degree
-        coeffs = [T.zero()] * (d + 1)
+        coeffs = [T.top.zero] * (d + 1)
         for (i, j), c in self.terms.items():
             coeffs[j] = c
         return UniPoly(T, coeffs)
@@ -575,13 +535,6 @@ def _ylist_scale(ylist, q):
     return [p.mul(q) for p in ylist]
 
 
-def _ylist_trim(ylist):
-    ylist = list(ylist)
-    while ylist and ylist[-1].is_zero():
-        ylist.pop()
-    return ylist
-
-
 def _ylist_prem(f, g):
     """Pseudo-remainder of f by g in K[x][y]; both nonempty, deg f >= deg g."""
     f = list(f)
@@ -594,7 +547,7 @@ def _ylist_prem(f, g):
         f = _ylist_scale(f, lcg)
         for k in range(dg + 1):
             f[df - dg + k] = f[df - dg + k].sub(top.mul(g[k]))
-        f = _ylist_trim(f)
+        trim(f, UniPoly.is_zero)
         if len(f) - 1 < dg:
             break
     return f
@@ -634,12 +587,13 @@ def _split_monomial(f):
 def _specialize(f, axis, c):
     """f with the variable other than vars[axis] set to c, as a UniPoly in vars[axis]."""
     T = f.tower
-    unit = c == T.one()
-    coeffs = [T.zero()] * (f.degree_in(axis) + 1)
+    level = T.top
+    unit = c == level.one
+    coeffs = [level.zero] * (f.degree_in(axis) + 1)
     for key, a in f.terms.items():
         if key[1 - axis] and not unit:
-            a = T.mul(a, T.pow(c, key[1 - axis]))
-        coeffs[key[axis]] = T.add(coeffs[key[axis]], a)
+            a = level.mul(a, T.pow(c, key[1 - axis]))
+        coeffs[key[axis]] = level.add(coeffs[key[axis]], a)
     return UniPoly(T, coeffs)
 
 
@@ -691,7 +645,7 @@ def _prs_gcd(f, g):
             break
         a, b = b, _ylist_primitive(r)[0]
     prim, _ = _ylist_primitive(a)
-    contpoly = BiPoly.from_unipoly(cont, f.vars, 0)
+    contpoly = BiPoly.from_ylist(T, f.vars, [cont])
     return BiPoly.from_ylist(T, f.vars, prim).mul(contpoly).normalized()
 
 

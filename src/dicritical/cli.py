@@ -30,6 +30,8 @@ MAX_PARSE_PRODUCT = 10 ** 6
 MAX_PARSE_COEFF_BITS = 10 ** 5
 # parentheses one expression may nest; each level takes four parser frames
 MAX_PARSE_NESTING = 100
+# characters of a simple-ideal path's extension name
+MAX_EXTENSION_NAME = 32
 
 
 def _check_degree(degree):
@@ -131,8 +133,6 @@ class _Parser:
         self.depth = 0
         self.tower = tower
         self.vars = vars
-        # only rational coefficients grow; F_p ones stay below p
-        self.over_q = tower.char == 0 and tower.height == 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -178,7 +178,8 @@ class _Parser:
             factor = self.parse_power()
             _check_degree(acc.total_degree + factor.total_degree)
             _check_pairs(len(acc.terms) * len(factor.terms))
-            if self.over_q:
+            # only rational coefficients grow; F_p ones stay below p
+            if self.tower.is_rationals:
                 _check_coeff_bits(_coeff_bits(acc) + _coeff_bits(factor))
             acc = acc.mul(factor)
         return acc
@@ -195,7 +196,7 @@ class _Parser:
             # BiPoly.pow squares its way up: no product it forms has a factor
             # beyond f^(2^(bits - 1))
             _check_pairs(_power_terms(base, 1 << max(e.bit_length() - 1, 0)) ** 2)
-            if self.over_q:
+            if self.tower.is_rationals:
                 _check_coeff_bits(_coeff_bits(base), e)
             return base.pow(e)
         return base
@@ -303,9 +304,10 @@ def _shallow(value, depth):
     return value
 
 
-def _parse_step(entry, tower):
+def _parse_step(entry, tower, vars):
     """One step from its JSON object; a missing or malformed field raises
-    KeyError, TypeError, ValueError or ZeroDivisionError."""
+    KeyError, TypeError, ValueError or ZeroDivisionError.  An extension's name
+    is written into every output path, so it must tell the generator apart."""
     chart = entry["chart"]
     if chart == "infinity":
         return QdtStep.infinity()
@@ -314,11 +316,18 @@ def _parse_step(entry, tower):
     ext = entry.get("extension")
     if ext is None:
         return QdtStep.affine(tower.element_from_data(entry["c"]))
+    name = ext["name"]
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier()
+            and len(name) <= MAX_EXTENSION_NAME) or name in vars or name in dict(tower.levels):
+        raise ParseError(
+            "extension name %s must be an ASCII identifier of at most %d characters that no "
+            "variable or earlier generator has" % (_clipped(name), MAX_EXTENSION_NAME), 0,
+        )
     minpoly = UniPoly(tower, [tower.element_from_data(c) for c in ext["minpoly"]])
     if minpoly.degree < 2:
         raise ParseError("an extension's minimal polynomial needs degree at least 2", 0)
     # a step's minimal polynomial is monic, as the round trip finds it
-    return QdtStep.affine_ext(ext["name"], minpoly.monic().coeffs)
+    return QdtStep.affine_ext(name, minpoly.monic().coeffs)
 
 
 def parse_path(data, tower, vars):
@@ -330,7 +339,7 @@ def parse_path(data, tower, vars):
         if not isinstance(entry, dict):
             raise ParseError("each step must be an object", 0)
         try:
-            step = _parse_step(entry, current)
+            step = _parse_step(entry, current, vars)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(
                 "malformed step %d, chart %s: %s (%s: %s)" % (
@@ -365,18 +374,6 @@ def _factorization_data(fact):
             {"path": _path_data(v.path), "exponent": n} for v, n in fact.exponents
         ],
     }
-
-
-def _render_path(path):
-    parts = []
-    for i, step in enumerate(path.steps):
-        if step.kind == "infinity":
-            parts.append("inf")
-        elif step.ext_name is not None:
-            parts.append("ext(%s)" % step.ext_name)
-        else:
-            parts.append("aff(%s)" % path.node_tower(i).render(step.c))
-    return "[" + " ".join(parts) + "]"
 
 
 # ----------------------------------------------------------------- reports
@@ -418,7 +415,7 @@ def _record_lines(records):
     for r in records:
         vals = " ".join("%s:%d" % (k, v) for k, v in sorted(r.values.items()))
         line = "divisor %s index=%d values %s" % (
-            _render_path(r.divisor.path),
+            r.divisor.path.render(),
             r.index,
             vals,
         )
@@ -483,7 +480,7 @@ def _cmd_basepoints(args, tower):
         lines.append(
             "node %s zariski=%d transform (%s)"
             % (
-                _render_path(node.path),
+                node.path.render(),
                 node.zariski,
                 ", ".join(g.render() for g in node.ideal.gens),
             )
@@ -498,7 +495,7 @@ def _cmd_zariski_factor(args, tower):
     report["factorization"] = _factorization_data(fact)
     lines = ["principal %s" % fact.principal.render()]
     for v, n in fact.exponents:
-        lines.append("simple %s exponent=%d" % (_render_path(v.path), n))
+        lines.append("simple %s exponent=%d" % (v.path.render(), n))
     return report, lines
 
 
@@ -645,8 +642,9 @@ def _cmd_abhyankar_family(args, tower):
         raise ParseError("family index must be a positive integer", 0)
     f, g, ideal = idealcalc.abhyankar_family(m, tower, args.vars)
     pencil = LocalIdeal(tower, args.vars, [f, g])
-    result = idealcalc.is_reduction(pencil, ideal, n_max=args.nmax)
-    records = dicritical_set(pencil, _tree_config(args))
+    config = _tree_config(args)
+    result = idealcalc.is_reduction(pencil, ideal, n_max=args.nmax, config=config)
+    records = dicritical_set(pencil, config)
     report = _base_report(args, args.expressions)
     report["records"] = [_record_data(r) for r in records]
     report["decision"] = result.decision

@@ -211,7 +211,7 @@ def _value_kernel(divisor, floor, bound):
     terminal = path.terminal_tower
     root = path.tower
     split = terminal.degree() != root.degree()
-    integral = root.base is None and not root.levels
+    integral = root.is_rationals
     one = root.one()
     vx, vy = divisor.coordinate_values()
     def below(f):  # terms of degree >= floor only feed terms of degree >= floor

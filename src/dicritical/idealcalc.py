@@ -311,11 +311,9 @@ def closure_data(ideal, config=None):
     tree = base_point_tree(ideal, config)
     p = tree.principal
     floors = []
-    for node in tree.nodes():
-        if node.zariski > 0:
-            v = PrimeDivisor(node.path)
-            c = sum(m * o for m, o in zip(v.intermediate_multiplicities(), node.orders))
-            floors.append((v, c if p.is_unit_at_origin() else c + v.value(p)))
+    for node, v in tree.dicritical_nodes():
+        c = sum(m * o for m, o in zip(v.intermediate_multiplicities(), node.orders))
+        floors.append((v, c if p.is_unit_at_origin() else c + v.value(p)))
     return ClosureData(tree, tuple(floors))
 
 

@@ -101,15 +101,19 @@ class QdtPath:
         return hash((self.tower, self.vars, self.steps))
 
     def __repr__(self):
-        bits = []
-        for i, step in enumerate(self.steps):
+        return "QdtPath" + self.render()
+
+    def render(self):
+        """The steps as text: [inf aff(c) ext(name) ...]."""
+        parts = []
+        for tower, step in zip(self._towers, self.steps):
             if step.kind == "infinity":
-                bits.append("Inf")
+                parts.append("inf")
             elif step.extends:
-                bits.append("Aff(%s!)" % step.ext_name)
+                parts.append("ext(%s)" % step.ext_name)
             else:
-                bits.append("Aff(%s)" % self._towers[i + 1].render(step.c))
-        return "QdtPath[%s]" % ", ".join(bits)
+                parts.append("aff(%s)" % tower.render(step.c))
+        return "[" + " ".join(parts) + "]"
 
     def pullback(self, f):
         """f in the terminal chart's coordinates, walked through the steps; f may

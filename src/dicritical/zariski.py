@@ -43,6 +43,11 @@ class BasePointTree(namedtuple("BasePointTree", "ideal principal root")):
             stack.extend(reversed(node.children))
         return out
 
+    def dicritical_nodes(self):
+        """(node, its PrimeDivisor) for each node of positive Zariski number, in
+        the order of nodes()."""
+        return [(node, PrimeDivisor(node.path)) for node in self.nodes() if node.zariski > 0]
+
 
 DicriticalRecord = namedtuple(
     "DicriticalRecord", "divisor index values degree global_values", defaults=(None, None)
@@ -94,11 +99,9 @@ def dicritical_set(J, config=None):
 def records_from_tree(tree):
     """One record per dicritical node; a record keeps no node, so no tree."""
     out = []
-    for node in tree.nodes():
-        if node.zariski > 0:
-            V = PrimeDivisor(node.path)
-            vals = dict(zip(V.vars, V.coordinate_values()))
-            out.append(DicriticalRecord(divisor=V, index=node.zariski, values=vals))
+    for node, V in tree.dicritical_nodes():
+        vals = dict(zip(V.vars, V.coordinate_values()))
+        out.append(DicriticalRecord(divisor=V, index=node.zariski, values=vals))
     return out
 
 
@@ -106,9 +109,7 @@ def zariski_factorization(J, config=None):
     tree = base_point_tree(J, config)
     return Factorization(
         principal=tree.principal,
-        exponents=tuple(
-            (PrimeDivisor(node.path), node.zariski) for node in tree.nodes() if node.zariski > 0
-        ),
+        exponents=tuple((V, node.zariski) for node, V in tree.dicritical_nodes()),
     )
 
 
@@ -125,9 +126,8 @@ def dicritical_of_rational(z, config=None):
     if z.num.is_unit_at_origin() or z.den.is_unit_at_origin():
         return []
     tree = base_point_tree(LocalIdeal(z.tower, z.vars, [z.num, z.den]), config)
-    nodes = (node for node in tree.nodes() if node.zariski > 0)
     out = []
-    for r, node in zip(records_from_tree(tree), nodes):
+    for r, (node, _) in zip(records_from_tree(tree), tree.dicritical_nodes()):
         image = initial_ratio(*node.ideal.gens)
         if image.is_constant():
             raise ConstantImage("the image is algebraic; V is not dicritical for z")

@@ -9,13 +9,17 @@ the earlier UniPoly.mul, divmod (div_rem here), gcd, pow_mod and shift loops and
 BiPoly.shifted, which call the tower's add, sub and mul once per
 coefficient; they take and return coefficient lists (low to high) with no
 top zeros.
+
+zxgcd is the extended Euclid that factor._bezout replaced for the Hensel
+lift over Q: it carries both cofactors through every division over F_p.
 """
 
 import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from dicritical.errors import ZeroInput
+from dicritical.arith.factor import _zadd, _zdivmod, _zmul
+from dicritical.errors import InternalInconsistency, ZeroInput
 
 _Level = namedtuple("_Level", "zero one add sub neg mul addmul submul inv is_zero")
 
@@ -226,3 +230,16 @@ def shifted(T, terms, c):
             if not T.is_zero(a):
                 out[(i, j)] = a
     return out
+
+
+def zxgcd(g, h, p):
+    """s, t with s g + t h = 1 mod p, for int lists g and h coprime mod p."""
+    r0, s0, t0, r1, s1, t1 = [c % p for c in g], [1], [], [c % p for c in h], [], [1]
+    while r1:
+        q, r = _zdivmod(r0, r1, p)
+        s, t = _zadd(s0, _zmul(q, s1, p), p, -1), _zadd(t0, _zmul(q, t1, p), p, -1)
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s, t
+    if len(r0) != 1:
+        raise InternalInconsistency("modular factors are not coprime")
+    inv = [pow(r0[0], -1, p)]
+    return _zmul(s0, inv, p), _zmul(t0, inv, p)

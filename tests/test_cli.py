@@ -426,6 +426,62 @@ def test_malformed_step_message_is_bounded(capsys, c):
     assert len(err.encode()) < 200
 
 
+def _extension_step(name, minpoly=("1", "0", "1")):
+    return {"chart": "affine", "c": None, "extension": {"name": name, "minpoly": list(minpoly)}}
+
+
+@pytest.mark.parametrize(
+    "steps,vars",
+    [
+        ([_extension_step([[["q"]]])], "x,y"),
+        ([_extension_step("b" * 5000)], "x,y"),
+        ([_extension_step(7)], "x,y"),
+        ([_extension_step("")], "x,y"),
+        ([_extension_step("b c")], "x,y"),
+        ([_extension_step("\u03b2")], "x,y"),
+        ([_extension_step("x")], "x,y"),
+        ([_extension_step("v")], "u,v"),
+        # t^2 - 2 is irreducible over Q(b), but b names the first generator
+        ([_extension_step("b"), _extension_step("b", ("-2", "0", "1"))], "x,y"),
+    ],
+    ids=["nested", "long", "number", "empty", "space", "non-ascii", "variable", "renamed-variable",
+         "earlier-generator"],
+)
+def test_extension_name_must_be_a_fresh_short_identifier(capsys, steps, vars):
+    # the name is written into every output path, so it must be one token
+    # that no variable or other generator of the path already uses
+    code, out, err = run(capsys, "simple-ideal", json.dumps(steps), "--vars", vars)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: extension name ")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+def test_second_extension_with_a_fresh_name(capsys):
+    steps = [_extension_step("b"), _extension_step("c", ("-2", "0", "1"))]
+    code, out, err = run(capsys, "simple-ideal", json.dumps(steps), "--format", "machine")
+    assert code == 0, err
+    assert [s["extension"]["name"] for s in json.loads(out)["records"][0]["path"]] == ["b", "c"]
+
+
+def test_abhyankar_family_budget_bounds_the_reduction_test(capsys, monkeypatch):
+    # --nodes bounds the trees of the reduction test too: the power chase
+    # stops at its first tree rather than running to the end
+    frames = []
+    real = idealcalc.TruncationFrame.__init__
+
+    def counting(self, *args, **kwargs):
+        frames.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(idealcalc.TruncationFrame, "__init__", counting)
+    assert run(capsys, "abhyankar-family", "6")[0] == 0
+    unbounded = len(frames)
+    del frames[:]
+    code, out, err = run(capsys, "abhyankar-family", "6", "--nodes", "1")
+    assert (code, out) == (5, "") and "1 nodes" in err
+    assert len(frames) < unbounded
+
+
 def test_non_monic_minimal_polynomial(capsys):
     # 2*t^2 + 2 names the same point as t^2 + 1
     for minpoly in (["1", "0", "1"], ["2", "0", "2"]):

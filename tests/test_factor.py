@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import poly_reference as ref
 from dicritical import cli
 from dicritical.arith import (
     QQ,
@@ -20,6 +21,7 @@ from dicritical.arith import (
 )
 from dicritical.arith import factor
 from dicritical.arith.factor import extend
+from dicritical.errors import InternalInconsistency
 
 F2 = FieldTower.prime_field(2)
 F5 = FieldTower.prime_field(5)
@@ -32,7 +34,8 @@ def up(tower, *coeffs):
 def reassemble(tower, lc, factors):
     acc = UniPoly.constant(tower, lc)
     for f, mult in factors:
-        acc = acc.mul(f.pow(mult))
+        for _ in range(mult):
+            acc = acc.mul(f)
     return acc
 
 
@@ -46,7 +49,7 @@ def test_rational_factor_quadratics():
 
 
 def test_rational_multiplicities():
-    f = up(QQ, 1, 1).pow(3).mul(up(QQ, 2, 1)).scale(QQ.from_int(5))
+    f = up(QQ, 1, 1).mul(up(QQ, 1, 1)).mul(up(QQ, 1, 1)).mul(up(QQ, 2, 1)).scale(QQ.from_int(5))
     lc, factors = factor_univariate(f)
     assert QQ.render(lc) == "5"
     assert reassemble(QQ, lc, factors) == f
@@ -63,7 +66,7 @@ def test_roots_in_field():
 
 
 def test_squarefree_decomposition_char_zero():
-    f = up(QQ, 0, 1).pow(2).mul(up(QQ, 1, 1))
+    f = up(QQ, 0, 1).mul(up(QQ, 0, 1)).mul(up(QQ, 1, 1))
     lc, parts = squarefree_decomposition(f)
     assert reassemble(QQ, lc, parts) == f
     assert sorted(m for _, m in parts) == [1, 2]
@@ -189,3 +192,24 @@ def test_linear_input_skips_the_squarefree_decomposition(tower, monkeypatch):
     monkeypatch.setattr(factor, "squarefree_decomposition", None)
     for f, want in zip(cases, expected):
         assert factor_univariate(f) == want
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 32003])
+def test_bezout_pair_matches_extended_euclid(p):
+    # the Hensel lift's s, t from two inverses against the extended Euclid
+    # that carried both cofactors; g as the lift makes it, h monic
+    level = FieldTower.prime_field(p).top
+    rng = random.Random("factor/bezout/%d" % p)
+    compared = 0
+    for _ in range(200):
+        g = [rng.randrange(p) for _ in range(rng.randint(1, 7))] + [rng.randrange(1, p)]
+        h = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+        try:
+            want = ref.zxgcd(g, h, p)
+        except InternalInconsistency:
+            continue
+        s, t = factor._bezout(level, g, h)
+        assert (s, t) == want
+        assert factor._zadd(factor._zmul(s, g, p), factor._zmul(t, h, p), p) == [1]
+        compared += 1
+    assert compared > 50

@@ -54,7 +54,8 @@ def engine_factors(coeffs):
     lc, factors = factor_univariate(f)
     acc = UniPoly.constant(QQ, lc)
     for g, m in factors:
-        acc = acc.mul(g.pow(m))
+        for _ in range(m):
+            acc = acc.mul(g)
     assert acc == f
     return lc, [(g.coeffs, m) for g, m in factors]
 

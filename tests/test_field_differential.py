@@ -6,7 +6,8 @@ degree and zero on each call, reduces products by the minimal polynomial one
 top coefficient at a time, and inverts by extended Euclid through polynomial
 division.  add, sub, mul, neg, inv, pow and is_zero must agree with the engine
 on seeded random elements of the prime fields, Q, simple extensions of F_7 of
-degree 2 to 6, and the nested towers F_5(a)(b) and Q(a)(b).
+degree 2 to 6, a cubic extension of F_32003, and the nested towers F_5(a)(b)
+and Q(a)(b).
 """
 
 import random
@@ -194,6 +195,8 @@ TOWERS = [
     ("F7", FieldTower.prime_field(7)),
     ("F32003", FieldTower.prime_field(32003)),
     *[("F7(a)-d%d" % (len(mp) - 1), FieldTower(7, [("a", mp)])) for mp in F7_MINPOLYS],
+    # a^3 + 2 a + 1 = 0: the prime of the infinity-sweep benchmark
+    ("F32003(a)", FieldTower(32003, [("a", (1, 2, 0, 1))])),
     # a^2 = 2, b^3 + 4 b^2 + a = 0
     ("F5(a)(b)", FieldTower(5, [("a", (3, 0, 1)), ("b", ((0, 1), (0, 0), (4, 0), (1, 0)))])),
     # a^2 = 2, b^2 + b = a

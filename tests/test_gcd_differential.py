@@ -54,7 +54,7 @@ def _poly(tower, rng, terms, degree):
 
 def _common_factor(tower, kind, rng):
     if kind == "constant":
-        return BiPoly.constant(tower, V, _scalar(tower, rng))
+        return BiPoly.monomial(tower, V, (0, 0), _scalar(tower, rng))
     x, y = BiPoly.variable(tower, V, "x"), BiPoly.variable(tower, V, "y")
     if kind == "adversarial":
         one = BiPoly.one(tower, V)

@@ -147,6 +147,17 @@ def test_extension_step_tower_chain():
     assert transform.min_order() >= 1
 
 
+def test_path_text_is_the_cli_format():
+    x, y = mk()
+    J = LocalIdeal(QQ, V, [y.pow(2).add(x.pow(2)), x.pow(3)])
+    (step, _), = base_point(J)[2]
+    path = QdtPath(QQ, V, [QdtStep.affine(QQ.from_int(-2)), QdtStep.infinity(), step])
+    path = path.extended(QdtStep.affine(path.terminal_tower.generator()))
+    assert path.render() == "[aff(-2) inf ext(a1) aff(a1)]"
+    assert repr(path) == "QdtPath[aff(-2) inf ext(a1) aff(a1)]"
+    assert repr(QdtPath(QQ, V)) == "QdtPath[]"
+
+
 def test_f5_directions():
     F5 = FieldTower.prime_field(5)
     x, y = mk(F5)

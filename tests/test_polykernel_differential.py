@@ -155,7 +155,7 @@ def test_fp_kernels_take_unreduced_ints():
     # inputs by multiples of p near 2^40 takes each product sum past 2^64
     p = 32003
     tower = FieldTower.prime_field(p)
-    R, level = ref.RefTower(tower), tower._at[-1]
+    R, level = ref.RefTower(tower), tower.top
     rng = random.Random("polykernel/unreduced")
 
     def unreduced(xs):

@@ -46,7 +46,7 @@ def random_poly(rng, tower, max_deg=3):
             i = rng.randint(0, max_deg)
             j = rng.randint(0, max_deg - i)
             term = BiPoly.monomial(tower, V, (i, j))
-            f = f.add(term.mul(BiPoly.constant(tower, V, rand_coeff(rng, tower))))
+            f = f.add(term.mul(BiPoly.monomial(tower, V, (0, 0), rand_coeff(rng, tower))))
         if not f.is_zero():
             return f
 
@@ -59,10 +59,10 @@ def random_primary(rng, tower, max_e=3):
         g = BiPoly.monomial(tower, V, (0, b))
         if rng.random() < 0.7:
             extra = BiPoly.monomial(tower, V, (0, rng.randint(1, max_e)))
-            f = f.add(extra.mul(BiPoly.constant(tower, V, rand_coeff(rng, tower, True))))
+            f = f.add(extra.mul(BiPoly.monomial(tower, V, (0, 0), rand_coeff(rng, tower, True))))
         if rng.random() < 0.4:
             extra = BiPoly.monomial(tower, V, (rng.randint(1, max_e), rng.randint(0, 1)))
-            g = g.add(extra.mul(BiPoly.constant(tower, V, rand_coeff(rng, tower, True))))
+            g = g.add(extra.mul(BiPoly.monomial(tower, V, (0, 0), rand_coeff(rng, tower, True))))
         J = LocalIdeal(tower, V, [f, g])
         if J.is_mprimary() and J.min_order() >= 1:
             return J

@@ -79,7 +79,7 @@ def step_substitution(tower, vars, step):
     w = BiPoly.variable(tower, vars, vars[1])
     if step.kind == "affine":
         c = step.constant_in(tower)
-        return u, u.mul(w.add(BiPoly.constant(tower, vars, c)))
+        return u, u.mul(w.add(BiPoly.monomial(tower, vars, (0, 0), c)))
     return u.mul(w), w
 
 
@@ -124,7 +124,7 @@ def checked(monkeypatch):
 def _with_a(J, tower):
     """J lifted to tower under x -> x + a*y, so its coefficients involve a."""
     x, y = BiPoly.variable(tower, V, "x"), BiPoly.variable(tower, V, "y")
-    sx = x + BiPoly.constant(tower, V, tower.generator()) * y
+    sx = x + BiPoly.monomial(tower, V, (0, 0), tower.generator()) * y
     return LocalIdeal(tower, V, [substitute(g.lift_to(tower), sx, y) for g in J.gens])
 
 
@@ -213,13 +213,13 @@ def test_shifted_matches_the_substitution(name, tower):
     for _ in range(30):
         f = props.random_poly(rng, tower, 6)
         for c in consts:
-            assert f.shifted(c) == substitute(f, x, y + BiPoly.constant(tower, V, c)), (f, c)
+            assert f.shifted(c) == substitute(f, x, y + BiPoly.monomial(tower, V, (0, 0), c)), (f, c)
 
 
 def _numerator_by_powers(f, tower, c, n):
     """z^N * f(1/z, (y+c)/z), summed term by term from powers of y + c."""
     z = BiPoly.variable(tower, FINITE_CHART, "z")
-    shifted = BiPoly.variable(tower, FINITE_CHART, "y") + BiPoly.constant(tower, FINITE_CHART, c)
+    shifted = BiPoly.variable(tower, FINITE_CHART, "y") + BiPoly.monomial(tower, FINITE_CHART, (0, 0), c)
     out = BiPoly.zero(tower, FINITE_CHART)
     for (i, j), a in f.terms.items():
         term = z.pow(n - i - j) * shifted.pow(j)

@@ -191,7 +191,7 @@ def _pulled_back_global_values(point, divisor):
     vz = divisor.value(BiPoly.variable(tower, chart, "z"))
     second = BiPoly.variable(tower, chart, chart[1])
     if point.kind == "finite":
-        vx, vy = -vz, divisor.value(second.add(BiPoly.constant(tower, chart, point.c))) - vz
+        vx, vy = -vz, divisor.value(second.add(BiPoly.monomial(tower, chart, (0, 0), point.c))) - vz
     else:
         vx, vy = divisor.value(second) - vz, -vz
     return dict(zip(point.input_vars, (vx, vy)))
