@@ -15,7 +15,6 @@ All returned factors are monic and canonically ordered.
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .fields import QQ, FieldTower, _convolution, _is_prime, _long_division, inv_mod, trim
 from .polynomials import UniPoly
@@ -241,7 +240,7 @@ def _factor_rationals(g):
     while modulus <= bound:
         modulus *= modulus
     lifted = _hensel_lift(f, modular, p, modulus)
-    out = [UniPoly(QQ, [Fraction(c) for c in h]).monic() for h in _recombine(f, lifted, modulus)]
+    out = [UniPoly(QQ, h).monic() for h in _recombine(f, lifted, modulus)]
     out.sort(key=_poly_key)
     return out
 

@@ -1,14 +1,16 @@
 """Coefficient fields: the rationals or a prime field, extended by a tower
 of simple algebraic extensions.
 
-Elements are plain immutable values rather than wrapper objects: a Fraction
-over Q, an int in [0, p) over F_p, and a fixed-length tuple of lower-level
-elements for each extension level.  The tower object owns the arithmetic;
-this keeps tight loops (linear algebra, polynomial products) cheap.
+Elements are plain immutable values rather than wrapper objects: over Q an
+int when integral, else a Fraction (see rational), an int in [0, p) over
+F_p, and a fixed-length tuple of lower-level elements for each extension
+level.  The tower object owns the arithmetic; this keeps tight loops
+(linear algebra, polynomial products) cheap.
 
 Each level's arithmetic is a set of closures built once, when the tower is
-constructed: plain Fraction or mod-p int operations at the ground, and for
-every extension level operations composed from the level below.
+constructed: int and Fraction operations made canonical by rational, or
+mod-p int operations, at the ground, and for every extension level
+operations composed from the level below.
 """
 
 import operator
@@ -59,10 +61,16 @@ _Level = namedtuple(
 )
 
 
+def rational(x):
+    """The canonical Q element equal to the int or Fraction x: an int when
+    x is integral, else a Fraction with denominator > 1."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 def _rational_inv(a):
     if not a:
         raise ZeroInput("division by zero")
-    return 1 / a
+    return rational(Fraction(1, a))
 
 
 def _convolution(a, b, zero):
@@ -141,23 +149,25 @@ def inv_mod(level, a, m):
 
 
 def _ground(p):
-    """Q for p None, else F_p, on Fractions or ints in [0, p).
+    """Q for p None, on canonical rationals, else F_p, on ints in [0, p).
 
-    The kernels add up plain products; over F_p each output coefficient
-    takes one % p, and a remainder may start from unreduced ints.  A product
-    modulo m is one such sum per coefficient, divided by m before any % p."""
+    The kernels add up plain products; each output coefficient then passes
+    once through rational over Q, or takes one % p over F_p, and a remainder
+    may start from unreduced values.  A product modulo m is one such sum per
+    coefficient, divided by m before any % p."""
     if p is None:
-        zero = Fraction(0)
 
         def pmul(a, b):
-            return _convolution(a, b, zero)
+            return [rational(c) for c in _convolution(a, b, 0)]
 
         def pdivmod(a, m):
-            return _long_division(list(a), m, operator.pos)
+            q, r = _long_division(list(a), m, rational)
+            return q, [rational(c) for c in r]
 
         return _Level(
-            zero, Fraction(1), operator.add, operator.sub, operator.neg, operator.mul,
-            lambda s, a, b: s + a * b, lambda s, a, b: s - a * b, _rational_inv, operator.not_,
+            0, 1, lambda a, b: rational(a + b), lambda a, b: rational(a - b), operator.neg,
+            lambda a, b: rational(a * b), lambda s, a, b: rational(s + a * b),
+            lambda s, a, b: rational(s - a * b), _rational_inv, operator.not_,
             pmul, pdivmod, _composed_mulmod(pmul, pdivmod),
         )
 
@@ -370,7 +380,7 @@ class FieldTower:
         return self.top.one
 
     def from_int(self, n):
-        return self._lift(Fraction(n) if self.base is None else n % self.base, 0)
+        return self._lift(n if self.base is None else n % self.base, 0)
 
     def is_zero(self, e):
         return self._is_zero(e)
@@ -454,8 +464,7 @@ class FieldTower:
 
     def _unflatten(self, k, it):
         if k == 0:
-            v = next(it)
-            return Fraction(v) if self.base is None else v % self.base
+            return next(it)
         d = self.level_degree(k - 1)
         return tuple(self._unflatten(k - 1, it) for _ in range(d))
 
@@ -513,7 +522,7 @@ class FieldTower:
             if not all(part.isascii() and part.isdigit() for part in body.split("/", 1)):
                 raise ValueError("element data %.40r is neither an integer nor p/q" % text)
             if self.base is None:
-                return Fraction(text)
+                return rational(Fraction(text))
             return int(text) % self.base
         if not isinstance(data, list):
             # a bare scalar lifts as a constant

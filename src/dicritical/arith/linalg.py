@@ -13,7 +13,7 @@ Over Q it is a primitive integer row (content 1, positive pivot) and the
 sweep is fraction free, after Bareiss: a vector's denominators are cleared
 once, by their lcm, and a stored row s with pivot p met at a coefficient c
 turns the working vector r into a*r - b*s, with g = gcd(p, c), a = p/g and
-b = c/g, so no Fraction is built.  The residual comes back as integers
+b = c/g, in plain int arithmetic.  The residual comes back as integers
 times a reported scale: the lcm times the product of the a's.
 """
 
@@ -47,7 +47,7 @@ def sweep(tower, vec, lookup, top=False):
     submul, is_zero = level.submul, level.is_zero
     integral = tower.is_rationals
     if integral:
-        scale, zero = lcm(*[c.denominator for c in vec.values()]), 0
+        scale = lcm(*[c.denominator for c in vec.values()])
         work = {k: c.numerator * (scale // c.denominator) for k, c in vec.items() if c}
     else:
         scale, zero = 1, level.zero
@@ -77,7 +77,10 @@ def sweep(tower, vec, lookup, top=False):
                 residual = {kk: a * v for kk, v in residual.items()}
         for kk, rc in terms:
             if kk != k:
-                nxt = submul(work.get(kk, zero), c, rc)
+                if integral:
+                    nxt = work.get(kk, 0) - c * rc
+                else:
+                    nxt = submul(work.get(kk, zero), c, rc)
                 if is_zero(nxt):
                     work.pop(kk, None)
                 else:

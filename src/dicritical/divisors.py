@@ -9,6 +9,7 @@ coordinate) on the exceptional line.
 
 from fractions import Fraction
 
+from .arith.fields import rational
 from .arith.linalg import stored_row, sweep
 from .arith.polynomials import BiPoly, bipoly_gcd
 from .errors import BudgetExceeded, InternalInconsistency, NonzeroValue, ZeroInput
@@ -205,7 +206,14 @@ def _value_kernel(divisor, floor, bound):
     coefficient is 1.  That vector is the only one in the kernel supported on
     its column and the kept columns before it, so it is the vector of that
     free column in the reduced row echelon form: the unit entry first, then
-    the kept columns in order, over Q as Fractions.
+    the kept columns in order, over Q as canonical rationals.
+
+    Terms of degree >= floor only feed terms of degree >= floor, so the
+    images are products of the pullbacks of x and y modulo those terms, and
+    no product of two terms whose degrees reach the floor is formed.  The
+    images of row i = 0 are repeated products by y's pullback, and each
+    later row is the row before it times x's pullback, one product per
+    column.
     """
     path = divisor.path
     terminal = path.terminal_tower
@@ -213,15 +221,31 @@ def _value_kernel(divisor, floor, bound):
     split = terminal.degree() != root.degree()
     integral = root.is_rationals
     one = root.one()
+    mul, addmul = terminal.top.mul, terminal.top.addmul
     vx, vy = divisor.coordinate_values()
-    def below(f):  # terms of degree >= floor only feed terms of degree >= floor
-        return BiPoly(terminal, f.vars, {m: c for m, c in f.terms.items() if sum(m) < floor})
-    fx, fy = (below(path.pullback(BiPoly.variable(root, path.vars, v))) for v in path.vars)
-    xpows = [BiPoly.one(terminal, fx.vars)]
-    ypows = [BiPoly.one(terminal, fx.vars)]
-    for _ in range(bound - 1):
-        xpows.append(below(xpows[-1] * fx))
-        ypows.append(below(ypows[-1] * fy))
+
+    def ascending(f):
+        """f's (exponents, coefficient) pairs of degree < floor, by degree."""
+        return sorted((t for t in f.terms.items() if sum(t[0]) < floor), key=lambda t: sum(t[0]))
+
+    def times(f, g):
+        """The (exponents, coefficient) pairs of degree < floor of f * g, for g
+        ascending by degree."""
+        out = {}
+        for (i1, j1), a in f:
+            room = floor - i1 - j1
+            for (i2, j2), b in g:
+                if i2 + j2 >= room:
+                    break
+                key = (i1 + i2, j1 + j2)
+                out[key] = addmul(out[key], a, b) if key in out else mul(a, b)
+        return out.items()
+
+    fx, fy = (ascending(path.pullback(BiPoly.variable(root, path.vars, v))) for v in path.vars)
+    # images[j] is the image of x^i*y^j, for the j with i*vx + j*vy < floor
+    images = [[((0, 0), terminal.one())]]
+    while len(images) < bound and len(images) * vy < floor:
+        images.append(times(images[-1], fy))
     kept = {}
     def lookup(k):
         row = kept.get(k)
@@ -229,6 +253,9 @@ def _value_kernel(divisor, floor, bound):
     tagged = (floor, 0)  # above the mono of every image key (mono, component)
     kernel = []
     for i in range(bound):
+        if i:
+            images = [times(image, fx) for j, image in enumerate(images[:bound - i])
+                      if i * vx + j * vy < floor]
         for j in range(bound - i):
             e = (i, j)
             if i * vx + j * vy >= floor:
@@ -236,9 +263,7 @@ def _value_kernel(divisor, floor, bound):
                 continue
             tag = (tagged, e)
             vec = {tag: one}
-            for mono, coeff in (xpows[i] * ypows[j]).terms.items():
-                if mono[0] + mono[1] >= floor:
-                    continue
+            for mono, coeff in images[j]:
                 if not split:
                     vec[mono, 0] = coeff
                 else:
@@ -254,7 +279,7 @@ def _value_kernel(divisor, floor, bound):
             vec = {e: one}
             for k, c in res.items():
                 if k != tag:
-                    vec[k[1]] = Fraction(c, scale) if integral else c
+                    vec[k[1]] = rational(Fraction(c, scale)) if integral else c
             kernel.append(vec)
     return kernel
 

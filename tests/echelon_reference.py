@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from dicritical.arith.linalg import stored_row, sweep
 from dicritical.arith.polynomials import BiPoly
+from poly_reference import canonical
 
 
 class SparseEchelon:
@@ -47,7 +48,7 @@ def kernel_basis(tower, rows, columns):
     free column in column order: the free column's unit entry first, then
     the negated entries of the reduced row echelon form, pivot columns in
     order.  That form is unique, so the basis depends only on the row span;
-    over Q its entries are Fractions, whatever the rows held.
+    over Q its entries are canonical rationals, whatever the rows held.
     """
     T = tower
     col_index = {c: i for i, c in enumerate(columns)}
@@ -63,7 +64,7 @@ def kernel_basis(tower, rows, columns):
         w, scale = ech.reduce({k: c for k, c in row.items() if k != p})
         for j, c in w.items():
             entries.setdefault(j, []).append(
-                (p, Fraction(c, scale * row[p]) if ech.integral else c)
+                (p, canonical(Fraction(c, scale * row[p])) if ech.integral else c)
             )
     basis = []
     for j, col in enumerate(columns):

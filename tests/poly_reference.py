@@ -8,7 +8,8 @@ of the level below once per top coefficient.  The polynomial functions are
 the earlier UniPoly.mul, divmod (div_rem here), gcd, pow_mod and shift loops and
 BiPoly.shifted, which call the tower's add, sub and mul once per
 coefficient; they take and return coefficient lists (low to high) with no
-top zeros.
+top zeros.  Over Q the ground closures hold rationals in the engine's
+canonical form, an int when integral, through their own normalizer.
 
 zxgcd is the extended Euclid that factor._bezout replaced for the Hensel
 lift over Q: it carries both cofactors through every division over F_p.
@@ -24,18 +25,32 @@ from dicritical.errors import InternalInconsistency, ZeroInput
 _Level = namedtuple("_Level", "zero one add sub neg mul addmul submul inv is_zero")
 
 
+def canonical(x):
+    """The rational x as the engine stores it over Q: an int when integral,
+    else a Fraction (denominator > 1)."""
+    x = Fraction(x)
+    return int(x) if x.denominator == 1 else x
+
+
+def is_canonical(c):
+    """Whether the scalar c is in that form."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def _rational_inv(a):
     if not a:
         raise ZeroInput("division by zero")
-    return 1 / a
+    return canonical(1 / Fraction(a))
 
 
 def _ground(p):
-    """Q for p None, else F_p, on Fractions or ints in [0, p)."""
+    """Q for p None, on canonical rationals, else F_p, on ints in [0, p)."""
     if p is None:
         return _Level(
-            Fraction(0), Fraction(1), operator.add, operator.sub, operator.neg, operator.mul,
-            lambda s, a, b: s + a * b, lambda s, a, b: s - a * b, _rational_inv, operator.not_,
+            0, 1, lambda a, b: canonical(a + b), lambda a, b: canonical(a - b),
+            lambda a: canonical(-a), lambda a, b: canonical(a * b),
+            lambda s, a, b: canonical(s + a * b), lambda s, a, b: canonical(s - a * b),
+            _rational_inv, operator.not_,
         )
 
     def inv(a):

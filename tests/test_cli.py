@@ -528,6 +528,16 @@ def test_exit_simple_ideal_degree_budget(capsys, steps):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("m", ["32", "44"])
+def test_exit_abhyankar_family_frame_budget(capsys, m):
+    # below m = 45 the pencil fits, but from m = 32 on the frame search for
+    # I_m doubles its degree past MAX_FRAME_DEGREE
+    start = time.perf_counter()
+    code, _, err = run(capsys, "abhyankar-family", m)
+    assert code == 5 and "frame budget exhausted" in err
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize("m", ["45", "100000000000000000000"])
 def test_exit_abhyankar_family_degree_budget(capsys, m):
     # deg G_m = m(m+1)/2 passes MAX_FRAME_DEGREE = 1024 from m = 45 on

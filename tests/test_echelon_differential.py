@@ -20,6 +20,7 @@ import pytest
 from dicritical.arith import QQ, FieldTower
 
 from echelon_reference import SparseEchelon, kernel_basis
+from poly_reference import canonical, is_canonical
 
 F7 = FieldTower.prime_field(7)
 F7A = F7.extended("a", (1, 0, 1))  # a^2 = -1
@@ -80,7 +81,8 @@ class FractionEchelon:
 
 
 def fraction_kernel(rows, columns):
-    """kernel_basis as it was over Q, on the Fraction echelon."""
+    """kernel_basis over Q on the Fraction echelon, its entries canonical
+    rationals: an int when integral, else a Fraction."""
     col_index = {c: i for i, c in enumerate(columns)}
     ech = FractionEchelon()
     for row in rows:
@@ -94,9 +96,9 @@ def fraction_kernel(rows, columns):
     for j, col in enumerate(columns):
         if j in ech.rows:
             continue
-        vec = {col: Fraction(1)}
+        vec = {col: 1}
         for p, c in entries.get(j, ()):
-            vec[columns[p]] = -c
+            vec[columns[p]] = canonical(-c)
         basis.append(vec)
     return basis
 
@@ -144,6 +146,10 @@ def _assert_primitive(ech):
         assert gcd(*row.values()) == 1
 
 
+def _typed(kernel):
+    return [[(k, c, type(c)) for k, c in v.items()] for v in kernel]
+
+
 KINDS = ["small", "int", "huge"]
 # the Fraction reference is slow on 500-bit entries, so fewer of those
 CASES = {"small": 60, "int": 60, "huge": 8}
@@ -182,8 +188,8 @@ def test_kernel_basis_matches_fraction_kernel(kind):
         rows = _rows(rng, columns, kind)
         got = kernel_basis(QQ, rows, columns)
         want = fraction_kernel(rows, columns)
-        assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
-        assert all(type(c) is Fraction for v in got for c in v.values())
+        assert _typed(got) == _typed(want)
+        assert all(is_canonical(c) for v in got for c in v.values())
 
 
 def test_rows_over_finite_towers_keep_pivot_one():

@@ -18,6 +18,7 @@ import pytest
 from dicritical.arith import QQ, FieldTower, UniPoly
 from dicritical.arith.factor import is_irreducible
 from dicritical.errors import ZeroInput
+from poly_reference import canonical
 
 
 class RefTower:
@@ -33,16 +34,16 @@ class RefTower:
 
     def zero_at(self, k):
         if k == 0:
-            return Fraction(0) if self.base is None else 0
+            return 0
         return tuple([self.zero_at(k - 1)] * self.level_degree(k - 1))
 
     def one_at(self, k):
         if k == 0:
-            return Fraction(1) if self.base is None else 1
+            return 1
         return tuple([self.one_at(k - 1)] + [self.zero_at(k - 1)] * (self.level_degree(k - 1) - 1))
 
     def _ground(self, v):
-        return v % self.base if self.base is not None else v
+        return v % self.base if self.base is not None else canonical(v)
 
     def is_zero_k(self, k, a):
         if k == 0:
@@ -101,7 +102,7 @@ class RefTower:
             if self.base is None:
                 if a == 0:
                     raise ZeroInput("division by zero")
-                return 1 / a
+                return canonical(1 / Fraction(a))
             if a % self.base == 0:
                 raise ZeroInput("division by zero")
             return pow(a, self.base - 2, self.base)
@@ -170,12 +171,13 @@ class RefTower:
 
 
 def _random_element(tower, k, rng):
-    """A level-k element with about a third of its ground scalars zero."""
+    """A level-k element with about a third of its ground scalars zero, over Q
+    in the canonical form the engine keeps."""
     if k == 0:
         if rng.random() < 0.3:
-            return Fraction(0) if tower.base is None else 0
+            return 0
         if tower.base is None:
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            return canonical(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         return rng.randrange(tower.base)
     return tuple(_random_element(tower, k - 1, rng) for _ in range(tower.level_degree(k - 1)))
 

@@ -1,12 +1,15 @@
 """Field tower arithmetic: rationals, prime fields, and nested extensions."""
 
+import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
 from dicritical.arith import QQ, FieldTower, UniPoly
 from dicritical.arith.factor import extend
-from dicritical.errors import NotIrreducible
+from dicritical.errors import NotIrreducible, ZeroInput
+from poly_reference import is_canonical
 
 
 def test_rational_basics():
@@ -18,6 +21,53 @@ def test_rational_basics():
     assert QQ.render(QQ.add(a, b)) == "7/2"
     assert QQ.is_zero(QQ.sub(a, a))
     assert QQ.mul(b, QQ.from_int(2)) == QQ.one()
+
+
+def test_rational_closures_stay_canonical():
+    # every closure of the Q level takes canonical rationals, ints and
+    # Fractions mixed, and returns the exact value in canonical form
+    rng = random.Random("canonical rationals")
+    level = QQ.top
+
+    def draw():
+        c = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 6)))
+        return c.numerator if c.denominator == 1 else c
+
+    def drawn(n):
+        return [draw() for _ in range(n)]
+
+    def convolution(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    def check(got, want):
+        assert is_canonical(got) and got == want
+
+    assert type(level.zero) is int and type(level.one) is int
+    for _ in range(400):
+        s, a, b = drawn(3)
+        check(level.add(a, b), Fraction(a) + b)
+        check(level.sub(a, b), Fraction(a) - b)
+        check(level.neg(a), -Fraction(a))
+        check(level.mul(a, b), Fraction(a) * b)
+        check(level.addmul(s, a, b), s + Fraction(a) * b)
+        check(level.submul(s, a, b), s - Fraction(a) * b)
+        if a:
+            check(level.inv(a), 1 / Fraction(a))
+        p, q = drawn(rng.randint(0, 5)), drawn(rng.randint(0, 5))
+        prod = level.pmul(p, q)
+        assert all(map(is_canonical, prod)) and prod == convolution(p, q)
+        m = drawn(rng.randint(0, 3)) + [1]
+        quo, rem = level.pdivmod(p, m)
+        assert len(rem) == min(len(p), len(m) - 1)
+        assert all(map(is_canonical, quo + rem))
+        back = convolution(quo, m) or [0] * len(p)
+        assert [x + y for x, y in zip_longest(back, rem, fillvalue=0)] == p
+    with pytest.raises(ZeroInput):
+        level.inv(0)
 
 
 def test_prime_field():

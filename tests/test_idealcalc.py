@@ -13,12 +13,14 @@ import pytest
 
 import test_frame_differential as fd
 import test_properties as props
-from dicritical import idealcalc as ic
-from dicritical.arith import QQ, BiPoly, FieldTower
+from dicritical import cli, idealcalc as ic
+from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly
+from dicritical.arith.factor import factor_univariate
 from dicritical.divisors import PrimeDivisor, simple_ideal
 from dicritical.errors import NotMPrimary, Unstable
 from dicritical.nearpoints import LocalIdeal, QdtPath, QdtStep
 from dicritical.zariski import base_point_tree
+from poly_reference import is_canonical
 
 V = ("x", "y")
 X = BiPoly.variable(QQ, V, "x")
@@ -337,18 +339,47 @@ def test_abhyankar_family_golden_6_to_8():
         assert ic.closure_colength(J) == ic.colength(I)
 
 
-def test_simple_ideal_coefficients_stay_fractions():
-    # the kernel's integer rows must not leak ints into generators: rendering
-    # and _gen_key read Fractions
+def test_q_coefficients_are_canonical_rationals():
+    # over Q an integral coefficient is an int and any other a Fraction with
+    # denominator > 1, whichever path built it
     inf, aff = QdtStep.infinity(), QdtStep.affine
     paths = [
-        [aff(Fraction(0))] * 7,
-        [inf, aff(Fraction(2)), aff(Fraction(2)), inf, aff(Fraction(0))],
+        [aff(0)] * 7,
+        [inf, aff(2), aff(2), inf, aff(0)],
         [aff(Fraction(-1, 3)), inf, aff(Fraction(5, 2))],
     ]
+    seen = set()
     for steps in paths:
         ideal = simple_ideal(PrimeDivisor(QdtPath(QQ, V, steps)))
-        assert all(type(c) is Fraction for g in ideal.gens for c in g.terms.values())
+        coeffs = [c for g in ideal.gens for c in g.terms.values()]
+        assert all(map(is_canonical, coeffs))
+        seen.update(map(type, coeffs))
+    assert seen == {int, Fraction}
+    half = Fraction(1, 2)
+    gens = [X * X + Y.scale(half), (X * Y).scale(6), (Y * Y).scale(Fraction(4, 3)) + X * X]
+    ideal = ic.minimal_generators(LocalIdeal(QQ, V, gens))
+    assert all(is_canonical(c) for g in ideal.gens for c in g.terms.values())
+    # (2/3)(t - 1/2)(t + 1/2)(t + 3)^2
+    f = UniPoly(QQ, [Fraction(2, 3)])
+    for root, m in ((-half, 1), (half, 1), (3, 2)):
+        for _ in range(m):
+            f = f.mul(UniPoly(QQ, [root, 1]))
+    lc, parts = factor_univariate(f)
+    assert lc == Fraction(2, 3) and sorted(m for _, m in parts) == [1, 1, 2]
+    assert all(is_canonical(c) for g, _ in parts for c in g.coeffs)
+    g = cli.parse_polynomial("6*x^2 - 4*y + 1", QQ, V)
+    assert [type(c) for c in g.terms.values()] == [int] * 3
+    z = cli.parse_rational("(2*x - 3*y + 6)/(4*y + 8)", QQ, V)
+    coeffs = [c for g in (z.num, z.den) for c in g.terms.values()]
+    assert all(map(is_canonical, coeffs)) and {int, Fraction} <= set(map(type, coeffs))
+    for data, want in (("3", 3), ("-2/9", Fraction(-2, 9)), ("6/3", 2), ("-0", 0), ("+4/2", 2)):
+        e = QQ.element_from_data(data)
+        assert type(e) is type(want) and e == want
+        assert QQ.element_from_data(QQ.element_to_data(e)) == e
+    K = FieldTower(None, [("i", (1, 0, 1))])
+    e = K.element_from_data(["4/2", "1/3"])
+    assert [type(c) for c in e] == [int, Fraction] and e == (2, Fraction(1, 3))
+    assert K.element_from_data(K.element_to_data(e)) == e
 
 
 def test_abhyankar_family_over_f5():
