@@ -55,9 +55,11 @@ def _is_prime(n):
 #                  remainder as a list of min(len(a), d) coefficients;
 #   mulmod(m)      for a monic m of degree d, the function (a, b) -> the
 #                  remainder of a * b modulo m as a d-tuple, for products of
-#                  at least d coefficients.
+#                  at least d coefficients;
+# and one element kernel for many products by the same element:
+#   times(c)       the pair (a -> c * a, (s, a) -> s + c * a).
 _Level = namedtuple(
-    "_Level", "zero one add sub neg mul addmul submul inv is_zero pmul pdivmod mulmod"
+    "_Level", "zero one add sub neg mul addmul submul inv is_zero pmul pdivmod mulmod times"
 )
 
 
@@ -108,6 +110,59 @@ def _composed_mulmod(pmul, pdivmod):
     return mulmod
 
 
+def _composed_kernels(mul, add, sub):
+    """mul, addmul, submul and times of an extension level whose product is
+    mul, over a level below with the given add and sub: each multiply-add
+    reduces its product first, and times(c) is mul with c fixed."""
+    return (
+        mul,
+        lambda s, a, b: tuple(map(add, s, mul(a, b))),
+        lambda s, a, b: tuple(map(sub, s, mul(a, b))),
+        lambda c: (lambda a: mul(c, a), lambda s, a: tuple(map(add, s, mul(c, a)))),
+    )
+
+
+def _scalar_kernels(m, reduce):
+    """mul, addmul, submul and times modulo the monic scalar list m of degree
+    d over the ground, whose canonical form of an unreduced scalar is reduce.
+    Each output coordinate is one unreduced sum, reduced once: a product sum
+    of degree d or more as it is cancelled, the rest after s is added.
+    times(c) first builds the d x d matrix of a -> c * a, column k being
+    c * t^k modulo m, so that each product by c is d dot products.  mul
+    takes products of at least d coefficients."""
+    d = len(m) - 1
+    tail = [(j, y) for j, y in enumerate(m[:d]) if y]
+    add, sub, dot = operator.add, operator.sub, operator.mul
+
+    def remainder(a, b):
+        c = _convolution(a, b, 0)
+        for i in range(len(c) - 1, d - 1, -1):
+            top = reduce(c[i])
+            if top:
+                for j, y in tail:
+                    c[i - d + j] -= top * y
+        return c[:d]
+
+    def times(c):
+        # column k is c * t^k modulo m: the column before, times t
+        cols = [c]
+        for _ in range(d - 1):
+            top, col = cols[-1][-1], (0,) + cols[-1][:-1]
+            cols.append(tuple([reduce(x - top * y) for x, y in zip(col, m)]) if top else col)
+        rows = list(zip(*cols))
+        return (
+            lambda a: tuple([reduce(sum(map(dot, r, a))) for r in rows]),
+            lambda s, a: tuple([reduce(x + sum(map(dot, r, a))) for x, r in zip(s, rows)]),
+        )
+
+    return (
+        lambda a, b: tuple(map(reduce, remainder(a, b))),
+        lambda s, a, b: tuple(map(reduce, map(add, s, remainder(a, b)))),
+        lambda s, a, b: tuple(map(reduce, map(sub, s, remainder(a, b)))),
+        times,
+    )
+
+
 def trim(c, is_zero):
     """The coefficient list c without its top zeros, trimmed in place."""
     while c and is_zero(c[-1]):
@@ -148,6 +203,12 @@ def inv_mod(level, a, m):
     return [mul(c, x) for x in s1]
 
 
+def _scalar_reduce(p):
+    """The ground's canonical form of an unreduced scalar: rational over Q
+    (p None), one % p over F_p."""
+    return rational if p is None else p.__rmod__
+
+
 def _ground(p):
     """Q for p None, on canonical rationals, else F_p, on ints in [0, p).
 
@@ -155,6 +216,11 @@ def _ground(p):
     once through rational over Q, or takes one % p over F_p, and a remainder
     may start from unreduced values.  A product modulo m is one such sum per
     coefficient, divided by m before any % p."""
+    reduce = _scalar_reduce(p)
+
+    def mulmod(m):
+        return _scalar_kernels(m, reduce)[0]
+
     if p is None:
 
         def pmul(a, b):
@@ -168,7 +234,8 @@ def _ground(p):
             0, 1, lambda a, b: rational(a + b), lambda a, b: rational(a - b), operator.neg,
             lambda a, b: rational(a * b), lambda s, a, b: rational(s + a * b),
             lambda s, a, b: rational(s - a * b), _rational_inv, operator.not_,
-            pmul, pdivmod, _composed_mulmod(pmul, pdivmod),
+            pmul, pdivmod, mulmod,
+            lambda c: (lambda a: rational(c * a), lambda s, a: rational(s + c * a)),
         )
 
     def inv(a):
@@ -177,50 +244,42 @@ def _ground(p):
         return pow(a, -1, p)
 
     def pdivmod(a, m):
-        q, r = _long_division(list(a), m, p.__rmod__)
+        q, r = _long_division(list(a), m, reduce)
         return q, [c % p for c in r]
-
-    def mulmod(m):
-        d = len(m) - 1
-        tail = [(j, y) for j, y in enumerate(m[:d]) if y]
-
-        def mul(a, b):
-            c = _convolution(a, b, 0)
-            for i in range(len(c) - 1, d - 1, -1):
-                top = c[i] % p
-                if top:
-                    for j, y in tail:
-                        c[i - d + j] -= top * y
-            return tuple([x % p for x in c[:d]])
-
-        return mul
 
     return _Level(
         0, 1, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a: -a % p,
         lambda a, b: a * b % p, lambda s, a, b: (s + a * b) % p,
         lambda s, a, b: (s - a * b) % p, inv, operator.not_,
         lambda a, b: [c % p for c in _convolution(a, b, 0)], pdivmod, mulmod,
+        lambda c: (lambda a: c * a % p, lambda s, a: (s + c * a) % p),
     )
 
 
-def _extension(below, mp):
+def _extension(below, mp, scalar=None):
     """below[t]/(mp) for a monic mp over below; elements are d-tuples, low to high.
 
-    A product is the product of the level below followed by its remainder
-    modulo mp, one mulmod kernel call below.  The polynomial kernels pack a
-    list of elements into one list over the level below, each element
-    followed by d - 1 zeros, so that the products of two elements never
-    overlap: one product kernel below then gives, for every output
-    coefficient, the unreduced sum of its products, and each output
-    coefficient is reduced modulo mp once.
+    Directly over the ground, scalar is given (see _scalar_reduce) and the
+    element kernels, times(c) among them, are _scalar_kernels.  Higher up, a
+    product is the product of the level below followed by its remainder
+    modulo mp, one mulmod kernel call below (_composed_kernels).
+
+    The polynomial kernels pack a list of elements into one list over the
+    level below, each element followed by d - 1 zeros, so that the products
+    of two elements never overlap: one product kernel below then gives, for
+    every output coefficient, the unreduced sum of its products, and each
+    output coefficient is reduced modulo mp once.
     """
     zb, ob = below.zero, below.one
     add_b, sub_b, pmul_b, pdivmod_b = below.add, below.sub, below.pmul, below.pdivmod
-    mul = below.mulmod(mp)
     d = len(mp) - 1
     w = 2 * d - 1  # the stride of a packed list
     pad = (zb,) * (d - 1)
     zero = (zb,) * d
+    if scalar is None:
+        mul, addmul, submul, times = _composed_kernels(below.mulmod(mp), add_b, sub_b)
+    else:
+        mul, addmul, submul, times = _scalar_kernels(mp, scalar)
 
     def reduce(c):
         """A list over the level below, of d to 2d - 1 entries, modulo mp."""
@@ -265,13 +324,14 @@ def _extension(below, mp):
         lambda a, b: tuple(map(sub_b, a, b)),
         lambda a: tuple(map(below.neg, a)),
         mul,
-        lambda s, a, b: tuple(map(add_b, s, mul(a, b))),
-        lambda s, a, b: tuple(map(sub_b, s, mul(a, b))),
+        addmul,
+        submul,
         inv,
         lambda a: a == zero,
         pmul,
         pdivmod,
         _composed_mulmod(pmul, pdivmod),
+        times,
     )
 
 
@@ -298,7 +358,7 @@ class FieldTower:
         for name, mp in levels:
             if len(mp) < 3:
                 raise ValueError(f"minimal polynomial for {name} must have degree >= 2")
-            at.append(_extension(at[-1], mp))
+            at.append(_extension(at[-1], mp, None if len(at) > 1 else _scalar_reduce(base)))
         top = at[-1]
         for attr, value in (
             ("base", base), ("levels", levels), ("top", top), ("_at", tuple(at)),

@@ -5,10 +5,29 @@ a sparse exponent dict keyed by (i, j).  Both are value objects: operations
 return fresh instances and never mutate their arguments.
 """
 
+from functools import partial
 from itertools import zip_longest
 
 from .fields import trim
 from ..errors import InternalInconsistency, ZeroPolynomial
+
+
+def _scaling(level, c, n):
+    """a -> c * a, for n elements that share c.  At an extension level the
+    times kernel's set-up costs about one product and each of its products
+    about half of one: it breaks even at two to three elements for degrees
+    2 to 6, so it serves four or more."""
+    return level.times(c)[0] if n > 3 else partial(level.mul, c)
+
+
+def _taylor_shift(a, addmul):
+    """The list a, low to high, replaced in place by the coefficients of
+    a(t + c), where addmul(s, x) = s + c * x: n(n + 1)/2 multiply-adds for
+    degree n (Horner's rule, once per degree)."""
+    for k in range(len(a) - 1):
+        for j in range(len(a) - 2, k - 1, -1):
+            a[j] = addmul(a[j], a[j + 1])
+    return a
 
 
 class UniPoly:
@@ -84,8 +103,7 @@ class UniPoly:
         return UniPoly(self.tower, [neg(c) for c in self.coeffs])
 
     def scale(self, c):
-        mul = self.tower.top.mul
-        return UniPoly(self.tower, [mul(c, a) for a in self.coeffs])
+        return UniPoly(self.tower, map(_scaling(self.tower.top, c, len(self.coeffs)), self.coeffs))
 
     def mul(self, other):
         return UniPoly(self.tower, self.tower.top.pmul(self.coeffs, other.coeffs))
@@ -99,9 +117,10 @@ class UniPoly:
         if m[-1] == level.one:
             quo, rem = level.pdivmod(self.coeffs, m)
         else:
-            inv = level.inv(m[-1])
-            quo, rem = level.pdivmod(self.coeffs, [level.mul(inv, c) for c in m])
-            quo = [level.mul(inv, c) for c in quo]
+            # the scaling serves m and the quotient, len(a) - len(m) + 1 long
+            scale = _scaling(level, level.inv(m[-1]), max(len(self.coeffs) + 1, len(m)))
+            quo, rem = level.pdivmod(self.coeffs, list(map(scale, m)))
+            quo = list(map(scale, quo))
         return UniPoly(T, quo), UniPoly(T, rem)
 
     def mod(self, other):
@@ -124,8 +143,7 @@ class UniPoly:
         level = self.tower.top
         a, b = self.coeffs, other.coeffs
         while b:
-            inv = level.inv(b[-1])
-            b = [level.mul(inv, c) for c in b]
+            b = list(map(_scaling(level, level.inv(b[-1]), len(b)), b))
             a, b = b, trim(level.pdivmod(a, b)[1], level.is_zero)
         return UniPoly(self.tower, a)
 
@@ -159,12 +177,7 @@ class UniPoly:
         level = self.tower.top
         if level.is_zero(c):
             return self
-        addmul = level.addmul
-        a = list(self.coeffs)
-        for k in range(len(a) - 1):
-            for j in range(len(a) - 2, k - 1, -1):
-                a[j] = addmul(a[j], c, a[j + 1])
-        return UniPoly(self.tower, a)
+        return UniPoly(self.tower, _taylor_shift(list(self.coeffs), level.times(c)[1]))
 
     def render(self, varname):
         T = self.tower
@@ -295,8 +308,7 @@ class BiPoly:
         return BiPoly(self.tower, self.vars, {k: neg(c) for k, c in self.terms.items()})
 
     def scale(self, c):
-        mul = self.tower.top.mul
-        return BiPoly(self.tower, self.vars, {k: mul(c, a) for k, a in self.terms.items()})
+        return self.mul_monomial((0, 0), c)
 
     def mul(self, other):
         level = self.tower.top
@@ -315,9 +327,9 @@ class BiPoly:
         di, dj = exps
         if c is None:
             return BiPoly(T, self.vars, {(i + di, j + dj): a for (i, j), a in self.terms.items()})
-        mul = T.top.mul
+        scale = _scaling(T.top, c, len(self.terms))
         return BiPoly(
-            T, self.vars, {(i + di, j + dj): mul(c, a) for (i, j), a in self.terms.items()}
+            T, self.vars, {(i + di, j + dj): scale(a) for (i, j), a in self.terms.items()}
         )
 
     def pow(self, e):
@@ -413,11 +425,12 @@ class BiPoly:
         rows = {}
         for (i, j), a in self.terms.items():
             rows.setdefault(i, {})[j] = a
+        addmul = level.times(c)[1]
         out = {}
         for i, row in rows.items():
-            p = UniPoly(T, [row.get(j, level.zero) for j in range(max(row) + 1)]).shift(c)
-            for j, a in enumerate(p.coeffs):
-                out[(i, j)] = a
+            a = _taylor_shift([row.get(j, level.zero) for j in range(max(row) + 1)], addmul)
+            for j, x in enumerate(a):
+                out[(i, j)] = x
         return BiPoly(T, self.vars, out)
 
     def lift_to(self, bigger):

@@ -98,11 +98,12 @@ def dicritical_set(J, config=None):
 
 def records_from_tree(tree):
     """One record per dicritical node; a record keeps no node, so no tree."""
-    out = []
-    for node, V in tree.dicritical_nodes():
-        vals = dict(zip(V.vars, V.coordinate_values()))
-        out.append(DicriticalRecord(divisor=V, index=node.zariski, values=vals))
-    return out
+    return [_record(node, V) for node, V in tree.dicritical_nodes()]
+
+
+def _record(node, V, degree=None):
+    values = dict(zip(V.vars, V.coordinate_values()))
+    return DicriticalRecord(divisor=V, index=node.zariski, values=values, degree=degree)
 
 
 def zariski_factorization(J, config=None):
@@ -127,11 +128,11 @@ def dicritical_of_rational(z, config=None):
         return []
     tree = base_point_tree(LocalIdeal(z.tower, z.vars, [z.num, z.den]), config)
     out = []
-    for r, (node, _) in zip(records_from_tree(tree), tree.dicritical_nodes()):
+    for node, V in tree.dicritical_nodes():
         image = initial_ratio(*node.ideal.gens)
         if image.is_constant():
             raise ConstantImage("the image is algebraic; V is not dicritical for z")
-        out.append(r._replace(degree=r.divisor.residue_degree() * image.degree))
+        out.append(_record(node, V, V.residue_degree() * image.degree))
     return out
 
 

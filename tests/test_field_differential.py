@@ -4,10 +4,10 @@ The reference below keeps the earlier FieldTower arithmetic: every operation
 recurses through the levels with an explicit level index, looks up the level's
 degree and zero on each call, reduces products by the minimal polynomial one
 top coefficient at a time, and inverts by extended Euclid through polynomial
-division.  add, sub, mul, neg, inv, pow and is_zero must agree with the engine
-on seeded random elements of the prime fields, Q, simple extensions of F_7 of
-degree 2 to 6, a cubic extension of F_32003, and the nested towers F_5(a)(b)
-and Q(a)(b).
+division.  add, sub, mul, the level's addmul and submul, neg, inv, pow and
+is_zero must agree with the engine on seeded random elements of the prime
+fields, Q, simple extensions of F_7 of degree 2 to 6, a cubic extension of
+F_32003, and the nested towers F_5(a)(b) and Q(a)(b).
 """
 
 import random
@@ -228,10 +228,13 @@ def test_level_ops_match_reference(name, tower):
             assert inv == ref.inv_k(k, a)
             assert tower.mul(a, inv) == tower.one()
             assert tower.pow(a, -3) == ref.pow(a, -3)
-    for a, b in zip(elems, elems[1:] + elems[:1]):
+    level = tower.top
+    for s, a, b in zip(elems[2:] + elems[:2], elems, elems[1:] + elems[:1]):
         assert tower.add(a, b) == ref.add_k(k, a, b)
         assert tower.sub(a, b) == ref.sub_k(k, a, b)
         assert tower.mul(a, b) == ref.mul_k(k, a, b)
+        assert level.addmul(s, a, b) == ref.add_k(k, s, ref.mul_k(k, a, b))
+        assert level.submul(s, a, b) == ref.sub_k(k, s, ref.mul_k(k, a, b))
 
 
 @pytest.mark.parametrize("name,tower", TOWERS, ids=[n for n, _ in TOWERS])

@@ -1,7 +1,8 @@
 """The per-level polynomial kernels against the loops they replaced.
 
 UniPoly.mul, divmod, gcd, pow_mod and shift and BiPoly.shifted now fetch the
-top level of the tower once and call its kernels or closures: a product
+top level of the tower once and call its kernels or closures (times(c), for
+many products by one c, against the level's mul and addmul): a product
 and a division by a monic polynomial that add up unreduced products and
 reduce once per output coefficient, and an extension level whose element
 product is the product kernel below followed by the remainder modulo its
@@ -148,6 +149,23 @@ def test_shift_and_shifted(name, tower):
             got = f.shifted(c).terms
             want = ref.shifted(R, f.terms, c)
             assert {k: _typed(v) for k, v in got.items()} == {k: _typed(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("name,tower", FIELDS, ids=IDS)
+def test_times_matches_mul_and_addmul(name, tower):
+    # times(c) multiplies by a precomputed matrix directly over the ground,
+    # and composes mul and addmul elsewhere: the same values and types
+    level = tower.top
+    rng = random.Random("polykernel/times/%s" % name)
+    elems = [_element(tower, rng) for _ in range(30)] + [tower.zero(), tower.one()]
+    multipliers = [tower.zero(), tower.one(), _nonzero(tower, rng)]
+    if tower.height:
+        multipliers.append(tower.generator())
+    for c in multipliers:
+        product, addproduct = level.times(c)
+        for s, a in zip(elems[1:] + elems[:1], elems):
+            assert _typed(product(a)) == _typed(level.mul(c, a))
+            assert _typed(addproduct(s, a)) == _typed(level.addmul(s, c, a))
 
 
 def test_fp_kernels_take_unreduced_ints():

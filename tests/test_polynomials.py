@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly, bipoly_gcd, square
 from dicritical.arith import fields
 from dicritical.arith.factor import extend
 from dicritical.errors import ZeroPolynomial
+from dicritical.nearpoints import LocalIdeal, QdtStep, transform_ideal
 from direction_reference import homogeneous_gcd
 
 F5 = FieldTower.prime_field(5)
@@ -153,6 +155,50 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
     monkeypatch.setattr(FieldTower, "mul", lambda T, a, b: muls.append(1) or real_fmul(T, a, b))
     assert F5.pow(2, 7) == 3
     assert len(muls) == 5
+
+
+def test_extension_scalings_build_one_matrix(monkeypatch):
+    # over F_7(a), a^3 = 4: a shift and the normalizer of a transform make
+    # no call to the level's general mul or addmul, and one times(c) (one
+    # matrix) per polynomial; towers built after the patch count them
+    calls = Counter()
+    real_extension = fields._extension
+
+    def counting(name, fn):
+        return lambda *args: calls.update((name,)) or fn(*args)
+
+    def counting_extension(below, mp, *rest):
+        level = real_extension(below, mp, *rest)
+        return level._replace(**{
+            name: counting(name, getattr(level, name)) for name in ("mul", "addmul", "times")})
+
+    monkeypatch.setattr(fields, "_extension", counting_extension)
+    T = FieldTower(7, [("a", (3, 0, 0, 1))])
+    a = T.generator()
+    rng = random.Random("scalings")
+    terms = {(i, j): tuple(rng.randrange(7) for _ in range(3)) for i in range(3) for j in range(5)}
+    f = BiPoly(T, V, terms)
+    calls.clear()
+    shifted = f.shifted(a)
+    assert calls == {"times": 1}
+    # the shift agrees with the level's own multiply-adds
+    level = T.top
+    for i in range(3):
+        row = [terms.get((i, j), T.zero()) for j in range(5)]
+        for k in range(4):
+            for j in range(3, k - 1, -1):
+                row[j] = level.addmul(row[j], a, row[j + 1])
+        assert all(shifted.coeff(i, j) == row[j] for j in range(5))
+
+    # at infinity there is no shift: each generator of at least four terms is
+    # scaled through one matrix, a two-term generator by two products
+    x, y = BiPoly.variable(T, V, "x"), BiPoly.variable(T, V, "y")
+    long = x.pow(2).add(y.pow(3)).add(x.mul(y).scale(a)).add(x.pow(2).mul(y).scale(T.from_int(2)))
+    short = x.pow(3).add(y.pow(2).scale(a))
+    J = LocalIdeal(T, V, [long.scale(a), short])
+    calls.clear()
+    transform_ideal(J, QdtStep.infinity())
+    assert calls == {"times": 1, "mul": 2}
 
 
 def test_squarefree_part():
