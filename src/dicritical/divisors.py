@@ -13,7 +13,7 @@ from .arith.fields import rational
 from .arith.linalg import stored_row, sweep
 from .arith.polynomials import BiPoly, bipoly_gcd
 from .errors import BudgetExceeded, InternalInconsistency, NonzeroValue, ZeroInput
-from .nearpoints import LocalIdeal, pullback_order
+from .nearpoints import pullback_order
 
 
 class RationalFn:
@@ -291,8 +291,9 @@ def simple_ideal(V):
     against the node multiplicities of v.  Membership in zeta is linear on
     coefficients once a degree bound is in hand: M^D lies inside zeta for
     D = ceil(c / v(M)), so generators are a kernel over monomials of degree
-    < D plus all monomials of degree D, minimalized by Nakayama.  The result
-    is checked by refactoring.
+    < D plus all monomials of degree D, trimmed against the span of the
+    kernel's shifts (idealcalc._span_generators).  The result is checked by
+    refactoring.
     """
     path = V.path
     T = path.tower
@@ -301,7 +302,7 @@ def simple_ideal(V):
     c = sum(a * b for a, b in zip(V.point_basis(), r))
     D = -(-c // r[0])
 
-    from .idealcalc import MAX_FRAME_DEGREE, minimal_generators
+    from .idealcalc import MAX_FRAME_DEGREE, _span_generators
     from .zariski import zariski_factorization
 
     if D > MAX_FRAME_DEGREE:
@@ -311,10 +312,7 @@ def simple_ideal(V):
             "MAX_FRAME_DEGREE = %d" % (D if D < 10 ** 18 else "above 10^18", MAX_FRAME_DEGREE)
         )
 
-    gens = [BiPoly(T, vars, vec) for vec in _value_kernel(V, c, D)]
-    for i in range(D + 1):
-        gens.append(BiPoly.monomial(T, vars, (i, D - i)))
-    ideal = minimal_generators(LocalIdeal(T, vars, gens), frame_degree=D)
+    ideal = _span_generators(T, vars, _value_kernel(V, c, D), D)
     fact = zariski_factorization(ideal)
     if len(fact.exponents) != 1 or fact.exponents[0][1] != 1:
         raise InternalInconsistency("candidate simple ideal does not factor simply")

@@ -29,18 +29,28 @@ class TruncationFrame:
     makes enough in two variables.  A key is reduced by the element with the
     lowest lead dividing it.  Once a degree layer d of the leading ideal is
     full, M^d lies in the image and every term of degree d or more is dropped.
+
+    A monomial ideal's basis is its staircase: the minimal exponents below the
+    bound, as one-term elements with coefficient one and no S-pairs.
     """
 
     __slots__ = ("ideal", "bound", "_width", "_limit", "_basis", "_queue", "_tick")
 
     def __init__(self, ideal, bound, target=None):
-        """target: stop once the colength falls to it; only colength is then exact."""
+        """target: stop once the colength falls to it; only colength is then
+        exact, and only if target is at most the ideal's colength."""
         self.ideal, self.bound = ideal, bound
         self._width = max(bound, 1)
         self._limit = bound * self._width
         # [a, b, (keys, coefficients)] per lead x^a y^b, keys ascending; the
         # terms become None once a new lead divides x^a y^b
         self._basis, self._queue, self._tick = [], [], count()
+        if all(g.is_monomial() for g in ideal.gens):
+            one, w = ideal.tower.one(), self._width
+            self._basis = [[a, b, (((a + b) * w + a,), (one,))]
+                           for a, b in _minimal_exponents(ideal.gens) if a + b < bound]
+            self._cut()
+            return
         for g in ideal.gens:
             self._push(self._row(g))
         self._complete(target)
@@ -113,6 +123,10 @@ class TruncationFrame:
         lo = max(pos - 1, 0)
         for left, right in zip(basis[lo:pos + 1], basis[lo + 1:pos + 2]):
             self._push((left, right), right[0] + left[1])
+        self._cut()
+
+    def _cut(self):
+        """Drop the terms of degree d and more once layer d is full."""
         full = self.full_degree()
         if full is not None:
             self._limit = min(self._limit, full * self._width)
@@ -221,14 +235,21 @@ def _dedupe(tower, gens):
     return out
 
 
-def _prune_monomials(tower, vars, gens):
-    """The monomial ideal of the minimal exponents of gens: sorted by (i, j),
-    an exponent is kept when its j is below every kept j."""
+def _minimal_exponents(gens):
+    """The minimal exponents of monomials gens: sorted by (i, j), an exponent
+    is kept when its j is below every kept j."""
     keep = []
     for e in sorted(next(iter(g.terms)) for g in gens):
         if not keep or e[1] < keep[-1][1]:
             keep.append(e)
-    return LocalIdeal(tower, vars, [BiPoly.monomial(tower, vars, e) for e in keep])
+    return keep
+
+
+def _prune_monomials(tower, vars, gens):
+    """The monomial ideal of the minimal exponents of gens."""
+    return LocalIdeal(
+        tower, vars, [BiPoly.monomial(tower, vars, e) for e in _minimal_exponents(gens)]
+    )
 
 
 def product(j, k):
@@ -248,29 +269,77 @@ def power(j, n):
     return result
 
 
-def minimal_generators(ideal, frame_degree=None):
-    """Trim a generating set to a minimal one (Nakayama on I / M.I)."""
+def _nakayama_trim(tower, vars, gens, survives):
+    """The distinct gens in _gen_key order, each kept when survives(g) finds it
+    outside M.I plus the span of those kept, and adds it there.
+
+    The loop stops at ord(I) + 1 generators: mu(I) <= ord(I) + 1 in a
+    two-dimensional regular local ring (Huneke-Swanson ch. 14).  With I = f.K
+    and K M-primary or R, Hilbert-Burch generates K by the maximal minors of a
+    mu x (mu - 1) matrix with entries in M, so ord(I) >= ord(K) >= mu - 1.
+    """
+    room, kept = min(g.ord_at_origin() for g in gens) + 1, []
+    for g in sorted(gens, key=lambda g: _gen_key(tower, g)):
+        if len(kept) < room and survives(g):
+            kept.append(g)
+    return LocalIdeal(tower, vars, kept)
+
+
+def minimal_generators(ideal):
+    """Trim a generating set to a minimal one (Nakayama on I / M.I): monomials
+    keep their minimal exponents, a principal part is split off, and the rest
+    is trimmed against the frame of M.I."""
     tower = ideal.tower
     if ideal.is_unit():
         return LocalIdeal(tower, ideal.vars, [BiPoly.one(tower, ideal.vars)])
     if all(g.is_monomial() for g in ideal.gens):
         return _prune_monomials(tower, ideal.vars, ideal.gens)
-    if frame_degree is None:
-        principal, residual = strip_principal(ideal)
-        if not principal.is_constant():
-            trimmed = minimal_generators(residual)
-            return LocalIdeal(
-                tower, ideal.vars, [g.mul(principal) for g in trimmed.gens]
-            )
-        frame_degree = stabilized_frame(ideal).full_degree()
-    # M^frame_degree lies in the ideal, so M^(frame_degree + 1) lies in M.I;
-    # M.I is generated by the x.g and y.g, and M.I plus the kept generators is
-    # an ideal, since M.g lies in M.I
+    principal, residual = strip_principal(ideal)
+    if not principal.is_constant():
+        trimmed = minimal_generators(residual)
+        return LocalIdeal(
+            tower, ideal.vars, [g.mul(principal) for g in trimmed.gens]
+        )
+    # M^d lies in the ideal, so M^(d + 1) lies in M.I; M.I is generated by the
+    # x.g and y.g, and M.I plus the kept generators is an ideal, since M.g
+    # lies in M.I
+    bound = stabilized_frame(ideal).full_degree() + 1
     gens = _dedupe(tower, ideal.gens)
     shifts = [g.mul_monomial(e) for g in gens for e in ((1, 0), (0, 1))]
-    frame = TruncationFrame(LocalIdeal(tower, ideal.vars, shifts), frame_degree + 1)
-    kept = [g for g in sorted(gens, key=lambda g: _gen_key(tower, g)) if frame.insert(g)]
-    return LocalIdeal(tower, ideal.vars, kept)
+    frame = TruncationFrame(LocalIdeal(tower, ideal.vars, shifts), bound)
+    return _nakayama_trim(tower, ideal.vars, gens, frame.insert)
+
+
+def _span_generators(tower, vars, basis, degree):
+    """Minimal generators of I = span(basis) + M^degree, for basis (exponent
+    dicts below that degree) a basis of I / M^degree.
+
+    Modulo M^(degree + 1), I is spanned by basis and the monomials of that
+    degree, and M.I by the x.b and y.b, since h.b lies in I for h in R.  So
+    the shifts go into one sweep echelon, keyed degree first, with no
+    S-pairs, and the candidates are trimmed against it.
+    """
+    gens = [BiPoly(tower, vars, vec) for vec in basis]
+    gens += [BiPoly.monomial(tower, vars, (i, degree - i)) for i in range(degree + 1)]
+    if all(g.is_monomial() for g in gens):
+        return _prune_monomials(tower, vars, gens)
+    w, rows = degree + 1, {}
+
+    def lookup(k):
+        row = rows.get(k)
+        return row and (row[k], row.items())
+
+    def survives(terms, dx=0, dy=0):
+        vec = {(i + j + dx + dy) * w + i + dx: c for (i, j), c in terms.items()}
+        res = sweep(tower, vec, lookup, top=True)[0]
+        if res:
+            rows[min(res)] = stored_row(tower, res)
+        return bool(res)
+
+    for vec in basis:
+        survives(vec, 1, 0)
+        survives(vec, 0, 1)
+    return _nakayama_trim(tower, vars, gens, lambda g: survives(g.terms))
 
 
 class ClosureData(namedtuple("ClosureData", "tree floors")):

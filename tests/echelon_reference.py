@@ -1,16 +1,20 @@
-"""The row echelon and the kernel path that simple_ideal used before the
-column sweep, kept as references for the differential tests.
+"""The row echelon, the kernel path and the trim that simple_ideal used
+before the column sweep and the span trim, kept as references for the
+differential tests.
 
 SparseEchelon inserts row vectors through the engine's sweep; kernel_basis
 reads the null space off the reduced row echelon form; _valuation_rows turns
 'value >= floor' into one row per (monomial, component) of the truncated
-pullbacks, over the columns that _monomials_below lists.
+pullbacks, over the columns that _monomials_below lists; frame_trim trims a
+generating set against the truncation frame of M.I.
 """
 
 from fractions import Fraction
 
+from dicritical import idealcalc as ic
 from dicritical.arith.linalg import stored_row, sweep
 from dicritical.arith.polynomials import BiPoly
+from dicritical.nearpoints import LocalIdeal
 from poly_reference import canonical
 
 
@@ -114,3 +118,24 @@ def _valuation_rows(divisor, floor, columns):
                         rows.setdefault((mono, k), {})[e] = part
     return [rows[key] for key in sorted(rows)]
 
+
+def frame_trim(ideal, frame_degree):
+    """Minimal generators of an ideal containing M^frame_degree: the frame of
+    M.I from every x.g and y.g at bound frame_degree + 1, then each generator
+    inserted in _gen_key order and kept when it did not reduce to zero.
+    Monomial generators keep their minimal exponents."""
+    tower, vars = ideal.tower, ideal.vars
+    if all(g.is_monomial() for g in ideal.gens):
+        return list(ic._prune_monomials(tower, vars, ideal.gens).gens)
+    gens = ic._dedupe(tower, ideal.gens)
+    shifts = [g.mul_monomial(e) for g in gens for e in ((1, 0), (0, 1))]
+    frame = ic.TruncationFrame(LocalIdeal(tower, vars, shifts), frame_degree + 1)
+    return [g for g in sorted(gens, key=lambda g: ic._gen_key(tower, g)) if frame.insert(g)]
+
+
+def frame_span_generators(tower, vars, basis, degree):
+    """The simple-ideal trim before the span sweep: basis and the monomials of
+    degree `degree`, trimmed by frame_trim."""
+    gens = [BiPoly(tower, vars, vec) for vec in basis]
+    gens += [BiPoly.monomial(tower, vars, (i, degree - i)) for i in range(degree + 1)]
+    return frame_trim(LocalIdeal(tower, vars, gens), degree)

@@ -110,6 +110,11 @@ def test_colength_text(capsys):
     assert code == 0 and out == "colength 6\n"
 
 
+def test_colength_drops_a_zero_generator(capsys):
+    code, out, _ = run(capsys, "colength", "0, x^2, y^3")
+    assert code == 0 and out == "colength 6\n"
+
+
 def test_closure_member_text(capsys):
     code, out, _ = run(capsys, "closure-member", "x^2*y", "x^3, y^2")
     assert code == 0 and out == "decision true\n"

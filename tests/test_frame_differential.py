@@ -20,6 +20,13 @@ The third reference inserts every shift g * x^a * y^b of every generator
 that leaves a term below the bound.  The leading monomials of a frame must
 be exactly its pivots, over Q, F_5 and F_7(a), at bounds below, at and above
 the frame's full degree.
+
+The fourth reference runs the frame's own Buchberger loop on monomial
+ideals, which the frame now reads off as their staircase.  Basis, cut,
+colength, full degree, membership, a later non-monomial insert and the
+target stop must agree on seeded monomial ideals with coefficients other
+than one over Q, F_5 and F_7(a), M-primary or not, at bounds below, at and
+above the full degree.
 """
 
 import random
@@ -31,9 +38,9 @@ import pytest
 import test_properties as props
 import test_transform_differential as td
 from echelon_reference import SparseEchelon
-from dicritical import idealcalc as ic
+from dicritical import divisors, idealcalc as ic
 from dicritical.arith import QQ, BiPoly, FieldTower
-from dicritical.nearpoints import LocalIdeal
+from dicritical.nearpoints import LocalIdeal, QdtPath, QdtStep
 
 V = ("x", "y")
 F5 = FieldTower.prime_field(5)
@@ -360,7 +367,7 @@ def test_standard_basis_matches_echelon_frame(tower, ground, seed):
             f, g = ideal.gens[:2]
             x = BiPoly.variable(tower, V, "x")
             padded = LocalIdeal(tower, V, list(ideal.gens) + [f.add(g), f.mul(x).add(g)])
-            assert _render(ic.minimal_generators(padded, frame_degree=d).gens) == _render(
+            assert _render(ic.minimal_generators(padded).gens) == _render(
                 echelon_minimal_generators(padded, d)
             )
     assert frames > 100
@@ -390,3 +397,113 @@ def test_reduction_chase_targets_match_echelon(tower):
             assert target == EchelonFrame(lifted, bound).colength()
             assert (ic.TruncationFrame(small, bound, target).colength() == target) == by_membership
             current = lifted
+
+
+def buchberger_frame(ideal, bound, target=None):
+    """A TruncationFrame built by its Buchberger loop whatever the generators."""
+    frame = object.__new__(ic.TruncationFrame)
+    frame.ideal, frame.bound = ideal, bound
+    frame._width = max(bound, 1)
+    frame._limit = bound * frame._width
+    frame._basis, frame._queue, frame._tick = [], [], count()
+    for g in ideal.gens:
+        frame._push(frame._row(g))
+    frame._complete(target)
+    return frame
+
+
+def _coefficient(rng, tower):
+    """A nonzero coefficient other than one: a quotient over Q, 2..p-1 over
+    F_p, and a + c over F_7(a)."""
+    if tower.levels:
+        return tower.add(tower.generator(), tower.from_int(rng.randrange(7)))
+    if tower.char:
+        return tower.from_int(rng.randrange(2, tower.char))
+    n = rng.choice([-5, -3, -2, 2, 3, 7])
+    return tower.mul(tower.from_int(n), tower.inv(tower.from_int(rng.choice([1, 2, 3, 4]))))
+
+
+def _monomial_ideals(rng, tower):
+    """Seeded monomial ideals with coefficients, M-primary and not, with
+    redundant generators, and the fixed cases (x^2, x.y) and (x^3, x^2.y^2)."""
+    def mono(e):
+        return BiPoly.monomial(tower, V, e, _coefficient(rng, tower))
+
+    yield LocalIdeal(tower, V, [mono((2, 0)), mono((1, 1))])
+    yield LocalIdeal(tower, V, [mono((3, 0)), mono((2, 2))])
+    for k in range(24):
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        exps = {(a, 0), (0, b)} if k % 3 else {(a, rng.randint(1, 3)), (rng.randint(0, 2), b)}
+        for _ in range(rng.randint(0, 4)):
+            exps.add((rng.randint(0, a + 2), rng.randint(0, b + 2)))
+        exps.discard((0, 0))
+        yield LocalIdeal(tower, V, [mono(e) for e in sorted(exps, key=lambda e: rng.random())])
+
+
+@pytest.mark.parametrize(
+    "tower,seed", [(QQ, 1500), (F5, 1505), (F7A, 1507)], ids=["Q", "F5", "F7(a)"]
+)
+def test_staircase_frame_matches_buchberger(tower, seed):
+    rng = random.Random(seed)
+    x, y = (BiPoly.variable(tower, V, v) for v in V)
+    cases = 0
+    for ideal in _monomial_ideals(rng, tower):
+        d = buchberger_frame(ideal, 32).full_degree()
+        bounds = {1, 3, 6} if d is None else {1, max(d - 1, 1), d, d + 1, 2 * d + 1}
+        for bound in sorted(bounds):
+            frame, ref = ic.TruncationFrame(ideal, bound), buchberger_frame(ideal, bound)
+            cases += 1
+            assert frame._basis == ref._basis and frame._limit == ref._limit
+            assert frame.colength() == ref.colength()
+            assert frame.full_degree() == ref.full_degree()
+            for p in _probes(rng, tower, ideal, bound) + [x.mul(y).add(y.pow(bound))]:
+                assert frame.contains(p) == ref.contains(p)
+            for target in {0, max(ref.colength() - 2, 0), ref.colength()}:
+                assert (ic.TruncationFrame(ideal, bound, target).colength()
+                        == buchberger_frame(ideal, bound, target).colength())
+            extra = props.random_poly(rng, tower, 4).add(x.add(y).pow(2))
+            assert frame.insert(extra) == ref.insert(extra)
+            assert frame._basis == ref._basis and frame._limit == ref._limit
+            assert frame.colength() == ref.colength()
+            assert frame.full_degree() == ref.full_degree()
+            for p in _probes(rng, tower, ideal, bound):
+                assert frame.contains(p) == ref.contains(p)
+    assert cases > 100
+
+
+def test_zero_generator_leaves_the_staircase():
+    # the zero polynomial is no monomial: LocalIdeal drops it before the frame
+    x, y = (BiPoly.variable(QQ, V, v) for v in V)
+    ideal = LocalIdeal(QQ, V, [BiPoly.zero(QQ, V), x.pow(2), y.pow(3)])
+    assert ic.colength(ideal) == 6
+    frame = ic.stabilized_frame(ideal)
+    assert frame._basis == buchberger_frame(ideal, frame.bound)._basis
+
+
+def test_known_answers_build_no_buchberger(monkeypatch):
+    # a monomial ideal's colength reads its staircase, and simple_ideal trims
+    # against the span of its kernel's shifts: neither sweeps a frame for M.I
+    sweeps, frames = [], []
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[1])
+        return sweep(*args, **kwargs)
+
+    class Frame(ic.TruncationFrame):
+        def __init__(self, *args, **kwargs):
+            frames.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    sweep = ic.sweep
+    monkeypatch.setattr(ic, "sweep", counted)
+    monkeypatch.setattr(ic, "TruncationFrame", Frame)
+    for tower in (QQ, F5, F7A):
+        ideal = LocalIdeal(tower, V, [BiPoly.monomial(tower, V, e, tower.from_int(3))
+                                      for e in ((7, 0), (4, 2), (1, 5), (0, 9))])
+        assert ic.colength(ideal) == 9 + 3 * 5 + 3 * 2  # column heights
+    assert frames and not sweeps
+    frames.clear()
+    steps = [QdtStep.infinity(), QdtStep.affine(QQ.one()), QdtStep.affine(QQ.from_int(-1))]
+    zeta = divisors.simple_ideal(divisors.PrimeDivisor(QdtPath(QQ, V, steps)))
+    assert not all(g.is_monomial() for g in zeta.gens)
+    assert not frames and sweeps
