@@ -312,7 +312,10 @@ def simple_ideal(V):
             "MAX_FRAME_DEGREE = %d" % (D if D < 10 ** 18 else "above 10^18", MAX_FRAME_DEGREE)
         )
 
-    ideal = _span_generators(T, vars, _value_kernel(V, c, D), D)
+    kernel = _value_kernel(V, c, D)
+    gens = [BiPoly(T, vars, vec) for vec in kernel]
+    gens += [BiPoly.monomial(T, vars, (i, D - i)) for i in range(D + 1)]
+    ideal = _span_generators(T, vars, gens, D, basis=kernel)
     fact = zariski_factorization(ideal)
     if len(fact.exponents) != 1 or fact.exponents[0][1] != 1:
         raise InternalInconsistency("candidate simple ideal does not factor simply")

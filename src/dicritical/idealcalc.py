@@ -31,7 +31,8 @@ class TruncationFrame:
     full, M^d lies in the image and every term of degree d or more is dropped.
 
     A monomial ideal's basis is its staircase: the minimal exponents below the
-    bound, as one-term elements with coefficient one and no S-pairs.
+    bound, as one-term elements with coefficient one and no S-pairs.  A frame
+    never changes once built.
     """
 
     __slots__ = ("ideal", "bound", "_width", "_limit", "_basis", "_queue", "_tick")
@@ -130,13 +131,6 @@ class TruncationFrame:
         full = self.full_degree()
         if full is not None:
             self._limit = min(self._limit, full * self._width)
-
-    def insert(self, f):
-        """Add f to the ideal; False when it already lay in the image."""
-        res = self._reduce(self._row(f))
-        self._push(res)
-        self._complete()
-        return bool(res)
 
     def colength(self):
         """Monomials below the bound outside the leading ideal, column by column."""
@@ -269,26 +263,10 @@ def power(j, n):
     return result
 
 
-def _nakayama_trim(tower, vars, gens, survives):
-    """The distinct gens in _gen_key order, each kept when survives(g) finds it
-    outside M.I plus the span of those kept, and adds it there.
-
-    The loop stops at ord(I) + 1 generators: mu(I) <= ord(I) + 1 in a
-    two-dimensional regular local ring (Huneke-Swanson ch. 14).  With I = f.K
-    and K M-primary or R, Hilbert-Burch generates K by the maximal minors of a
-    mu x (mu - 1) matrix with entries in M, so ord(I) >= ord(K) >= mu - 1.
-    """
-    room, kept = min(g.ord_at_origin() for g in gens) + 1, []
-    for g in sorted(gens, key=lambda g: _gen_key(tower, g)):
-        if len(kept) < room and survives(g):
-            kept.append(g)
-    return LocalIdeal(tower, vars, kept)
-
-
 def minimal_generators(ideal):
     """Trim a generating set to a minimal one (Nakayama on I / M.I): monomials
     keep their minimal exponents, a principal part is split off, and the rest
-    is trimmed against the frame of M.I."""
+    is trimmed by _span_generators against the frame of M.I, built once."""
     tower = ideal.tower
     if ideal.is_unit():
         return LocalIdeal(tower, ideal.vars, [BiPoly.one(tower, ideal.vars)])
@@ -300,34 +278,39 @@ def minimal_generators(ideal):
         return LocalIdeal(
             tower, ideal.vars, [g.mul(principal) for g in trimmed.gens]
         )
-    # M^d lies in the ideal, so M^(d + 1) lies in M.I; M.I is generated by the
-    # x.g and y.g, and M.I plus the kept generators is an ideal, since M.g
-    # lies in M.I
-    bound = stabilized_frame(ideal).full_degree() + 1
-    gens = _dedupe(tower, ideal.gens)
-    shifts = [g.mul_monomial(e) for g in gens for e in ((1, 0), (0, 1))]
-    frame = TruncationFrame(LocalIdeal(tower, ideal.vars, shifts), bound)
-    return _nakayama_trim(tower, ideal.vars, gens, frame.insert)
+    # M^d lies in the ideal, so M^(d + 1) lies in M.I, which the x.g and y.g
+    # generate
+    d = stabilized_frame(ideal).full_degree()
+    shifts = [g.mul_monomial(e) for g in ideal.gens for e in ((1, 0), (0, 1))]
+    frame = TruncationFrame(LocalIdeal(tower, ideal.vars, shifts), d + 1)
+    return _span_generators(tower, ideal.vars, ideal.gens, d, below=frame._lookup)
 
 
-def _span_generators(tower, vars, basis, degree):
-    """Minimal generators of I = span(basis) + M^degree, for basis (exponent
-    dicts below that degree) a basis of I / M^degree.
+def _span_generators(tower, vars, candidates, degree, basis=(), below=None):
+    """Minimal generators of the ideal I that candidates generate, for
+    M^(degree + 1) inside M.I.
 
-    Modulo M^(degree + 1), I is spanned by basis and the monomials of that
-    degree, and M.I by the x.b and y.b, since h.b lies in I for h in R.  So
-    the shifts go into one sweep echelon, keyed degree first, with no
-    S-pairs, and the candidates are trimmed against it.
+    Modulo M^(degree + 1), M.I is spanned by the rows of below, a lookup into
+    a frame of M.I at bound degree + 1, and by the x.b and y.b for basis
+    (exponent dicts below that degree) a basis of I / M^degree, since h.b
+    lies in I for h in R.  The shifts go into one sweep echelon over below,
+    keyed degree first, with no S-pairs.  The candidates, cut at degree <=
+    degree since the rest lies in M.I, go in _gen_key order, each kept when it
+    survives outside M.I plus the span of those kept, and added there.
+    Monomial candidates keep their minimal exponents.
+
+    The loop stops at ord(I) + 1 generators: mu(I) <= ord(I) + 1 in a
+    two-dimensional regular local ring (Huneke-Swanson ch. 14).  With I = f.K
+    and K M-primary or R, Hilbert-Burch generates K by the maximal minors of a
+    mu x (mu - 1) matrix with entries in M, so ord(I) >= ord(K) >= mu - 1.
     """
-    gens = [BiPoly(tower, vars, vec) for vec in basis]
-    gens += [BiPoly.monomial(tower, vars, (i, degree - i)) for i in range(degree + 1)]
-    if all(g.is_monomial() for g in gens):
-        return _prune_monomials(tower, vars, gens)
+    if all(g.is_monomial() for g in candidates):
+        return _prune_monomials(tower, vars, candidates)
     w, rows = degree + 1, {}
 
     def lookup(k):
         row = rows.get(k)
-        return row and (row[k], row.items())
+        return (row[k], row.items()) if row else below and below(k)
 
     def survives(terms, dx=0, dy=0):
         vec = {(i + j + dx + dy) * w + i + dx: c for (i, j), c in terms.items()}
@@ -339,7 +322,11 @@ def _span_generators(tower, vars, basis, degree):
     for vec in basis:
         survives(vec, 1, 0)
         survives(vec, 0, 1)
-    return _nakayama_trim(tower, vars, gens, lambda g: survives(g.terms))
+    room, kept = min(g.ord_at_origin() for g in candidates) + 1, []
+    for g in sorted(candidates, key=lambda g: _gen_key(tower, g)):
+        if len(kept) < room and survives({e: c for e, c in g.terms.items() if sum(e) <= degree}):
+            kept.append(g)
+    return LocalIdeal(tower, vars, kept)
 
 
 class ClosureData(namedtuple("ClosureData", "tree floors")):

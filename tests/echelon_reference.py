@@ -6,7 +6,9 @@ SparseEchelon inserts row vectors through the engine's sweep; kernel_basis
 reads the null space off the reduced row echelon form; _valuation_rows turns
 'value >= floor' into one row per (monomial, component) of the truncated
 pullbacks, over the columns that _monomials_below lists; frame_trim trims a
-generating set against the truncation frame of M.I.
+generating set against the truncation frame of M.I, offering each
+generator to InsertFrame.insert, which reruns the frame's Buchberger loop
+after the build.
 """
 
 from fractions import Fraction
@@ -119,6 +121,19 @@ def _valuation_rows(divisor, floor, columns):
     return [rows[key] for key in sorted(rows)]
 
 
+class InsertFrame(ic.TruncationFrame):
+    """A truncation frame that grows after it is built."""
+
+    __slots__ = ()
+
+    def insert(self, f):
+        """Add f to the ideal; False when it already lay in the image."""
+        res = self._reduce(self._row(f))
+        self._push(res)
+        self._complete()
+        return bool(res)
+
+
 def frame_trim(ideal, frame_degree):
     """Minimal generators of an ideal containing M^frame_degree: the frame of
     M.I from every x.g and y.g at bound frame_degree + 1, then each generator
@@ -129,7 +144,7 @@ def frame_trim(ideal, frame_degree):
         return list(ic._prune_monomials(tower, vars, ideal.gens).gens)
     gens = ic._dedupe(tower, ideal.gens)
     shifts = [g.mul_monomial(e) for g in gens for e in ((1, 0), (0, 1))]
-    frame = ic.TruncationFrame(LocalIdeal(tower, vars, shifts), frame_degree + 1)
+    frame = InsertFrame(LocalIdeal(tower, vars, shifts), frame_degree + 1)
     return [g for g in sorted(gens, key=lambda g: ic._gen_key(tower, g)) if frame.insert(g)]
 
 

@@ -23,10 +23,9 @@ the frame's full degree.
 
 The fourth reference runs the frame's own Buchberger loop on monomial
 ideals, which the frame now reads off as their staircase.  Basis, cut,
-colength, full degree, membership, a later non-monomial insert and the
-target stop must agree on seeded monomial ideals with coefficients other
-than one over Q, F_5 and F_7(a), M-primary or not, at bounds below, at and
-above the full degree.
+colength, full degree, membership and the target stop must agree on
+seeded monomial ideals with coefficients other than one over Q, F_5 and
+F_7(a), M-primary or not, at bounds below, at and above the full degree.
 """
 
 import random
@@ -461,13 +460,6 @@ def test_staircase_frame_matches_buchberger(tower, seed):
             for target in {0, max(ref.colength() - 2, 0), ref.colength()}:
                 assert (ic.TruncationFrame(ideal, bound, target).colength()
                         == buchberger_frame(ideal, bound, target).colength())
-            extra = props.random_poly(rng, tower, 4).add(x.add(y).pow(2))
-            assert frame.insert(extra) == ref.insert(extra)
-            assert frame._basis == ref._basis and frame._limit == ref._limit
-            assert frame.colength() == ref.colength()
-            assert frame.full_degree() == ref.full_degree()
-            for p in _probes(rng, tower, ideal, bound):
-                assert frame.contains(p) == ref.contains(p)
     assert cases > 100
 
 

@@ -116,24 +116,26 @@ def test_non_primary_refused_after_one_frame(gens, factor):
     assert time.perf_counter() - start < 2
 
 
-def _frame_bounds(monkeypatch, call):
-    bounds = []
+def _frames_built(monkeypatch, call):
+    """call's result and the (ideal, bound) of each frame it builds."""
+    built = []
     real = ic.TruncationFrame.__init__
 
     def logged(self, ideal, bound, target=None):
-        bounds.append(bound)
+        built.append((ideal, bound))
         real(self, ideal, bound, target)
 
     monkeypatch.setattr(ic.TruncationFrame, "__init__", logged)
     try:
-        return call(), bounds
+        return call(), built
     finally:
         monkeypatch.setattr(ic.TruncationFrame, "__init__", real)
 
 
 def _assert_frames_sized_by_ideal(monkeypatch, ideal):
     # the frames start at ord(I) + 1 and double: all below 2 * (d(I) + 1)
-    frame, bounds = _frame_bounds(monkeypatch, lambda: ic.stabilized_frame(ideal))
+    frame, built = _frames_built(monkeypatch, lambda: ic.stabilized_frame(ideal))
+    bounds = [b for _, b in built]
     d = frame.full_degree()
     assert bounds[0] == ideal.min_order() + 1
     assert all(b < 2 * (d + 1) for b in bounds), (ideal, bounds, d)
@@ -271,6 +273,64 @@ def test_minimal_generators_general():
     mg = ic.minimal_generators(J)
     assert len(mg.gens) == 2
     assert ic.ideal_equals(J, mg)
+
+
+TRUNCATION_GOLDENS = [
+    # (2x + 3y)^10 lies in M^(d+1), inside M.I, and its keys would collide
+    ("(2*x+3*y)^10, x^2, y^3", [1, 2]),
+    ("x^3-y^2+x^4*y^4, x*y^2, (x+y)^6", [0, 1]),
+    # principal part x: its residual keeps x^2 + y^5 + x*y^3 first
+    ("x*(x^2+y^5), x*y^3, x*(x^2+y^5+x*y^3)", [2, 1]),
+]
+
+
+@pytest.mark.parametrize("tower", [QQ, FieldTower.prime_field(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("source,kept", TRUNCATION_GOLDENS, ids=["power", "tail", "principal"])
+def test_minimal_generators_truncation_goldens(tower, source, kept):
+    # the trim cuts a candidate at the full degree d: its terms above d lie
+    # in M^(d+1), inside M.I
+    gens = [cli.parse_polynomial(s, tower, V) for s in source.split(", ")]
+    got = ic.minimal_generators(LocalIdeal(tower, V, gens)).gens
+    assert [sorted(g.terms.items()) for g in got] == [sorted(gens[k].terms.items()) for k in kept]
+
+
+def _sweeps(monkeypatch, call):
+    """call's result and the number of sweeps it runs."""
+    count, real = [0], ic.sweep
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ic, "sweep", counted)
+    try:
+        return call(), count[0]
+    finally:
+        monkeypatch.setattr(ic, "sweep", real)
+
+
+def test_minimal_generators_sweeps_each_candidate_once(monkeypatch):
+    # besides the ideal's own frames, one frame of M.I over the x.g and y.g
+    # at bound d + 1; the trim then sweeps each generator at most once, and
+    # never the shifts of a basis of I / M^d, which has d(d+1)/2 - colength
+    # elements
+    for m in range(2, 6):
+        f, g, _ = ic.abhyankar_family(m)
+        ideal = LocalIdeal(QQ, V, [f, g, f.add(g), f.mul(X), g.mul(Y).add(f)])
+        shifts = LocalIdeal(QQ, V, [h.mul_monomial(e) for h in ideal.gens
+                                    for e in ((1, 0), (0, 1))])
+
+        def counted(call):
+            return _frames_built(monkeypatch, lambda: _sweeps(monkeypatch, call))
+
+        (frame, own), built = counted(lambda: ic.stabilized_frame(ideal))
+        d = frame.full_degree()
+        of_mi = _sweeps(monkeypatch, lambda: ic.TruncationFrame(shifts, d + 1))[1]
+        (got, total), mg_built = counted(lambda: ic.minimal_generators(ideal))
+        assert [b for _, b in mg_built] == [b for _, b in built] + [d + 1]
+        assert mg_built[-1][0].gens == shifts.gens
+        assert total - own - of_mi <= len(ideal.gens)
+        assert len(got.gens) == 2
 
 
 def test_is_reduction_golden():
@@ -438,7 +498,8 @@ def test_frame_insert_budget(tower):
 def test_is_reduction_frame_bounds(monkeypatch):
     # besides I's own frames, only the frames of I^(n+1) and J.I^n at (n + 1) d(I) + 1
     def bounds_of(call):
-        return _frame_bounds(monkeypatch, call)
+        result, built = _frames_built(monkeypatch, call)
+        return result, [b for _, b in built]
 
     for m in range(2, 6):
         f, g, I = ic.abhyankar_family(m)
