@@ -416,14 +416,13 @@ class FieldTower:
         """Tower with one more level; minpoly_coeffs are elements of self."""
         return FieldTower(self.base, self.levels + ((name, tuple(minpoly_coeffs)),))
 
-    def generator(self, k=None):
-        """The image of the level-k generator (default: top level) in self."""
-        if k is None:
-            k = self.height - 1
-        if k < 0 or k >= self.height:
-            raise IndexError("no such extension level")
+    def generator(self):
+        """The generator of the top level."""
+        k = self.height - 1
+        if k < 0:
+            raise IndexError("no extension level")
         below, d = self._at[k], self.level_degree(k)
-        return self._lift((below.zero, below.one) + (below.zero,) * (d - 2), k + 1)
+        return (below.zero, below.one) + (below.zero,) * (d - 2)
 
     def _lift(self, e, k):
         """Embed an element of the tower truncated to k levels into self."""

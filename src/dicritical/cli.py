@@ -32,17 +32,8 @@ MAX_PARSE_COEFF_BITS = 10 ** 5
 MAX_PARSE_NESTING = 100
 # characters of a simple-ideal path's extension name
 MAX_EXTENSION_NAME = 32
-
-
-def _check_degree(degree):
-    """Refuse a parse-time product or power of too high a total degree."""
-    if degree > idealcalc.MAX_FRAME_DEGREE:
-        # a degree of thousands of digits cannot be formatted as a string
-        shown = "%d" % degree if degree < 10 ** 18 else "above 10^18"
-        raise BudgetExceeded(
-            "expanding the input reaches total degree %s, beyond the budget "
-            "MAX_FRAME_DEGREE = %d" % (shown, idealcalc.MAX_FRAME_DEGREE)
-        )
+# what a parse-time product or power beyond MAX_FRAME_DEGREE reaches
+_EXPANDED = "expanding the input reaches total degree"
 
 
 def _check_pairs(pairs):
@@ -124,6 +115,14 @@ def _int_literal(tok):
         raise ParseError("integer literal of %d digits is too long" % len(tok[1]), tok[2]) from None
 
 
+def _refuse(tok, message):
+    """Refuse a token the grammar does not allow here; a '/' anywhere but
+    between numerator and denominator has its own error."""
+    if tok[0] == "/":
+        raise DivisionNotTopLevel("division is only allowed between numerator and denominator", tok[2])
+    raise ParseError(message, tok[2])
+
+
 class _Parser:
     """Sums of terms over declared variables; '/' never below the top level."""
 
@@ -145,12 +144,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.take()
         if tok[0] != kind:
-            if tok[0] == "/":
-                raise DivisionNotTopLevel(
-                    "division is only allowed between numerator and denominator",
-                    tok[2],
-                )
-            raise ParseError("expected %r" % kind, tok[2])
+            _refuse(tok, "expected %r" % kind)
         return tok
 
     def parse_sum(self):
@@ -176,7 +170,7 @@ class _Parser:
         while self.peek()[0] == "*":
             self.take()
             factor = self.parse_power()
-            _check_degree(acc.total_degree + factor.total_degree)
+            idealcalc._check_frame_degree(acc.total_degree + factor.total_degree, _EXPANDED)
             _check_pairs(len(acc.terms) * len(factor.terms))
             # only rational coefficients grow; F_p ones stay below p
             if self.tower.is_rationals:
@@ -192,7 +186,7 @@ class _Parser:
             if tok[0] != "int":
                 raise ParseError("exponent must be an integer literal", tok[2])
             e = _int_literal(tok)
-            _check_degree(base.total_degree * e)
+            idealcalc._check_frame_degree(base.total_degree * e, _EXPANDED)
             # BiPoly.pow squares its way up: no product it forms has a factor
             # beyond f^(2^(bits - 1))
             _check_pairs(_power_terms(base, 1 << max(e.bit_length() - 1, 0)) ** 2)
@@ -228,11 +222,7 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return inner
-        if kind == "/":
-            raise DivisionNotTopLevel(
-                "division is only allowed between numerator and denominator", pos
-            )
-        raise ParseError("unexpected %r" % (value or kind), pos)
+        _refuse(tok, "unexpected %r" % (value or kind))
 
 
 def parse_polynomial(text, tower, vars):
@@ -245,13 +235,12 @@ def parse_polynomial(text, tower, vars):
 def parse_rational(text, tower, vars):
     parser = _Parser(text, tower, vars)
     num = parser.parse_sum()
+    den = BiPoly.one(tower, vars)
     if parser.peek()[0] == "/":
         parser.take()
         den = parser.parse_sum()
-        parser.expect("end")
-        return RationalFn(num, den)
     parser.expect("end")
-    return RationalFn(num, BiPoly.one(tower, vars))
+    return RationalFn(num, den)
 
 
 def parse_ideal(text, tower, vars):
@@ -286,10 +275,10 @@ def _path_data(path):
     return [_step_data(path.node_tower(i), step) for i, step in enumerate(path.steps)]
 
 
-def _clipped(value, limit=40):
-    """value's JSON text (an exception's str), cut to at most limit characters."""
-    text = str(value) if isinstance(value, Exception) else json.dumps(_shallow(value, limit))
-    return text if len(text) <= limit else text[:limit - 3] + "..."
+def _clipped(value):
+    """value's JSON text (an exception's str), cut to at most 40 characters."""
+    text = str(value) if isinstance(value, Exception) else json.dumps(_shallow(value, 40))
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _shallow(value, depth):
@@ -367,28 +356,14 @@ def _record_data(record):
     return data
 
 
-def _factorization_data(fact):
-    return {
-        "principal": fact.principal.render(),
-        "exponents": [
-            {"path": _path_data(v.path), "exponent": n} for v, n in fact.exponents
-        ],
-    }
-
-
 # ----------------------------------------------------------------- reports
 
 
-def _base_report(args, expressions):
-    options = {}
-    for key in ("depth", "nodes", "nmax"):
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
+def _base_report(args, options):
     return {
         "request": {
             "subcommand": args.subcommand,
-            "expressions": list(expressions),
+            "expressions": list(args.expressions),
             "vars": list(args.vars),
             "options": options,
         },
@@ -433,38 +408,34 @@ def _record_lines(records):
 
 # ------------------------------------------------------------- subcommands
 
-
-def _tree_config(args):
-    kwargs = {}
-    if args.depth is not None:
-        kwargs["max_depth"] = args.depth
-    if args.nodes is not None:
-        kwargs["max_nodes"] = args.nodes
-    return TreeConfig(**kwargs) if kwargs else None
+# Each handler takes the parsed arguments (with the field as tower and the
+# tree budget as config) and its parsed expressions, and returns
+# (report fields, text lines).
 
 
-def _cmd_dicriticals(args, tower):
-    z = parse_rational(args.expressions[0], tower, args.vars)
-    records = dicritical_of_rational(z, _tree_config(args))
-    report = _base_report(args, args.expressions)
-    report["records"] = [_record_data(r) for r in records]
-    return report, _record_lines(records)
+def _records(records):
+    return {"records": [_record_data(r) for r in records]}, _record_lines(records)
 
 
-def _cmd_ideal_dicriticals(args, tower):
-    ideal = parse_ideal(args.expressions[0], tower, args.vars)
-    records = dicritical_set(ideal, _tree_config(args))
-    report = _base_report(args, args.expressions)
-    report["records"] = [_record_data(r) for r in records]
-    return report, _record_lines(records)
+def _verdict(decision, witness=None):
+    lines = ["decision %s" % ("true" if decision else "false")]
+    if witness is not None:
+        lines.append("witness %d" % witness)
+    return {"decision": decision, "witness": witness}, lines
 
 
-def _cmd_basepoints(args, tower):
-    ideal = parse_ideal(args.expressions[0], tower, args.vars)
-    tree = base_point_tree(ideal, _tree_config(args))
+def _cmd_dicriticals(args, z):
+    return _records(dicritical_of_rational(z, args.config))
+
+
+def _cmd_ideal_dicriticals(args, ideal):
+    return _records(dicritical_set(ideal, args.config))
+
+
+def _cmd_basepoints(args, ideal):
+    tree = base_point_tree(ideal, args.config)
     nodes = tree.nodes()
-    report = _base_report(args, args.expressions)
-    report["diagnostics"] = {
+    diagnostics = {
         "principal": tree.principal.render(),
         "nodes": [
             {
@@ -485,104 +456,79 @@ def _cmd_basepoints(args, tower):
                 ", ".join(g.render() for g in node.ideal.gens),
             )
         )
-    return report, lines
+    return {"diagnostics": diagnostics}, lines
 
 
-def _cmd_zariski_factor(args, tower):
-    ideal = parse_ideal(args.expressions[0], tower, args.vars)
-    fact = zariski_factorization(ideal, _tree_config(args))
-    report = _base_report(args, args.expressions)
-    report["factorization"] = _factorization_data(fact)
+def _cmd_zariski_factor(args, ideal):
+    fact = zariski_factorization(ideal, args.config)
     lines = ["principal %s" % fact.principal.render()]
     for v, n in fact.exponents:
         lines.append("simple %s exponent=%d" % (v.path.render(), n))
-    return report, lines
+    factorization = {
+        "principal": fact.principal.render(),
+        "exponents": [
+            {"path": _path_data(v.path), "exponent": n} for v, n in fact.exponents
+        ],
+    }
+    return {"factorization": factorization}, lines
 
 
-def _cmd_closure_member(args, tower):
-    f = parse_polynomial(args.expressions[0], tower, args.vars)
-    ideal = parse_ideal(args.expressions[1], tower, args.vars)
-    decision = idealcalc.closure_membership(f, ideal, _tree_config(args))
-    report = _base_report(args, args.expressions)
-    report["decision"] = decision
-    return report, ["decision %s" % ("true" if decision else "false")]
+def _cmd_closure_member(args, f, ideal):
+    return _verdict(idealcalc.closure_membership(f, ideal, args.config))
 
 
-def _cmd_closure_equals(args, tower):
-    j = parse_ideal(args.expressions[0], tower, args.vars)
-    k = parse_ideal(args.expressions[1], tower, args.vars)
-    decision = idealcalc.closure_equals(j, k, _tree_config(args))
-    report = _base_report(args, args.expressions)
-    report["decision"] = decision
-    return report, ["decision %s" % ("true" if decision else "false")]
+def _cmd_closure_equals(args, j, k):
+    return _verdict(idealcalc.closure_equals(j, k, args.config))
 
 
-def _cmd_colength(args, tower):
-    ideal = parse_ideal(args.expressions[0], tower, args.vars)
+def _cmd_colength(args, ideal):
     value = idealcalc.colength(ideal)
-    report = _base_report(args, args.expressions)
-    report["witness"] = value
-    report["diagnostics"] = {"colength": value}
-    return report, ["colength %d" % value]
+    fields = {"witness": value, "diagnostics": {"colength": value}}
+    return fields, ["colength %d" % value]
 
 
-def _cmd_reduction_check(args, tower):
-    j = parse_ideal(args.expressions[0], tower, args.vars)
-    i = parse_ideal(args.expressions[1], tower, args.vars)
-    result = idealcalc.is_reduction(j, i, n_max=args.nmax, config=_tree_config(args))
-    report = _base_report(args, args.expressions)
-    report["decision"] = result.decision
-    report["witness"] = result.witness
-    report["diagnostics"] = {
+def _cmd_reduction_check(args, j, i):
+    result = idealcalc.is_reduction(j, i, n_max=args.nmax, config=args.config)
+    fields, lines = _verdict(result.decision, result.witness)
+    fields["diagnostics"] = {
         "by_direct": result.by_direct,
         "by_valuative": result.by_valuative,
     }
-    lines = ["decision %s" % ("true" if result.decision else "false")]
-    if result.witness is not None:
-        lines.append("witness %d" % result.witness)
-    return report, lines
+    return fields, lines
 
 
-def _cmd_special_pencil(args, tower):
-    z = parse_rational(args.expressions[0], tower, args.vars)
+def _cmd_special_pencil(args, z):
     result = special_pencil_test(z)
-    report = _base_report(args, args.expressions)
-    report["decision"] = result.decision
-    report["witness"] = result.witness
-    lines = ["decision %s" % ("true" if result.decision else "false")]
-    if result.witness is not None:
-        lines.append("witness %d" % result.witness)
-    return report, lines
+    return _verdict(result.decision, result.witness)
 
 
-def _cmd_rees_certificate(args, tower):
-    ideal = parse_ideal(args.expressions[0], tower, args.vars)
+def _cmd_rees_certificate(args, ideal):
     if len(ideal.gens) != 2:
         raise ParseError("rees-certificate needs an ideal of two nonzero generators")
-    records = dicritical_set(ideal, _tree_config(args))
-    decision = all(rees_certificate(ideal, r.divisor) for r in records)
-    report = _base_report(args, args.expressions)
-    report["decision"] = decision
-    report["records"] = [_record_data(r) for r in records]
-    lines = ["decision %s" % ("true" if decision else "false")]
-    lines.extend(_record_lines(records))
-    return report, lines
+    records = dicritical_set(ideal, args.config)
+    fields, lines = _verdict(all(rees_certificate(ideal, r.divisor) for r in records))
+    found, record_lines = _records(records)
+    fields.update(found)
+    return fields, lines + record_lines
 
 
-def _cmd_simple_ideal(args, tower):
+def _json_path(text, tower, vars):
+    """A simple-ideal path from its JSON text."""
     try:
-        data = json.loads(args.expressions[0])
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("path is not valid JSON: %s" % exc.msg, exc.pos)
     except (RecursionError, ValueError) as exc:
         # nested past the recursion limit, or an integer past int()'s digit limit
         raise ParseError("path cannot be read as JSON (%s: %s)" % (type(exc).__name__, exc), 0) from None
-    path = parse_path(data, tower, args.vars)
+    return parse_path(data, tower, vars)
+
+
+def _cmd_simple_ideal(args, path):
     divisor = PrimeDivisor(path)
     ideal = simple_ideal(divisor)
     a, b = divisor.coordinate_values()
-    report = _base_report(args, args.expressions)
-    report["records"] = [
+    records = [
         {
             "path": _path_data(path),
             "index": None,
@@ -590,18 +536,16 @@ def _cmd_simple_ideal(args, tower):
             "degree": None,
         }
     ]
-    report["diagnostics"] = {"generators": [g.render() for g in ideal.gens]}
+    diagnostics = {"generators": [g.render() for g in ideal.gens]}
     lines = [
         "values %s:%d %s:%d" % (args.vars[0], a, args.vars[1], b),
         "generators (%s)" % ", ".join(g.render() for g in ideal.gens),
     ]
-    return report, lines
+    return {"records": records, "diagnostics": diagnostics}, lines
 
 
-def _cmd_at_infinity(args, tower):
-    f = parse_polynomial(args.expressions[0], tower, args.vars)
-    result = dicriticals_at_infinity(f, _tree_config(args))
-    report = _base_report(args, args.expressions)
+def _cmd_at_infinity(args, f):
+    result = dicriticals_at_infinity(f, args.config)
     records = []
     points = []
     lines = ["degree %d degree-form %s" % (result.degree, result.degree_form.render())]
@@ -628,28 +572,29 @@ def _cmd_at_infinity(args, tower):
             data["point"] = point.label()
             records.append(data)
         lines.extend("  " + line for line in _record_lines(recs))
-    report["records"] = records
-    report["diagnostics"] = {"points": points, "total": result.total}
-    return report, lines
+    diagnostics = {"points": points, "total": result.total}
+    return {"records": records, "diagnostics": diagnostics}, lines
 
 
-def _cmd_abhyankar_family(args, tower):
+def _family_index(text, tower, vars):
+    """The index m >= 1 of an Abhyankar family."""
     try:
-        m = int(args.expressions[0])
+        m = int(text)
     except ValueError:
         m = 0
     if m < 1:
         raise ParseError("family index must be a positive integer", 0)
-    f, g, ideal = idealcalc.abhyankar_family(m, tower, args.vars)
-    pencil = LocalIdeal(tower, args.vars, [f, g])
-    config = _tree_config(args)
-    result = idealcalc.is_reduction(pencil, ideal, n_max=args.nmax, config=config)
-    records = dicritical_set(pencil, config)
-    report = _base_report(args, args.expressions)
-    report["records"] = [_record_data(r) for r in records]
-    report["decision"] = result.decision
-    report["witness"] = result.witness
-    report["diagnostics"] = {
+    return m
+
+
+def _cmd_abhyankar_family(args, m):
+    f, g, ideal = idealcalc.abhyankar_family(m, args.tower, args.vars)
+    pencil = LocalIdeal(args.tower, args.vars, [f, g])
+    result = idealcalc.is_reduction(pencil, ideal, n_max=args.nmax, config=args.config)
+    fields, record_lines = _records(dicritical_set(pencil, args.config))
+    fields["decision"] = result.decision
+    fields["witness"] = result.witness
+    fields["diagnostics"] = {
         "F": f.render(),
         "G": g.render(),
         "generators": [p.render() for p in ideal.gens],
@@ -662,24 +607,24 @@ def _cmd_abhyankar_family(args, tower):
         "reduction %s witness %s"
         % ("true" if result.decision else "false", result.witness),
     ]
-    lines.extend(_record_lines(records))
-    return report, lines
+    return fields, lines + record_lines
 
 
+# subcommand: (handler, the reader of each expression argument)
 _COMMANDS = {
-    "dicriticals": (_cmd_dicriticals, 1),
-    "ideal-dicriticals": (_cmd_ideal_dicriticals, 1),
-    "basepoints": (_cmd_basepoints, 1),
-    "zariski-factor": (_cmd_zariski_factor, 1),
-    "closure-member": (_cmd_closure_member, 2),
-    "closure-equals": (_cmd_closure_equals, 2),
-    "colength": (_cmd_colength, 1),
-    "reduction-check": (_cmd_reduction_check, 2),
-    "special-pencil": (_cmd_special_pencil, 1),
-    "rees-certificate": (_cmd_rees_certificate, 1),
-    "simple-ideal": (_cmd_simple_ideal, 1),
-    "at-infinity": (_cmd_at_infinity, 1),
-    "abhyankar-family": (_cmd_abhyankar_family, 1),
+    "dicriticals": (_cmd_dicriticals, (parse_rational,)),
+    "ideal-dicriticals": (_cmd_ideal_dicriticals, (parse_ideal,)),
+    "basepoints": (_cmd_basepoints, (parse_ideal,)),
+    "zariski-factor": (_cmd_zariski_factor, (parse_ideal,)),
+    "closure-member": (_cmd_closure_member, (parse_polynomial, parse_ideal)),
+    "closure-equals": (_cmd_closure_equals, (parse_ideal, parse_ideal)),
+    "colength": (_cmd_colength, (parse_ideal,)),
+    "reduction-check": (_cmd_reduction_check, (parse_ideal, parse_ideal)),
+    "special-pencil": (_cmd_special_pencil, (parse_rational,)),
+    "rees-certificate": (_cmd_rees_certificate, (parse_ideal,)),
+    "simple-ideal": (_cmd_simple_ideal, (_json_path,)),
+    "at-infinity": (_cmd_at_infinity, (parse_polynomial,)),
+    "abhyankar-family": (_cmd_abhyankar_family, (_family_index,)),
 }
 
 
@@ -714,11 +659,11 @@ def _build_argparser():
 
 def main(argv=None):
     args = _build_argparser().parse_args(argv)
-    handler, arity = _COMMANDS[args.subcommand]
-    if len(args.expressions) != arity:
+    handler, readers = _COMMANDS[args.subcommand]
+    if len(args.expressions) != len(readers):
         sys.stderr.write(
             "error: %s takes %d expression argument(s), got %d\n"
-            % (args.subcommand, arity, len(args.expressions))
+            % (args.subcommand, len(readers), len(args.expressions))
         )
         return 2
     if args.vars is None:
@@ -729,21 +674,29 @@ def main(argv=None):
             sys.stderr.write("error: --vars needs two distinct comma-separated names\n")
             return 2
         args.vars = parts
-    for key in ("depth", "nodes", "nmax"):
-        value = getattr(args, key)
-        if value is not None and value < 0:
+    options = {key: getattr(args, key) for key in ("depth", "nodes", "nmax")}
+    options = {key: value for key, value in options.items() if value is not None}
+    for key, value in options.items():
+        if value < 0:
             sys.stderr.write("error: --%s must be nonnegative\n" % key)
             return 2
     try:
-        tower = _field(args.field_spec)
+        args.tower = _field(args.field_spec)
     except argparse.ArgumentTypeError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    # the base-point tree budget: --depth and --nodes over TreeConfig's defaults
+    args.config = TreeConfig(
+        **{"max_" + key: value for key, value in options.items() if key != "nmax"}
+    )
     try:
-        report, lines = handler(args, tower)
+        inputs = [read(text, args.tower, args.vars) for read, text in zip(readers, args.expressions)]
+        fields, lines = handler(args, *inputs)
     except EngineError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.exit_code
+    report = _base_report(args, options)
+    report.update(fields)
     _emit(report, args, lines)
     return 0
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .arith.fields import rational
 from .arith.linalg import stored_row, sweep
 from .arith.polynomials import BiPoly, bipoly_gcd
-from .errors import BudgetExceeded, InternalInconsistency, NonzeroValue, ZeroInput
+from .errors import InternalInconsistency, NonzeroValue, ZeroInput
 from .nearpoints import pullback_order
 
 
@@ -302,15 +302,11 @@ def simple_ideal(V):
     c = sum(a * b for a, b in zip(V.point_basis(), r))
     D = -(-c // r[0])
 
-    from .idealcalc import MAX_FRAME_DEGREE, _span_generators
+    from .idealcalc import _check_frame_degree, _span_generators
     from .zariski import zariski_factorization
 
-    if D > MAX_FRAME_DEGREE:
-        # D grows like the Fibonacci numbers along a path that alternates charts
-        raise BudgetExceeded(
-            "the simple ideal needs monomials of degree %s, beyond the budget "
-            "MAX_FRAME_DEGREE = %d" % (D if D < 10 ** 18 else "above 10^18", MAX_FRAME_DEGREE)
-        )
+    # D grows like the Fibonacci numbers along a path that alternates charts
+    _check_frame_degree(D, "the simple ideal needs monomials of degree")
 
     kernel = _value_kernel(V, c, D)
     gens = [BiPoly(T, vars, vec) for vec in kernel]

@@ -15,6 +15,16 @@ from .zariski import base_point_tree, strip_principal
 MAX_FRAME_DEGREE = 1024
 
 
+def _check_frame_degree(degree, what):
+    """Refuse a degree beyond MAX_FRAME_DEGREE; what says what reaches it."""
+    if degree > MAX_FRAME_DEGREE:
+        # a degree of thousands of digits cannot be formatted as a string
+        shown = "%d" % degree if degree < 10 ** 18 else "above 10^18"
+        raise BudgetExceeded(
+            "%s %s, beyond the budget MAX_FRAME_DEGREE = %d" % (what, shown, MAX_FRAME_DEGREE)
+        )
+
+
 class TruncationFrame:
     """Truncated standard basis of an ideal's image in R / M^bound.
 
@@ -462,11 +472,7 @@ def abhyankar_family(m, tower=QQ, vars=("x", "y")):
     """
     if m < 1:
         raise ValueError("family index must be positive")
-    if _triangular(m) > MAX_FRAME_DEGREE:
-        raise BudgetExceeded(
-            "the pencil (F_m, G_m) has degree m(m+1)/2, beyond the budget "
-            "MAX_FRAME_DEGREE = %d" % MAX_FRAME_DEGREE
-        )
+    _check_frame_degree(_triangular(m), "the pencil (F_m, G_m) has degree")
 
     def mono(a, b):
         return BiPoly.monomial(tower, vars, (a, b))

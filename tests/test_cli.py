@@ -263,6 +263,94 @@ def test_engine_runs_without_sympy(capsys, argv, digest):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest, out
 
 
+SOME_PATH = (
+    '[{"chart":"affine","c":"2","extension":null},{"chart":"infinity","c":null,"extension":null},'
+    '{"chart":"affine","c":"1","extension":null}]'
+)
+# one request per subcommand with the sha256 of its text and machine output
+SUBCOMMAND_REQUESTS = [
+    (
+        ["dicriticals", "(y^2 - x^3)/(x^2*y + x^5)"],
+        "f17233fbe2bc8954d7ce0b3a3c2b3ab2bf4dc0e3bf5139182a8a63853c002a8a",
+        "f8a7c32ed26118620d8e49b0c71205a60b5927de17368f9597104a6e47f88e88",
+    ),
+    (
+        ["ideal-dicriticals", "x^3, x^2*y, y^7", "--field", "Fp:5"],
+        "34b1a44df8240fa4ac51a57f12bfcce4c4794af1491eaadc18ead7ee789e3dc6",
+        "c88b7f75a8b1bbcc5baaac0f61767bc4196e44084ee65ef4e63c4c117ced9980",
+    ),
+    (
+        ["basepoints", "x^4 - y^3, x*y^3"],
+        "138807159c0658232ad3d79ebf6ba7fe79710c253609e22af7b838e75d432b66",
+        "a1d350862744b2cdd8ae4fa1f64326c3c0387c015f4ee91706397ff868af262f",
+    ),
+    (
+        ["zariski-factor", "x^5, x^3*y, y^4 + x^2*y^2"],
+        "debc3de91a67f00f133202301713a44f632c3bbdcda3d29f66d487ff428808ee",
+        "e08c8ce83ada68608f88edf93aad2a6d5e4bb2196a8bb3b47352a6644b3fa15b",
+    ),
+    (
+        ["closure-member", "x^2*y + y^3", "x^3, y^2 + x*y^2"],
+        "7ee3af018b94056c36f62c29e9758b308846becc805f07caa8fd9db7143e698f",
+        "bca7200e0451786dd44b55c0ad79401eb3b5c06b4da2862c12cf3197b2671e9c",
+    ),
+    (
+        ["closure-equals", "x^4, y^3", "x^4, y^3, x^2*y^2", "--field", "Fp:7"],
+        "f1351d689ae0542c587d5e04a066b972783798c92cfdc2517add0e4276e3de6e",
+        "1f0bb9b66fff690a7c45afd2a9b07b2da7a9cc765fa4d075099788c5b1cca2d5",
+    ),
+    (
+        ["colength", "x^3 + y^4, x*y^2"],
+        "5d84edcb70454614703a4fbd41aa7ea5ccc24742377a15f8e8216a8d4c56b414",
+        "b2049dbb2adb88ad1be0802ed7bb983b2d467ca5854e18345dc6d2271bc51f2e",
+    ),
+    (
+        ["reduction-check", "x^3, y^2", "x^3, y^2, x^2*y", "--nmax", "4"],
+        "5b5874cc344f2177d0a0b441d728be4f25007723e706888791bf248c6bce2f77",
+        "83b75271c61e15be542c9fa72fa75c33072e48effb00ed7bfc80b6b0e01dc701",
+    ),
+    (
+        ["special-pencil", "(y^2 + x^3)/x^4"],
+        "ae9831653b5e3d497f8349c9ac0c0b296f35cd0aed2be9d62c7987df7063cb33",
+        "1f6f74ff3115249ce760adede2cecd097d4b5f1a491d6b5e03a3151e76577c9b",
+    ),
+    (
+        ["rees-certificate", "x^3 + y^2, x*y^2"],
+        "3bcb1a4da953ee3e284307695347f16644d99dc180961ca71f3cb09847721276",
+        "4502cbc32f2e3f0c2a1a5ddea158219a2ff10fd323dc3fd0f77d50e27c085f06",
+    ),
+    (
+        ["simple-ideal", SOME_PATH, "--field", "Fp:5"],
+        "5515e9ea3e06da86ccafe99a87a88d660740e43aabd30f032e3a3c203dfaacf1",
+        "4e014713fabb2adb7f1b9bdc24430cb967e16d2e3f29f282d78668cda2291b4a",
+    ),
+    (
+        ["at-infinity", "X^3*Y - Y^2 + X", "--field", "Fp:7"],
+        "1bbab866b18c756ee634cb02ed2049102572d19b3fc4a00e96a5c74f8c376e84",
+        "bf07a9e9204f92ba162497f2dbb35bb9df80aaf1dcd19ae945a7327d97305067",
+    ),
+    (
+        ["abhyankar-family", "3", "--depth", "20"],
+        "a7a473b0693d90cbb75aede9f386c853511ad4a27050eb2db05668aa3a78df11",
+        "1c69d048642d046a5698a8ee1073929edaefd58c7ad64640568c76aeb1b5a378",
+    ),
+]
+
+
+def test_every_subcommand_is_pinned():
+    assert sorted(argv[0] for argv, _, _ in SUBCOMMAND_REQUESTS) == sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv,text_digest,machine_digest", SUBCOMMAND_REQUESTS, ids=[r[0][0] for r in SUBCOMMAND_REQUESTS]
+)
+def test_subcommand_output_digest(capsys, argv, text_digest, machine_digest):
+    for fmt, digest in (("text", text_digest), ("machine", machine_digest)):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 def test_at_infinity_text(capsys):
     code, out, _ = run(capsys, "at-infinity", "X^4*Y^4 - X")
     assert code == 0
@@ -405,6 +493,18 @@ def _step(**fields):
         # only ASCII digits
         (["colength", "x^\u00b2, y"], 2),
         (["colength", "x^\u0663, y"], 2),
+        # an unclosed parenthesis, a named exponent and a leading '/'
+        (["colength", "(x"], 2),
+        (["colength", "x^y"], 2),
+        (["dicriticals", "/x"], 2),
+        # a path that is not JSON, not a list, not a list of objects, or
+        # names no chart
+        (["simple-ideal", "{"], 2),
+        (["simple-ideal", "{}"], 2),
+        (["simple-ideal", "[1]"], 2),
+        (["simple-ideal", '[{"chart":"sideways"}]'], 2),
+        (["abhyankar-family", "x"], 2),
+        (["colength", "x^2, y", "--field", "R"], 2),
     ],
 )
 def test_bad_input_exits_with_engine_error(capsys, argv, code):
@@ -628,6 +728,17 @@ def test_exit_internal_inconsistency(capsys, monkeypatch):
 def test_exit_bad_arity(capsys):
     code, _, err = run(capsys, "closure-member", "x^2")
     assert code == 2 and "argument" in err
+
+
+TWO_EXPRESSIONS = {"closure-member", "closure-equals", "reduction-check"}
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
+def test_exit_one_expression_too_many(capsys, subcommand):
+    arity = 2 if subcommand in TWO_EXPRESSIONS else 1
+    code, out, err = run(capsys, subcommand, *["x"] * (arity + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: %s takes %d expression argument(s), got %d\n" % (subcommand, arity, arity + 1)
 
 
 def test_exit_bad_field(capsys):

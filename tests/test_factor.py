@@ -143,6 +143,50 @@ def test_factor_over_quadratic_tower():
     assert reassemble(K, lc, factors) == g
 
 
+def test_trager_on_rational_coefficients_over_gaussian_rationals():
+    # f has no i in its coefficients, so the unshifted t-coefficients are one
+    # constant: Trager skips s = 0 and takes its first norm at s >= 1
+    K = extend(QQ, up(QQ, 1, 0, 1), "i")
+    i = K.generator()
+    factors = factor._factor_trager(up(K, 1, 0, 1))
+    assert {tuple(g.coeffs) for g in factors} == {(K.neg(i), K.one()), (i, K.one())}
+    for f in (up(K, -2, 0, 1), up(K, -2, 0, 0, 1)):  # t^2 - 2, t^3 - 2
+        assert factor._factor_trager(f) == [f]
+
+
+def _cofactor_det(M):
+    """Determinant by expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    det = UniPoly.zero(M[0][0].tower)
+    for j, a in enumerate(M[0]):
+        term = a.mul(_cofactor_det([row[:j] + row[j + 1:] for row in M[1:]]))
+        det = det.sub(term) if j % 2 else det.add(term)
+    return det
+
+
+@pytest.mark.parametrize(
+    "rows,singular",
+    [
+        # zero leading pivot: the first step swaps in the second row
+        ([[(), (1, 1), (2,)], [(0, 1), (3,), (1, 0, 1)], [(1,), (-1, 2), (0, 0, 1)]], False),
+        # the pivot of the second step vanishes after elimination
+        ([[(1,), (1,), (0, 1), (2,)], [(1,), (1,), (3,), (1, 1)],
+          [(0, 1), (2,), (1,), ()], [(5,), (0, 0, 1), (1, -1), (1,)]], False),
+        # the second column is t times the first
+        ([[(1,), (0, 1), (2,)], [(0, 1), (0, 0, 1), (3,)], [(2,), (0, 2), (5,)]], True),
+        # a zero first column
+        ([[(), (1,), (0, 1)], [(), (2, 1), (1,)], [(), (1, 0, 1), (3,)]], True),
+    ],
+    ids=["swap-first", "swap-second", "singular", "zero-column"],
+)
+def test_bareiss_determinant_matches_cofactor_expansion(rows, singular):
+    M = [[up(QQ, *c) for c in row] for row in rows]
+    expected = _cofactor_det(M)
+    assert expected.is_zero() == singular
+    assert factor._det_bareiss([list(row) for row in M]) == expected
+
+
 def test_irreducible_stays_whole():
     f = up(QQ, 2, 0, 0, 1)  # t^3 + 2, Eisenstein
     lc, factors = factor_univariate(f)

@@ -26,6 +26,9 @@ ideals, which the frame now reads off as their staircase.  Basis, cut,
 colength, full degree, membership and the target stop must agree on
 seeded monomial ideals with coefficients other than one over Q, F_5 and
 F_7(a), M-primary or not, at bounds below, at and above the full degree.
+
+Each test draws its whole case list from its own seed before any probe, and
+its probes from a second rng, so a probe added or dropped changes no case.
 """
 
 import random
@@ -135,9 +138,10 @@ def _check_ideal(rng, tower, J):
 
 @pytest.mark.parametrize("tower,char", FIELDS)
 def test_graded_frame_matches_lex_frame(tower, char):
-    rng = random.Random(200 + char)
-    for k in range(props.PER_FIELD):
-        J = props.random_primary(rng, tower)
+    cases = random.Random(200 + char)
+    ideals = [props.random_primary(cases, tower) for _ in range(props.PER_FIELD)]
+    rng = random.Random("probes %d" % (200 + char))
+    for k, J in enumerate(ideals):
         _check_ideal(rng, tower, J)
         if k % 5 == 0:
             f, g = J.gens
@@ -350,9 +354,10 @@ def _probes(rng, tower, ideal, bound):
     ids=["Q", "F5", "F32003", "F7(a)"],
 )
 def test_standard_basis_matches_echelon_frame(tower, ground, seed):
-    rng = random.Random(seed)
+    ideals = list(_frame_cases(tower, ground, random.Random(seed)))
+    rng = random.Random("probes %d" % seed)
     frames = 0
-    for ideal in _frame_cases(tower, ground, rng):
+    for ideal in ideals:
         d = ic.stabilized_frame(ideal).full_degree()
         for bound in sorted({max(d - 1, 1), d, d + 1, 2 * d + 1}):
             frame, ref = ic.TruncationFrame(ideal, bound), EchelonFrame(ideal, bound)
@@ -443,10 +448,11 @@ def _monomial_ideals(rng, tower):
     "tower,seed", [(QQ, 1500), (F5, 1505), (F7A, 1507)], ids=["Q", "F5", "F7(a)"]
 )
 def test_staircase_frame_matches_buchberger(tower, seed):
-    rng = random.Random(seed)
+    ideals = list(_monomial_ideals(random.Random(seed), tower))
+    rng = random.Random("probes %d" % seed)
     x, y = (BiPoly.variable(tower, V, v) for v in V)
     cases = 0
-    for ideal in _monomial_ideals(rng, tower):
+    for ideal in ideals:
         d = buchberger_frame(ideal, 32).full_degree()
         bounds = {1, 3, 6} if d is None else {1, max(d - 1, 1), d, d + 1, 2 * d + 1}
         for bound in sorted(bounds):
