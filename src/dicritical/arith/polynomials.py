@@ -245,6 +245,16 @@ class BiPoly:
         raise AttributeError("BiPoly is immutable")
 
     @classmethod
+    def _trusted(cls, tower, vars, terms):
+        """A BiPoly that takes terms as they are: the caller knows every
+        exponent nonnegative and every coefficient nonzero, and vars a pair."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "tower", tower)
+        object.__setattr__(f, "vars", vars)
+        object.__setattr__(f, "terms", terms)
+        return f
+
+    @classmethod
     def zero(cls, tower, vars):
         return cls(tower, vars, {})
 
@@ -416,26 +426,34 @@ class BiPoly:
                 out[(i - 1, j) if axis == 0 else (i, j - 1)] = mul(T.from_int(e), c)
         return BiPoly(T, self.vars, out)
 
-    def shifted(self, c):
-        """f(x, y + c): the y-polynomial at each power of x, Taylor-shifted."""
+    def shifted(self, c, scale=None):
+        """f(x, y + c), times scale: the y-polynomial at each power of x,
+        Taylor-shifted, and each coefficient scaled as it is made.  A nonzero
+        scale keeps a coefficient nonzero, and the zeros the shift leaves are
+        dropped, so the terms need no second check."""
         T = self.tower
         level = T.top
+        times = (lambda a: a) if scale is None else _scaling(level, scale, len(self.terms))
         if level.is_zero(c):
-            return self
+            if scale is None:
+                return self
+            return BiPoly._trusted(T, self.vars, {e: times(a) for e, a in self.terms.items()})
         rows = {}
         for (i, j), a in self.terms.items():
             rows.setdefault(i, {})[j] = a
-        addmul = level.times(c)[1]
+        addmul, is_zero = level.times(c)[1], level.is_zero
         out = {}
         for i, row in rows.items():
             a = _taylor_shift([row.get(j, level.zero) for j in range(max(row) + 1)], addmul)
             for j, x in enumerate(a):
-                out[(i, j)] = x
-        return BiPoly(T, self.vars, out)
+                if not is_zero(x):
+                    out[i, j] = times(x)
+        return BiPoly._trusted(T, self.vars, out)
 
     def lift_to(self, bigger):
         T = self.tower
-        return BiPoly(
+        # an embedding keeps every coefficient nonzero
+        return BiPoly._trusted(
             bigger, self.vars, {k: bigger.lift_from(T, c) for k, c in self.terms.items()}
         )
 

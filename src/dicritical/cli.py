@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import sys
 
 from .arith import QQ, BiPoly, FieldTower, UniPoly
@@ -378,11 +379,14 @@ def _base_report(args, options):
 
 def _emit(report, args, lines):
     if args.format == "machine":
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        sys.stdout.write("\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        lines = [json.dumps(report, sort_keys=True, separators=(",", ":"))]
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to devnull, so that the
+        # interpreter's final flush is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _record_lines(records):
@@ -577,10 +581,11 @@ def _cmd_at_infinity(args, f):
 
 
 def _family_index(text, tower, vars):
-    """The index m >= 1 of an Abhyankar family."""
+    """The index m >= 1 of an Abhyankar family, in ASCII digits as the
+    tokenizer reads them: int() also takes other digits, '_' and spaces."""
     try:
-        m = int(text)
-    except ValueError:
+        m = int(text) if text and all(ch in _DIGITS for ch in text) else 0
+    except ValueError:  # more digits than int() converts
         m = 0
     if m < 1:
         raise ParseError("family index must be a positive integer", 0)

@@ -13,7 +13,7 @@ from .arith.fields import rational
 from .arith.linalg import stored_row, sweep
 from .arith.polynomials import BiPoly, bipoly_gcd
 from .errors import InternalInconsistency, NonzeroValue, ZeroInput
-from .nearpoints import pullback_order
+from .nearpoints import _floored_order, pullback_order
 
 
 class RationalFn:
@@ -285,25 +285,31 @@ def _value_kernel(divisor, floor, bound):
 
 
 def simple_ideal(V):
-    """Generators of the simple complete ideal of V in the root ring.
+    """Generators of the simple complete ideal I_V of V in the root ring.
 
-    zeta = {f : v(f) >= c} with c the pairing of the point basis of zeta
-    against the node multiplicities of v.  Membership in zeta is linear on
-    coefficients once a degree bound is in hand: M^D lies inside zeta for
+    I_V = {f : v(f) >= c} with c the pairing of the point basis of I_V
+    against the node multiplicities of v.  Membership in I_V is linear on
+    coefficients once a degree bound is in hand: M^D lies inside I_V for
     D = ceil(c / v(M)), so generators are a kernel over monomials of degree
     < D plus all monomials of degree D, trimmed against the span of the
-    kernel's shifts (idealcalc._span_generators).  The result is checked by
-    refactoring.
+    kernel's shifts (idealcalc._span_generators).
+
+    The result I is certified equal to I_V without a tree.  Every generator
+    has floored value c, so I lies in I_V.  One frame of I at bound D + 1
+    must show a full layer, since M^D lies in I_V, and its colength must be
+    the Hoskin-Deligne count of I_V, the sum of [k_i : k] * rho_i (rho_i + 1)
+    / 2 over the point basis rho (Lipman 1988).  An ideal inside I_V of the
+    same colength is I_V.
     """
     path = V.path
     T = path.tower
     vars = path.vars
     r = V.intermediate_multiplicities()
-    c = sum(a * b for a, b in zip(V.point_basis(), r))
+    rho = V.point_basis()
+    c = sum(a * b for a, b in zip(rho, r))
     D = -(-c // r[0])
 
-    from .idealcalc import _check_frame_degree, _span_generators
-    from .zariski import zariski_factorization
+    from .idealcalc import TruncationFrame, _check_frame_degree, _span_generators, _triangular
 
     # D grows like the Fibonacci numbers along a path that alternates charts
     _check_frame_degree(D, "the simple ideal needs monomials of degree")
@@ -312,18 +318,17 @@ def simple_ideal(V):
     gens = [BiPoly(T, vars, vec) for vec in kernel]
     gens += [BiPoly.monomial(T, vars, (i, D - i)) for i in range(D + 1)]
     ideal = _span_generators(T, vars, gens, D, basis=kernel)
-    fact = zariski_factorization(ideal)
-    if len(fact.exponents) != 1 or fact.exponents[0][1] != 1:
-        raise InternalInconsistency("candidate simple ideal does not factor simply")
-    if _unnamed(fact.exponents[0][0].path) != _unnamed(path):
-        raise InternalInconsistency("simple ideal round trip changed the path")
-    return ideal
-
-
-def _unnamed(path):
-    """A path's root, steps, minimal polynomials and coordinates, without the
-    names of its extension generators, which the round trip chooses anew."""
-    steps = tuple(
-        step._replace(ext_name=None) if step.extends else step for step in path.steps
+    if any(_floored_order(path, g, c) < c for g in ideal.gens):
+        raise InternalInconsistency("a simple ideal generator has value below its floor")
+    frame = TruncationFrame(ideal, D + 1)
+    if frame.full_degree() is None:
+        raise InternalInconsistency("the simple ideal holds no power M^d with d <= %d" % D)
+    expected = sum(
+        path.node_tower(i).degree() // T.degree() * _triangular(m) for i, m in enumerate(rho)
     )
-    return path.tower, path.vars, steps
+    if frame.colength() != expected:
+        raise InternalInconsistency(
+            "the simple ideal has colength %d, not its Hoskin-Deligne count %d"
+            % (frame.colength(), expected)
+        )
+    return ideal

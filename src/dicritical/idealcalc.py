@@ -9,7 +9,7 @@ from .arith import QQ, BiPoly, bipoly_gcd
 from .arith.linalg import stored_row, sweep
 from .divisors import PrimeDivisor, simple_ideal
 from .errors import BudgetExceeded, InternalInconsistency, NotMPrimary, Unstable
-from .nearpoints import LocalIdeal, QdtPath, QdtStep
+from .nearpoints import LocalIdeal, QdtPath, QdtStep, _floored_order
 from .zariski import base_point_tree, strip_principal
 
 MAX_FRAME_DEGREE = 1024
@@ -352,7 +352,7 @@ class ClosureData(namedtuple("ClosureData", "tree floors")):
             common = bipoly_gcd(f, principal)
             if not principal.exact_div(common).is_unit_at_origin():
                 return False
-        return all(v.value(f) >= c for v, c in self.floors)
+        return all(_floored_order(v.path, f, c) == c for v, c in self.floors)
 
 
 def _hoskin_deligne(tree):

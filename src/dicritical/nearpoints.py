@@ -123,16 +123,23 @@ class QdtPath:
         return f
 
 
-def _step_image(f, step, tower):
+def _step_image(f, step, tower, lower=0, scale=None):
     """f in the chart after the step, whose node has the given residue tower:
     x^i·y^j becomes x^(i+j)·(y + c)^j in an affine chart, x^i·y^(i+j) at
-    infinity.  f stays over its own tower when that one is larger."""
+    infinity, divided by u^lower for u the chart's exceptional variable and
+    times scale.  f stays over its own tower when that one is larger.  The
+    exponent map keeps every coefficient nonzero, so its image is trusted,
+    and the shift scales as it goes: no checked BiPoly is made."""
     if f.tower.height < tower.height:
         f = f.lift_to(tower)
+    T = f.tower
     if step.kind == "infinity":
-        return BiPoly(f.tower, f.vars, {(i, i + j): a for (i, j), a in f.terms.items()})
-    image = BiPoly(f.tower, f.vars, {(i + j, j): a for (i, j), a in f.terms.items()})
-    return image.shifted(f.tower.lift_from(tower, step.constant_in(tower)))
+        c = T.zero()
+        image = {(i, i + j - lower): a for (i, j), a in f.terms.items()}
+    else:
+        c = T.lift_from(tower, step.constant_in(tower))
+        image = {(i + j - lower, j): a for (i, j), a in f.terms.items()}
+    return BiPoly._trusted(T, f.vars, image).shifted(c, scale)
 
 
 class LocalIdeal:
@@ -184,6 +191,20 @@ def pullback_order(path, f):
     return path.pullback(f).ord_at_origin()
 
 
+def _floored_order(path, f, floor):
+    """min(pullback_order(path, f), floor), for asking whether the value
+    reaches the floor.  A step never lowers a term's degree, so the terms of
+    degree >= floor feed only such terms: they are dropped before each step."""
+    if f.is_zero():
+        raise ZeroPolynomial("the zero element has no order")
+    for i, step in enumerate(path.steps):
+        terms = {e: a for e, a in f.terms.items() if e[0] + e[1] < floor}
+        if not terms:
+            return floor
+        f = _step_image(BiPoly._trusted(f.tower, f.vars, terms), step, path.node_tower(i + 1))
+    return min(f.ord_at_origin(), floor)
+
+
 def transform_ideal(J, step):
     """The quadratic transform J^(R') = u^(-ord J)·J·R' through one step.
 
@@ -197,10 +218,10 @@ def transform_ideal(J, step):
     """
     T2 = step.extend_tower(J.tower)
     d = J.min_order()
-    shift = (-d, 0) if step.kind == "affine" else (0, -d)
-    subs = [_step_image(g, step, T2) for g in J.gens]
-    inv = T2.inv(subs[0].terms[min(subs[0].terms)])
-    return LocalIdeal(T2, J.vars, [g.mul_monomial(shift, inv) for g in subs])
+    first = _step_image(J.gens[0], step, T2, d)
+    inv = T2.inv(first.terms[min(first.terms)])
+    rest = [_step_image(g, step, T2, d, inv) for g in J.gens[1:]]
+    return LocalIdeal(T2, J.vars, [first.scale(inv)] + rest)
 
 
 def base_point(J):

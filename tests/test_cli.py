@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -631,6 +632,28 @@ def test_exit_simple_ideal_degree_budget(capsys, steps):
     code, _, err = run(capsys, "simple-ideal", _alternating_path(steps))
     assert code == 5 and "MAX_FRAME_DEGREE" in err
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("m", ["\u0663", "1_0", " 2 ", ""], ids=["arabic-indic", "underscore", "spaces", "empty"])
+def test_family_index_takes_ascii_digits_only(capsys, m):
+    # int() also reads other decimal digits, underscores and surrounding
+    # spaces, which the expression tokenizer refuses
+    code, out, err = run(capsys, "abhyankar-family", m)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: family index") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "machine"]], ids=["text", "machine"])
+def test_closed_stdout_exits_cleanly(fmt):
+    # a reader that has gone before the output is written: exit 0, no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dicritical.cli", "abhyankar-family", "2", *fmt],
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("m", ["32", "44"])

@@ -480,7 +480,9 @@ def test_zero_generator_leaves_the_staircase():
 
 def test_known_answers_build_no_buchberger(monkeypatch):
     # a monomial ideal's colength reads its staircase, and simple_ideal trims
-    # against the span of its kernel's shifts: neither sweeps a frame for M.I
+    # against the span of its kernel's shifts: neither sweeps a frame for M.I.
+    # simple_ideal's certificate builds one frame, of its own output at bound
+    # D + 1, for the colength
     sweeps, frames = [], []
 
     def counted(*args, **kwargs):
@@ -489,7 +491,7 @@ def test_known_answers_build_no_buchberger(monkeypatch):
 
     class Frame(ic.TruncationFrame):
         def __init__(self, *args, **kwargs):
-            frames.append(args[0])
+            frames.append(args[:2])
             super().__init__(*args, **kwargs)
 
     sweep = ic.sweep
@@ -502,6 +504,10 @@ def test_known_answers_build_no_buchberger(monkeypatch):
     assert frames and not sweeps
     frames.clear()
     steps = [QdtStep.infinity(), QdtStep.affine(QQ.one()), QdtStep.affine(QQ.from_int(-1))]
-    zeta = divisors.simple_ideal(divisors.PrimeDivisor(QdtPath(QQ, V, steps)))
+    v = divisors.PrimeDivisor(QdtPath(QQ, V, steps))
+    zeta = divisors.simple_ideal(v)
+    r = v.intermediate_multiplicities()
+    D = -(-sum(a * b for a, b in zip(v.point_basis(), r)) // r[0])
     assert not all(g.is_monomial() for g in zeta.gens)
-    assert not frames and sweeps
+    assert [(ideal.gens, bound) for ideal, bound in frames] == [(zeta.gens, D + 1)]
+    assert sweeps
