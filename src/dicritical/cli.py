@@ -594,6 +594,8 @@ def _family_index(text, tower, vars):
 
 def _cmd_abhyankar_family(args, m):
     f, g, ideal = idealcalc.abhyankar_family(m, args.tower, args.vars)
+    # the pencil's colength is read off a frame of degree d(J_m) = m^2
+    idealcalc._check_frame_degree(m * m, "the length frame of (F_m, G_m) has degree")
     pencil = LocalIdeal(args.tower, args.vars, [f, g])
     result = idealcalc.is_reduction(pencil, ideal, n_max=args.nmax, config=args.config)
     fields, record_lines = _records(dicritical_set(pencil, args.config))

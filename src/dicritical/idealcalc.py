@@ -98,9 +98,12 @@ class TruncationFrame:
         return sweep(self.ideal.tower, row, lookup or self._lookup, top=True)[0]
 
     def _complete(self, target=None):
-        """Reduce the queued rows and S-pairs, adding each nonzero remainder."""
+        """Reduce the queued rows and S-pairs, adding each nonzero remainder.
+        An item met at degree d is reduced through degree 2d only: a remainder
+        whose lead lies higher waits in the queue, where the cut may drop it."""
         while self._queue:
-            row, lookup = heappop(self._queue)[2], None
+            degree, _, row = heappop(self._queue)
+            lookup = self._lookup
             if type(row) is tuple:
                 # leads x^a y^b (left) and x^a' y^b' (right), a < a' and b > b':
                 # x^(a'-a).left is reduced first by y^(b-b').right, then as usual
@@ -111,8 +114,11 @@ class TruncationFrame:
                 first = self._shifted(right, lcm)
                 row = dict(self._shifted(left, lcm)[1])
                 lookup = lambda k: first if k == lcm else self._lookup(k)
-            res = self._reduce(row, lookup)
-            if res:
+            ceiling = (2 * degree + 1) * self._width
+            res = self._reduce(row, lambda k: None if k >= ceiling else lookup(k))
+            if res and min(res) >= ceiling:
+                self._push(res)
+            elif res:
                 self._add(stored_row(self.ideal.tower, res))
                 if target is not None and self.colength() <= target:
                     return
@@ -143,11 +149,13 @@ class TruncationFrame:
             self._limit = min(self._limit, full * self._width)
 
     def colength(self):
-        """Monomials below the bound outside the leading ideal, column by column."""
+        """Monomials below the bound outside the leading ideal, column by column;
+        a column of height zero adds nothing."""
         n = self.bound
         total, height, i = 0, n, 0
         for a, b, _ in self._basis + [(n, 0, None)]:
-            total += sum(min(height, n - x) for x in range(i, a))
+            if height:
+                total += sum(min(height, n - x) for x in range(i, a))
             height, i = b, a
         return total
 
@@ -170,27 +178,18 @@ class TruncationFrame:
 
 
 def stabilized_frame(ideal):
-    """A frame with a full degree layer d, so M^d lies in the ideal.
-
-    M^d inside the ideal puts x^d there, so d >= ord(I): the first frame has
-    bound ord(I) + 1, the least that can show a full layer, and the bound
-    doubles until one does, ending below 2 * (d(I) + 1), while the frame's
-    degree stays within the budget MAX_FRAME_DEGREE.  When the first frame
-    has no full layer, an ideal that is not M-primary is refused.
-    """
-    first = bound = ideal.min_order() + 1
-    while bound - 1 <= MAX_FRAME_DEGREE:
-        frame = TruncationFrame(ideal, bound)
-        if frame.full_degree() is not None:
-            return frame
-        if bound == first:
-            _require_mprimary(ideal.content())
-        bound *= 2
-    raise Unstable(
-        "frame budget exhausted: no truncation frame of degree at most "
-        "MAX_FRAME_DEGREE = %d shows a power of M inside the ideal (next degree "
-        "to try: %d)" % (MAX_FRAME_DEGREE, bound - 1)
-    )
+    """A frame with a full layer d, so M^d lies in the ideal: one frame at
+    bound MAX_FRAME_DEGREE + 1, which its cut keeps below degree 2d.  An
+    ideal whose principal part vanishes at the origin would never cut: it is
+    refused first."""
+    _require_mprimary(ideal.content())
+    frame = TruncationFrame(ideal, MAX_FRAME_DEGREE + 1)
+    if frame.full_degree() is None:
+        raise Unstable(
+            "frame budget exhausted: no truncation frame of degree at most "
+            "MAX_FRAME_DEGREE = %d shows a power of M inside the ideal" % MAX_FRAME_DEGREE
+        )
+    return frame
 
 
 def _require_mprimary(principal):
@@ -211,32 +210,18 @@ def membership(f, ideal):
 
 
 def ideal_equals(j, k):
-    fj = stabilized_frame(j)
-    fk = stabilized_frame(k)
-    return all(fk.contains(g) for g in j.gens) and all(
-        fj.contains(g) for g in k.gens
-    )
+    fj, fk = stabilized_frame(j), stabilized_frame(k)
+    return all(map(fk.contains, j.gens)) and all(map(fj.contains, k.gens))
 
 
 def _gen_key(tower, g):
-    return (
-        g.ord_at_origin(),
-        g.total_degree,
-        tuple(
-            (e, tower.sort_key(c)) for e, c in sorted(g.terms.items())
-        ),
-    )
+    terms = tuple((e, tower.sort_key(c)) for e, c in sorted(g.terms.items()))
+    return g.ord_at_origin(), g.total_degree, terms
 
 
 def _dedupe(tower, gens):
-    seen = set()
-    out = []
-    for g in gens:
-        key = _gen_key(tower, g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
+    """gens without repeats, in order: equal keys are equal polynomials."""
+    return list({_gen_key(tower, g): g for g in gens}.values())
 
 
 def _minimal_exponents(gens):
@@ -430,30 +415,42 @@ def is_reduction(j, i, n_max=None, config=None):
     # floors must come from J: values on I's own divisors cannot see
     # elements of I lying below J's polygon
     data = closure_data(j, config)
-    # a reduction of an M-primary ideal is M-primary: without that, J has no
-    # floors and the values alone would pass vacuously; J in I makes v(I) = c
-    # the same test as v(I) >= c
-    valuative = data.tree.principal.is_unit_at_origin() and all(map(data.contains, i.gens))
+    # a reduction of an M-primary ideal is M-primary: else J has no floors,
+    # and no J.I^n holds I^(n+1); J in I makes v(I) = c the test v(I) >= c
+    primary = data.tree.principal.is_unit_at_origin()
+    valuative = primary and all(map(data.contains, i.gens))
+    length_i = frame_i.colength()
     if n_max is None:
-        n_max = frame_i.colength()
+        n_max = length_i
     # M^d_i lies in I, so M^((n+1)d_i + 1) lies in M.I^(n+1): equality modulo
     # that power gives equality by Nakayama.  J in I puts J.I^n inside
-    # I^(n+1), so the two agree there exactly when their colengths do
+    # I^(n+1), so the two agree there exactly when their colengths do.  For
+    # J = (F, G) M-primary, J/J.I = (R/I)^2 (Koszul), so J.I^n has colength
+    # lambda(R/J) + 2n.lambda(R/I) for n <= 1; then M^(2d_i) lies in I^2 = J.I,
+    # so J's frame at 2d_i + 1 is full
     d_i = frame_i.full_degree()
-    witness = None
-    current = power(i, 0)
-    for n in range(n_max + 1):
+    pair, length_j = primary and len(j.gens) == 2, None
+    if pair:
+        frame_j = TruncationFrame(j, 2 * d_i + 1)
+        if frame_j.full_degree() is not None:
+            length_j = frame_j.colength()
+    witness, current = None, power(i, 0)
+    for n in range(n_max + 1) if primary else ():
         bound = (n + 1) * d_i + 1
         lifted = product(i, current)
-        target = TruncationFrame(lifted, bound).colength()
-        if TruncationFrame(product(j, current), bound, target).colength() == target:
+        if pair and n < 2:
+            found = length_j is not None and length_j + 2 * n * length_i == (
+                TruncationFrame(lifted, bound).colength() if n else length_i
+            )
+        else:
+            target = TruncationFrame(lifted, bound).colength()
+            found = TruncationFrame(product(j, current), bound, target).colength() == target
+        if found:
             witness = n
             break
         current = lifted
     if valuative and witness is None:
-        raise BudgetExceeded(
-            "no reduction exponent found up to n_max = %d" % n_max
-        )
+        raise BudgetExceeded("no reduction exponent found up to n_max = %d" % n_max)
     if (witness is not None) != valuative:
         raise InternalInconsistency("reduction criteria disagree")
     return ReductionResult(valuative, witness, witness is not None, valuative)

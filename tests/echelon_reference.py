@@ -8,7 +8,10 @@ reads the null space off the reduced row echelon form; _valuation_rows turns
 pullbacks, over the columns that _monomials_below lists; frame_trim trims a
 generating set against the truncation frame of M.I, offering each
 generator to InsertFrame.insert, which reruns the frame's Buchberger loop
-after the build.
+after the build; doubled_frame is the stabilization rule before one frame
+at the budget: bounds from ord(I) + 1, doubled until a layer is full; and
+chase_witness is the reduction chase before the length test for witnesses
+0 and 1.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ from fractions import Fraction
 from dicritical import idealcalc as ic
 from dicritical.arith.linalg import stored_row, sweep
 from dicritical.arith.polynomials import BiPoly
+from dicritical.errors import Unstable
 from dicritical.nearpoints import LocalIdeal
 from poly_reference import canonical
 
@@ -154,3 +158,36 @@ def frame_span_generators(tower, vars, basis, degree):
     gens = [BiPoly(tower, vars, vec) for vec in basis]
     gens += [BiPoly.monomial(tower, vars, (i, degree - i)) for i in range(degree + 1)]
     return frame_trim(LocalIdeal(tower, vars, gens), degree)
+
+
+def doubled_frame(ideal):
+    """A frame with a full layer: the first bound is ord(I) + 1, the least
+    that can show one, and the bound doubles until one does, while the
+    frame's degree stays within MAX_FRAME_DEGREE.  An ideal whose first
+    frame has no full layer is checked for a principal part."""
+    first = bound = ideal.min_order() + 1
+    while bound - 1 <= ic.MAX_FRAME_DEGREE:
+        frame = ic.TruncationFrame(ideal, bound)
+        if frame.full_degree() is not None:
+            return frame
+        if bound == first:
+            ic._require_mprimary(ideal.content())
+        bound *= 2
+    raise Unstable("no doubled frame of degree at most %d is full" % ic.MAX_FRAME_DEGREE)
+
+
+def chase_witness(j, i, n_max):
+    """The least n <= n_max with J.I^n = I^(n+1), else None; J inside I.
+
+    The two agree modulo M^((n+1)d(I) + 1), and so everywhere, exactly when
+    the frame of J.I^n there reaches the colength of I^(n+1)."""
+    d = doubled_frame(i).full_degree()
+    current = ic.power(i, 0)
+    for n in range(n_max + 1):
+        bound = (n + 1) * d + 1
+        lifted = ic.product(i, current)
+        target = ic.TruncationFrame(lifted, bound).colength()
+        if ic.TruncationFrame(ic.product(j, current), bound, target).colength() == target:
+            return n
+        current = lifted
+    return None

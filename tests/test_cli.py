@@ -656,13 +656,14 @@ def test_closed_stdout_exits_cleanly(fmt):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-@pytest.mark.parametrize("m", ["32", "44"])
+@pytest.mark.parametrize("m", ["33", "44"])
 def test_exit_abhyankar_family_frame_budget(capsys, m):
-    # below m = 45 the pencil fits, but from m = 32 on the frame search for
-    # I_m doubles its degree past MAX_FRAME_DEGREE
+    # below m = 45 the pencil fits, but from m = 33 on the colength of
+    # J_m = (F_m, G_m) needs a frame of degree d(J_m) = m^2 past
+    # MAX_FRAME_DEGREE: refused before any tree or frame is built
     start = time.perf_counter()
     code, _, err = run(capsys, "abhyankar-family", m)
-    assert code == 5 and "frame budget exhausted" in err
+    assert code == 5 and "length frame" in err and "MAX_FRAME_DEGREE = 1024" in err
     assert time.perf_counter() - start < 2
 
 

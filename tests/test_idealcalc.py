@@ -13,6 +13,7 @@ import pytest
 
 import test_frame_differential as fd
 import test_properties as props
+from echelon_reference import doubled_frame
 from dicritical import cli, idealcalc as ic
 from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly
 from dicritical.arith.factor import factor_univariate
@@ -108,7 +109,7 @@ def test_colength_unstable_for_non_primary():
     ],
 )
 def test_non_primary_refused_after_one_frame(gens, factor):
-    # refused at the first frame without a full layer, not at the budget
+    # refused by the gcd guard before any frame, not at the budget
     start = time.perf_counter()
     with pytest.raises(NotMPrimary) as exc:
         ic.colength(LocalIdeal(QQ, V, gens))
@@ -132,13 +133,23 @@ def _frames_built(monkeypatch, call):
         monkeypatch.setattr(ic.TruncationFrame, "__init__", real)
 
 
-def _assert_frames_sized_by_ideal(monkeypatch, ideal):
-    # the frames start at ord(I) + 1 and double: all below 2 * (d(I) + 1)
+def _assert_one_frame(monkeypatch, ideal):
+    # one frame, at bound MAX_FRAME_DEGREE + 1, cut at its full degree d: no
+    # lead passes degree d, and no reduction looks past degree 2d
+    looked, real = [0], ic.TruncationFrame._lookup
+
+    def lookup(self, k):
+        looked[0] = max(looked[0], k // self._width)
+        return real(self, k)
+
+    monkeypatch.setattr(ic.TruncationFrame, "_lookup", lookup)
     frame, built = _frames_built(monkeypatch, lambda: ic.stabilized_frame(ideal))
-    bounds = [b for _, b in built]
+    monkeypatch.setattr(ic.TruncationFrame, "_lookup", real)
+    assert [b for _, b in built] == [ic.MAX_FRAME_DEGREE + 1]
     d = frame.full_degree()
-    assert bounds[0] == ideal.min_order() + 1
-    assert all(b < 2 * (d + 1) for b in bounds), (ideal, bounds, d)
+    assert frame._limit == d * frame._width
+    assert all(a + b <= d for a, b, _ in frame._basis), (ideal, d)
+    assert looked[0] <= 2 * d, (ideal, looked[0], d)
 
 
 def _const(n):
@@ -150,18 +161,42 @@ def test_frame_ignores_a_redundant_high_degree_generator(monkeypatch):
     start = time.perf_counter()
     assert ic.colength(J) == 6
     assert time.perf_counter() - start < 2
-    _assert_frames_sized_by_ideal(monkeypatch, J)
+    _assert_one_frame(monkeypatch, J)
 
 
 @pytest.mark.parametrize("tower", [QQ, FieldTower.prime_field(5)], ids=["Q", "F5"])
-def test_frames_below_twice_full_degree(monkeypatch, tower):
+def test_one_frame_cut_at_full_degree(monkeypatch, tower):
     for m in range(2, 7):
         f, g, I = ic.abhyankar_family(m, tower)
-        _assert_frames_sized_by_ideal(monkeypatch, I)
-        _assert_frames_sized_by_ideal(monkeypatch, LocalIdeal(tower, V, [f, g]))
+        _assert_one_frame(monkeypatch, I)
+        _assert_one_frame(monkeypatch, LocalIdeal(tower, V, [f, g]))
     rng = random.Random(900 + tower.char)
     for _ in range(40):
-        _assert_frames_sized_by_ideal(monkeypatch, props.random_primary(rng, tower))
+        _assert_one_frame(monkeypatch, props.random_primary(rng, tower))
+
+
+def test_one_frame_reduces_below_twice_its_full_degree(monkeypatch):
+    # I = (x + x^2 + x.y + y^2, x^3 + y^3)^2 has full degree 6; reduced at
+    # once through the whole bound, its zero remainders ran to degree 1024
+    # before the cut and took seconds
+    J = cli.parse_ideal("x + x^2 + x*y + y^2, x^3 + y^3", QQ, V)
+    I = ic.power(J, 2)
+    start = time.perf_counter()
+    _assert_one_frame(monkeypatch, I)
+    assert ic.colength(I) == doubled_frame(I).colength() == 9
+    assert time.perf_counter() - start < 1
+
+
+def test_non_primary_guard_comes_before_the_frame(monkeypatch):
+    # a shared factor through the origin: the frame at the budget would never
+    # cut, and built first it takes seconds
+    J = cli.parse_ideal(
+        "(y-x-x^2-x^3)*(2*x^2+3*y^3+x*y), (y-x-x^2-x^3)*(y^5+7*x^4)", QQ, V
+    )
+    start = time.perf_counter()
+    with pytest.raises(NotMPrimary, match="share the factor"):
+        _frames_built(monkeypatch, lambda: ic.colength(J))
+    assert time.perf_counter() - start < 1
 
 
 def test_membership():
@@ -468,12 +503,35 @@ def test_frame_full_degree():
 
 def test_unstable_message_names_budget(monkeypatch):
     monkeypatch.setattr(ic, "MAX_FRAME_DEGREE", 32)
-    # frames at bounds 2, 4, ..., 32; the next would have degree 63
-    with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 .* try: 63"):
-        ic.colength(LocalIdeal(QQ, V, [X.pow(39), Y]))
-    # the first frame (degree 40) is already past the budget
-    with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 .* try: 40"):
-        ic.colength(LocalIdeal(QQ, V, [X.pow(40), Y.pow(40)]))
+    # the one frame, at bound 33, shows no full layer: d(I) is 39, then 79
+    for gens in ([X.pow(39), Y], [X.pow(40), Y.pow(40)]):
+        with pytest.raises(Unstable, match="MAX_FRAME_DEGREE = 32 shows") as exc:
+            ic.colength(LocalIdeal(QQ, V, gens))
+        assert "try" not in str(exc.value)
+    # d(I) = 32 is within the budget
+    assert ic.colength(LocalIdeal(QQ, V, [X.pow(32), Y])) == 32
+
+
+def test_colength_of_the_fourteen_step_simple_ideal():
+    # the path alternating infinity and aff(0) meets only coordinate points,
+    # so its valuation is monomial and I_V is spanned by the monomials of
+    # value >= c.  ord(I_V) = 610 and d(I_V) = D = 987: the doubled frames
+    # tried bound 611 and then 1222, past the budget
+    steps = [QdtStep.infinity(), QdtStep.affine(QQ.zero())] * 7
+    v = PrimeDivisor(QdtPath(QQ, V, steps))
+    a, b = v.coordinate_values()
+    rho = v.point_basis()
+    c = sum(p * r for p, r in zip(rho, v.intermediate_multiplicities()))
+    exps = [(i, max(-(-(c - a * i) // b), 0)) for i in range(-(-c // a) + 1)]
+    ideal = LocalIdeal(QQ, V, [BiPoly.monomial(QQ, V, e) for e in exps])
+    assert ideal.min_order() == 610
+    start = time.perf_counter()
+    # the Hoskin-Deligne count over the point basis
+    assert ic.colength(ideal) == sum(r * (r + 1) // 2 for r in rho) == 301833
+    assert ic.stabilized_frame(ideal).full_degree() == 987
+    assert time.perf_counter() - start < 1
+    with pytest.raises(Unstable):
+        doubled_frame(ideal)
 
 
 @pytest.mark.parametrize("tower", [QQ, FieldTower.prime_field(5)], ids=["Q", "F5"])
@@ -496,10 +554,11 @@ def test_frame_insert_budget(tower):
 
 
 def test_is_reduction_frame_bounds(monkeypatch):
-    # besides I's own frames, only the frames of I^(n+1) and J.I^n at (n + 1) d(I) + 1
-    def bounds_of(call):
-        result, built = _frames_built(monkeypatch, call)
-        return result, [b for _, b in built]
+    # besides I's own frame: for a two-generated J with witness <= 1, the
+    # frames of J and I^2 at 2 d(I) + 1, whose colengths give the witness;
+    # otherwise the frames of I^(n+1) and J.I^n at (n + 1) d(I) + 1
+    def bounds(built):
+        return [b for _, b in built]
 
     for m in range(2, 6):
         f, g, I = ic.abhyankar_family(m)
@@ -508,13 +567,17 @@ def test_is_reduction_frame_bounds(monkeypatch):
         K = ic.product(J, LocalIdeal(QQ, V, [X, Y.pow(m + 1)]))
         L = ic.product(J, LocalIdeal(QQ, V, [X, Y]))
         for small, big, n_max, witness in ((J, I, None, 1), (K, L, 2, None)):
-            own, own_bounds = bounds_of(lambda: ic.stabilized_frame(big))
-            result, bounds = bounds_of(lambda: ic.is_reduction(small, big, n_max))
+            own, own_built = _frames_built(monkeypatch, lambda: ic.stabilized_frame(big))
+            result, built = _frames_built(monkeypatch, lambda: ic.is_reduction(small, big, n_max))
             assert result.witness == witness
-            last = witness if witness is not None else n_max
             d = own.full_degree()
-            chase = [(n + 1) * d + 1 for n in range(last + 1) for _ in range(2)]
-            assert bounds == own_bounds + chase
+            if witness is None:
+                chase = [(n + 1) * d + 1 for n in range(n_max + 1) for _ in range(2)]
+                assert bounds(built) == bounds(own_built) + chase
+            else:
+                assert bounds(built) == bounds(own_built) + [2 * d + 1] * 2
+                assert built[-2][0] is small
+                assert fd._render(built[-1][0].gens) == fd._render(ic.power(big, 2).gens)
 
 
 def test_pure_powers_need_no_gcd(monkeypatch):
