@@ -16,6 +16,7 @@ from .zariski import (
     base_point_tree,
     dicritical_of_rational,
     dicritical_set,
+    records_from_tree,
     rees_certificate,
     special_pencil_test,
     zariski_factorization,
@@ -597,10 +598,10 @@ def _cmd_abhyankar_family(args, m):
     # the pencil's colength is read off a frame of degree d(J_m) = m^2
     idealcalc._check_frame_degree(m * m, "the length frame of (F_m, G_m) has degree")
     pencil = LocalIdeal(args.tower, args.vars, [f, g])
-    result = idealcalc.is_reduction(pencil, ideal, n_max=args.nmax, config=args.config)
-    fields, record_lines = _records(dicritical_set(pencil, args.config))
-    fields["decision"] = result.decision
-    fields["witness"] = result.witness
+    result, data = idealcalc._reduction(pencil, ideal, args.nmax, args.config)
+    tree = data.tree if data else base_point_tree(pencil, args.config)
+    fields, record_lines = _records(records_from_tree(tree))
+    fields.update(decision=result.decision, witness=result.witness)
     fields["diagnostics"] = {
         "F": f.render(),
         "G": g.render(),

@@ -292,14 +292,15 @@ def simple_ideal(V):
     coefficients once a degree bound is in hand: M^D lies inside I_V for
     D = ceil(c / v(M)), so generators are a kernel over monomials of degree
     < D plus all monomials of degree D, trimmed against the span of the
-    kernel's shifts (idealcalc._span_generators).
+    kernel's shifts (idealcalc._span_generators).  On a path of only
+    infinity and affine-0 steps, I_V is its staircase, with no kernel.
 
     The result I is certified equal to I_V without a tree.  Every generator
     has floored value c, so I lies in I_V.  One frame of I at bound D + 1
     must show a full layer, since M^D lies in I_V, and its colength must be
     the Hoskin-Deligne count of I_V, the sum of [k_i : k] * rho_i (rho_i + 1)
     / 2 over the point basis rho (Lipman 1988).  An ideal inside I_V of the
-    same colength is I_V.
+    same colength is I_V.  The full layer makes I M-primary: I keeps the frame.
     """
     path = V.path
     T = path.tower
@@ -309,15 +310,22 @@ def simple_ideal(V):
     c = sum(a * b for a, b in zip(rho, r))
     D = -(-c // r[0])
 
-    from .idealcalc import TruncationFrame, _check_frame_degree, _span_generators, _triangular
+    from .idealcalc import (TruncationFrame, _check_frame_degree, _keep_frame, _prune_monomials,
+                            _span_generators, _triangular)
 
     # D grows like the Fibonacci numbers along a path that alternates charts
     _check_frame_degree(D, "the simple ideal needs monomials of degree")
 
-    kernel = _value_kernel(V, c, D)
-    gens = [BiPoly(T, vars, vec) for vec in kernel]
-    gens += [BiPoly.monomial(T, vars, (i, D - i)) for i in range(D + 1)]
-    ideal = _span_generators(T, vars, gens, D, basis=kernel)
+    if all(s.kind == "infinity" or not s.extends and T.is_zero(s.c) for s in path.steps):
+        # v(x^a y^b) = a.v(x) + b.v(y): the least b with value >= c for each a
+        vx, vy = V.coordinate_values()
+        stairs = [(a, max(-(-(c - a * vx) // vy), 0)) for a in range(-(-c // vx) + 1)]
+        ideal = _prune_monomials(T, vars, [BiPoly.monomial(T, vars, e) for e in stairs])
+    else:
+        kernel = _value_kernel(V, c, D)
+        gens = [BiPoly(T, vars, vec) for vec in kernel]
+        gens += [BiPoly.monomial(T, vars, (i, D - i)) for i in range(D + 1)]
+        ideal = _span_generators(T, vars, gens, D, basis=kernel)
     if any(_floored_order(path, g, c) < c for g in ideal.gens):
         raise InternalInconsistency("a simple ideal generator has value below its floor")
     frame = TruncationFrame(ideal, D + 1)
@@ -331,4 +339,5 @@ def simple_ideal(V):
             "the simple ideal has colength %d, not its Hoskin-Deligne count %d"
             % (frame.colength(), expected)
         )
+    _keep_frame(ideal, frame)
     return ideal

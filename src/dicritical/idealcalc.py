@@ -179,17 +179,24 @@ class TruncationFrame:
 
 def stabilized_frame(ideal):
     """A frame with a full layer d, so M^d lies in the ideal: one frame at
-    bound MAX_FRAME_DEGREE + 1, which its cut keeps below degree 2d.  An
-    ideal whose principal part vanishes at the origin would never cut: it is
-    refused first."""
-    _require_mprimary(ideal.content())
-    frame = TruncationFrame(ideal, MAX_FRAME_DEGREE + 1)
-    if frame.full_degree() is None:
-        raise Unstable(
-            "frame budget exhausted: no truncation frame of degree at most "
-            "MAX_FRAME_DEGREE = %d shows a power of M inside the ideal" % MAX_FRAME_DEGREE
-        )
-    return frame
+    bound MAX_FRAME_DEGREE + 1, cut below degree 2d and kept on the ideal, as
+    a frame never changes.  An ideal whose principal part vanishes at the
+    origin would never cut: it is refused first."""
+    if ideal._frame is None:
+        _require_mprimary(ideal.content())
+        frame = TruncationFrame(ideal, MAX_FRAME_DEGREE + 1)
+        if frame.full_degree() is None:
+            raise Unstable(
+                "frame budget exhausted: no truncation frame of degree at most "
+                "MAX_FRAME_DEGREE = %d shows a power of M inside the ideal" % MAX_FRAME_DEGREE
+            )
+        _keep_frame(ideal, frame)
+    return ideal._frame
+
+
+def _keep_frame(ideal, frame):
+    """Keep on the ideal a frame of it that shows a full layer."""
+    object.__setattr__(ideal, "_frame", frame)
 
 
 def _require_mprimary(principal):
@@ -232,6 +239,17 @@ def _minimal_exponents(gens):
         if not keep or e[1] < keep[-1][1]:
             keep.append(e)
     return keep
+
+
+def _newton_polygon(exps):
+    """The corners of the lower convex hull of exps, sorted by the power of x."""
+    hull = []
+    for i, j in exps:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (j - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])):
+            hull.pop()
+        hull.append((i, j))
+    return hull
 
 
 def _prune_monomials(tower, vars, gens):
@@ -373,6 +391,14 @@ def closure_membership(f, ideal, config=None):
 
 
 def closure_colength(ideal, config=None):
+    """Hoskin-Deligne over the base-point tree.  A monomial ideal needs no tree: its
+    closure is the monomial ideal of its Newton polyhedron (Huneke-Swanson 1.4.6)."""
+    if all(g.is_monomial() for g in ideal.gens):
+        _require_mprimary(ideal.content())
+        corners = _newton_polygon(_minimal_exponents(ideal.gens))
+        # over each i, ceil of the polygon's height: the points (i, j) below it
+        return sum(-(-(y1 * (x2 - i) + y2 * (i - x1)) // (x2 - x1))
+                   for (x1, y1), (x2, y2) in zip(corners, corners[1:]) for i in range(x1, x2))
     tree = base_point_tree(ideal, config)
     _require_mprimary(tree.principal)
     return _hoskin_deligne(tree)
@@ -409,9 +435,14 @@ def is_reduction(j, i, n_max=None, config=None):
     method checks I against the value floors of J's closure.  Both run and
     the result records each verdict.
     """
+    return _reduction(j, i, n_max, config)[0]
+
+
+def _reduction(j, i, n_max, config):
+    """is_reduction's result, and J's closure data, None when J does not lie in I."""
     frame_i = stabilized_frame(i)
     if not all(frame_i.contains(g) for g in j.gens):
-        return ReductionResult(False, None, False, False)
+        return ReductionResult(False, None, False, False), None
     # floors must come from J: values on I's own divisors cannot see
     # elements of I lying below J's polygon
     data = closure_data(j, config)
@@ -453,7 +484,7 @@ def is_reduction(j, i, n_max=None, config=None):
         raise BudgetExceeded("no reduction exponent found up to n_max = %d" % n_max)
     if (witness is not None) != valuative:
         raise InternalInconsistency("reduction criteria disagree")
-    return ReductionResult(valuative, witness, witness is not None, valuative)
+    return ReductionResult(valuative, witness, witness is not None, valuative), data
 
 
 def _triangular(n):

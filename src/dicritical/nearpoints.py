@@ -145,7 +145,7 @@ def _step_image(f, step, tower, lower=0, scale=None):
 class LocalIdeal:
     """An ideal of the local ring at a chart origin, held by generators."""
 
-    __slots__ = ("tower", "vars", "gens")
+    __slots__ = ("tower", "vars", "gens", "_frame")
 
     def __init__(self, tower, vars, gens):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -157,6 +157,7 @@ class LocalIdeal:
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "_frame", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LocalIdeal is immutable")

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from dicritical import atinfinity, cli, idealcalc
+from dicritical import atinfinity, cli, idealcalc, zariski
 from dicritical.arith import QQ
 from dicritical.errors import DivisionNotTopLevel, ParseError
 
@@ -375,6 +375,22 @@ def test_abhyankar_family_text(capsys):
         "divisor [] index=1 values x:1 y:1",
         "divisor [aff(0)] index=1 values x:1 y:2",
     ]
+
+
+def test_abhyankar_family_builds_one_tree(capsys, monkeypatch):
+    # the records come off the tree of (F_m, G_m) that the valuative
+    # reduction verdict built
+    built, real = [], zariski.base_point_tree
+
+    def counted(*args):
+        built.append(args[0])
+        return real(*args)
+
+    for module in (cli, idealcalc, zariski):
+        monkeypatch.setattr(module, "base_point_tree", counted)
+    code, out, _ = run(capsys, "abhyankar-family", "4")
+    assert code == 0 and "reduction true witness 1" in out
+    assert len(built) == 1 and len(built[0].gens) == 2
 
 
 # ---------------------------------------------------------- machine format

@@ -133,9 +133,15 @@ def _frames_built(monkeypatch, call):
         monkeypatch.setattr(ic.TruncationFrame, "__init__", real)
 
 
+def _fresh(ideal):
+    """An equal ideal that keeps no frame yet: stabilized_frame builds anew."""
+    return LocalIdeal(ideal.tower, ideal.vars, ideal.gens)
+
+
 def _assert_one_frame(monkeypatch, ideal):
     # one frame, at bound MAX_FRAME_DEGREE + 1, cut at its full degree d: no
     # lead passes degree d, and no reduction looks past degree 2d
+    ideal = _fresh(ideal)
     looked, real = [0], ic.TruncationFrame._lookup
 
     def lookup(self, k):
@@ -358,7 +364,7 @@ def test_minimal_generators_sweeps_each_candidate_once(monkeypatch):
         def counted(call):
             return _frames_built(monkeypatch, lambda: _sweeps(monkeypatch, call))
 
-        (frame, own), built = counted(lambda: ic.stabilized_frame(ideal))
+        (frame, own), built = counted(lambda: ic.stabilized_frame(_fresh(ideal)))
         d = frame.full_degree()
         of_mi = _sweeps(monkeypatch, lambda: ic.TruncationFrame(shifts, d + 1))[1]
         (got, total), mg_built = counted(lambda: ic.minimal_generators(ideal))
@@ -567,7 +573,7 @@ def test_is_reduction_frame_bounds(monkeypatch):
         K = ic.product(J, LocalIdeal(QQ, V, [X, Y.pow(m + 1)]))
         L = ic.product(J, LocalIdeal(QQ, V, [X, Y]))
         for small, big, n_max, witness in ((J, I, None, 1), (K, L, 2, None)):
-            own, own_built = _frames_built(monkeypatch, lambda: ic.stabilized_frame(big))
+            own, own_built = _frames_built(monkeypatch, lambda: ic.stabilized_frame(_fresh(big)))
             result, built = _frames_built(monkeypatch, lambda: ic.is_reduction(small, big, n_max))
             assert result.witness == witness
             d = own.full_degree()

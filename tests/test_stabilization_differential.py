@@ -2,7 +2,8 @@
 against the rules they replaced.
 
 stabilized_frame builds one frame at bound MAX_FRAME_DEGREE + 1 and lets its
-cut stop the work at the first full layer.  The reference, doubled_frame,
+cut stop the work at the first full layer; a simple ideal keeps the frame
+at bound D + 1 that certified it.  The reference, doubled_frame,
 starts at bound ord(I) + 1 and doubles until a layer is full.  Colength,
 full degree and membership must agree over Q, F_5 and F_7(a) on seeded
 ideals, on the Abhyankar I_m and J_m for m <= 6, and, over Q, on the 16
@@ -46,29 +47,35 @@ def _seeded(tower, ground, rng):
 
 
 def _frame_cases(tower, ground, rng):
+    """(ideal, the bound of its stabilized frame): MAX_FRAME_DEGREE + 1, or
+    D + 1 for a simple ideal, which keeps its certificate frame."""
     x, y = (BiPoly.variable(tower, V, v) for v in V)
+    budget = ic.MAX_FRAME_DEGREE + 1
     for k in range(12):
         J = _seeded(tower, ground, rng)
         f, g = J.gens
-        yield J
+        yield J, budget
         yield (LocalIdeal(tower, V, [f, g, f.add(g), f.mul(x).add(g.mul(y))]) if k % 2
-               else ic.product(J, LocalIdeal(tower, V, [x, y.pow(2)])))
+               else ic.product(J, LocalIdeal(tower, V, [x, y.pow(2)]))), budget
     for m in range(1, 7):
         f, g, I = ic.abhyankar_family(m, tower)
-        yield I
-        yield LocalIdeal(tower, V, [f, g])
+        yield I, budget
+        yield LocalIdeal(tower, V, [f, g]), budget
     if tower is QQ:
         for shape in td.SHAPES:
-            yield divisors.simple_ideal(td._bench_divisor(shape, tower, rng))
+            v = td._bench_divisor(shape, tower, rng)
+            r = v.intermediate_multiplicities()
+            D = -(-sum(a * b for a, b in zip(v.point_basis(), r)) // r[0])
+            yield divisors.simple_ideal(v), D + 1
 
 
 @pytest.mark.parametrize("tower,ground,seed", FIELDS, ids=IDS)
 def test_one_frame_matches_doubled_frame(tower, ground, seed):
     ideals = list(_frame_cases(tower, ground, random.Random(seed)))
     rng = random.Random("probes %d" % seed)
-    for ideal in ideals:
+    for ideal, bound in ideals:
         frame, ref = ic.stabilized_frame(ideal), doubled_frame(ideal)
-        assert frame.bound == ic.MAX_FRAME_DEGREE + 1
+        assert frame.bound == bound
         assert frame.colength() == ref.colength()
         assert frame.full_degree() == ref.full_degree()
         for p in fd._probes(rng, tower, ideal, ref.bound):
