@@ -588,14 +588,18 @@ def bipoly_gcd(f, *others):
     """Gcd in K[x, y] of f and the others, normalized so the lex-least exponent
     has coefficient 1.
 
-    The monomial parts split off exactly (x and y are prime).  One
-    specialization certificate covers all the rest at once; when it fails,
+    The monomial parts split off exactly (x and y are prime), and when one
+    of the polynomials is a monomial nothing else is left (_monomial_gcd).
+    One specialization certificate covers all the rest at once; when it fails,
     the PRS takes the gcd of the first two and each further polynomial is
     certified coprime to the running gcd or taken into it by the PRS.
     """
     polys = [p for p in (f,) + others if not p.is_zero()]
     if len(polys) < 2:
         return (polys[0] if polys else f).normalized()
+    monomial = _monomial_gcd(polys)
+    if monomial is not None:
+        return monomial
     split = [_split_monomial(p) for p in polys]
     shift = (min(a for (a, _), _ in split), min(b for (_, b), _ in split))
     rest = [p0 for _, p0 in split]
@@ -607,6 +611,17 @@ def bipoly_gcd(f, *others):
             return BiPoly.monomial(f.tower, f.vars, shift)
         g = _prs_gcd(g, p)
     return g.mul_monomial(shift)
+
+
+def _monomial_gcd(polys):
+    """The gcd of nonzero polys when one of them is a monomial x^a·y^b, else
+    None.  x and y are prime, so that one shares x^min(a, ord_x g)·
+    y^min(b, ord_y g) with each g: the gcd is the least such monomial."""
+    if not any(p.is_monomial() for p in polys):
+        return None
+    exps = [e for p in polys for e in p.terms]
+    least = (min(i for i, _ in exps), min(j for _, j in exps))
+    return BiPoly.monomial(polys[0].tower, polys[0].vars, least)
 
 
 def _split_monomial(f):

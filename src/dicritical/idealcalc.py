@@ -386,19 +386,45 @@ def closure_data(ideal, config=None):
     return ClosureData(tree, tuple(floors))
 
 
+def _monomial_corners(ideal):
+    """The corners of the Newton polygon of a monomial ideal, when every
+    generator is a monomial, else None.  The integral closure is then the
+    monomial ideal of the Newton polyhedron (Huneke-Swanson 1.4.6)."""
+    if all(g.is_monomial() for g in ideal.gens):
+        return _newton_polygon(_minimal_exponents(ideal.gens))
+    return None
+
+
+def _on_or_above(corners, e):
+    """Whether the exponent e lies in the Newton polyhedron of the corners."""
+    i, j = e
+    if i < corners[0][0] or j < corners[-1][1]:
+        return False
+    return all(j * (x2 - x1) >= y1 * (x2 - i) + y2 * (i - x1)
+               for (x1, y1), (x2, y2) in zip(corners, corners[1:]) if x1 <= i <= x2)
+
+
+def _below_polygon(corners):
+    """The lattice points strictly below a Newton polygon that meets both
+    axes: over each i, the ceiling of the polygon's height there."""
+    return sum(-(-(y1 * (x2 - i) + y2 * (i - x1)) // (x2 - x1))
+               for (x1, y1), (x2, y2) in zip(corners, corners[1:]) for i in range(x1, x2))
+
+
 def closure_membership(f, ideal, config=None):
+    """f lies in a monomial ideal's closure when each of its terms does."""
+    corners = _monomial_corners(ideal)
+    if corners is not None:
+        return all(_on_or_above(corners, e) for e in f.terms)
     return closure_data(ideal, config).contains(f)
 
 
 def closure_colength(ideal, config=None):
-    """Hoskin-Deligne over the base-point tree.  A monomial ideal needs no tree: its
-    closure is the monomial ideal of its Newton polyhedron (Huneke-Swanson 1.4.6)."""
-    if all(g.is_monomial() for g in ideal.gens):
+    """Hoskin-Deligne over the base-point tree; a monomial ideal needs no tree."""
+    corners = _monomial_corners(ideal)
+    if corners is not None:
         _require_mprimary(ideal.content())
-        corners = _newton_polygon(_minimal_exponents(ideal.gens))
-        # over each i, ceil of the polygon's height: the points (i, j) below it
-        return sum(-(-(y1 * (x2 - i) + y2 * (i - x1)) // (x2 - x1))
-                   for (x1, y1), (x2, y2) in zip(corners, corners[1:]) for i in range(x1, x2))
+        return _below_polygon(corners)
     tree = base_point_tree(ideal, config)
     _require_mprimary(tree.principal)
     return _hoskin_deligne(tree)
@@ -409,12 +435,22 @@ def closure_equals(j, k, config=None):
 
     With K inside the closure of J and the principal parts equal, K = cl(J)
     exactly when the residual of K has the closure colength of J's residual.
+    A monomial J has principal part x^a·y^b, for its polygon's first corner
+    (a, _) and last (_, b), and its residual the polygon shifted by (-a, -b).
     """
-    data = closure_data(j, config)
-    if not all(data.contains(g) for g in k.gens):
-        return False
+    corners = _monomial_corners(j)
+    if corners is not None:
+        if not all(_on_or_above(corners, e) for g in k.gens for e in g.terms):
+            return False
+        a, b = corners[0][0], corners[-1][1]
+        pj = BiPoly.monomial(j.tower, j.vars, (a, b))
+        closed = _below_polygon([(x - a, y - b) for x, y in corners])
+    else:
+        data = closure_data(j, config)
+        if not all(data.contains(g) for g in k.gens):
+            return False
+        pj, closed = data.tree.principal, _hoskin_deligne(data.tree)
     # principal parts are local: equal up to a unit at the origin
-    pj = data.tree.principal
     pk, residual = strip_principal(k)
     common = bipoly_gcd(pj, pk)
     if not (
@@ -422,7 +458,7 @@ def closure_equals(j, k, config=None):
         and pk.exact_div(common).is_unit_at_origin()
     ):
         return False
-    return colength(residual) == _hoskin_deligne(data.tree)
+    return colength(residual) == closed
 
 
 ReductionResult = namedtuple("ReductionResult", "decision witness by_direct by_valuative")

@@ -16,7 +16,7 @@ work reduces to orders of pullbacks.
 from collections import namedtuple
 
 from .arith.factor import extend, factor_univariate
-from .arith.polynomials import BiPoly, UniPoly, bipoly_gcd
+from .arith.polynomials import BiPoly, UniPoly, _monomial_gcd, bipoly_gcd
 from .errors import EmptyInput, ZeroPolynomial
 
 
@@ -169,14 +169,10 @@ class LocalIdeal:
         return any(g.is_unit_at_origin() for g in self.gens)
 
     def content(self):
-        """Polynomial GCD of the generators.  x and y are prime, so a monomial
-        generator x^a·y^b shares x^min(a, ord_x g)·y^min(b, ord_y g) with each
-        generator g: then the GCD is the least such monomial, with no gcd taken."""
-        if any(g.is_monomial() for g in self.gens):
-            exps = [e for g in self.gens for e in g.terms]
-            least = (min(i for i, _ in exps), min(j for _, j in exps))
-            return BiPoly.monomial(self.tower, self.vars, least)
-        return bipoly_gcd(*self.gens)
+        """Polynomial GCD of the generators: bipoly_gcd's monomial rule, with
+        no gcd taken, when a generator is a monomial."""
+        monomial = _monomial_gcd(self.gens)
+        return bipoly_gcd(*self.gens) if monomial is None else monomial
 
     def is_mprimary(self):
         return not self.is_unit() and self.content().is_unit_at_origin()
@@ -192,6 +188,14 @@ def pullback_order(path, f):
     return path.pullback(f).ord_at_origin()
 
 
+def _below(f, degree):
+    """The terms of f of degree below the given one: the engine's one floor
+    rule, applied before a step to the terms that no later reading sees."""
+    return BiPoly._trusted(
+        f.tower, f.vars, {e: a for e, a in f.terms.items() if e[0] + e[1] < degree}
+    )
+
+
 def _floored_order(path, f, floor):
     """min(pullback_order(path, f), floor), for asking whether the value
     reaches the floor.  A step never lowers a term's degree, so the terms of
@@ -199,10 +203,10 @@ def _floored_order(path, f, floor):
     if f.is_zero():
         raise ZeroPolynomial("the zero element has no order")
     for i, step in enumerate(path.steps):
-        terms = {e: a for e, a in f.terms.items() if e[0] + e[1] < floor}
-        if not terms:
+        f = _below(f, floor)
+        if f.is_zero():
             return floor
-        f = _step_image(BiPoly._trusted(f.tower, f.vars, terms), step, path.node_tower(i + 1))
+        f = _step_image(f, step, path.node_tower(i + 1))
     return min(f.ord_at_origin(), floor)
 
 
@@ -225,8 +229,18 @@ def transform_ideal(J, step):
     return LocalIdeal(T2, J.vars, [first.scale(inv)] + rest)
 
 
-def base_point(J):
+def base_point(J, floor=None):
     """(d, Zariski number, [(step, transform), ...]) of J.
+
+    floor, given for a pencil J = (f, g), is at least its colength λ.  By
+    Noether's formula i(f, g) = o_f·o_g + Σ_P i_P(f', g'), with Σ_P i_P(f', E)
+    = o_f, the transforms' colengths add up to λ - d^2, so each is at most
+    c = floor - d^2.  An ideal of colength at most c holds M^c (each degree
+    below the least such power adds one to the colength, by Nakayama), so
+    M^(c+1) lies in M times it, and its generators' terms of degree above c
+    change nothing.  A step maps degree e to degree e - d or more: the terms
+    of J above degree c + d are dropped before the transforms, which stay
+    the same ideals.
 
     Each initial form of least order d splits as u^i·w^j·h.  With a = min i,
     b = min j and g the gcd of the h(1, t), the gcd of the forms is u^a·w^b
@@ -263,5 +277,7 @@ def base_point(J):
                 extending.append(QdtStep.affine_ext("a%d" % (T.height + 1), irr.coeffs))
     plain.sort(key=lambda st: T.sort_key(st.c))
     steps = plain + extending + ([QdtStep.infinity()] if a else [])
+    if floor is not None and steps:
+        J = LocalIdeal(T, J.vars, [_below(f, floor - d * d + d + 1) for f in J.gens])
     pairs = [(step, transform_ideal(J, step)) for step in steps]
     return d, d - (a + b + g.degree), pairs

@@ -66,27 +66,33 @@ def strip_principal(J):
     return principal, LocalIdeal(J.tower, J.vars, gens)
 
 
-def base_point_tree(J, config=None):
+def base_point_tree(J, config=None, floor=None):
+    """The tree of J's residual.  floor, for a pencil of coprime generators,
+    is at least its colength: each node then keeps only the terms that its
+    subtree reads (see base_point), and the tree is the same but for the
+    generators kept on the nodes."""
     config = config or TreeConfig()
     principal, residual = strip_principal(J)
     if residual.is_unit():
         return BasePointTree(ideal=J, principal=principal, root=None)
     count = [0]
 
-    def build(path, ideal, orders):
+    def build(path, ideal, orders, floor):
         if path.length > config.max_depth:
             raise DepthExceeded("tree exceeds depth %d" % config.max_depth)
         count[0] += 1
         if count[0] > config.max_nodes:
             raise NodeBudgetExceeded("tree exceeds %d nodes" % config.max_nodes)
-        d, zariski, pairs = base_point(ideal)
+        d, zariski, pairs = base_point(ideal, floor)
         orders += (d,)
+        if floor is not None:
+            floor -= d * d
         children = []
         for step, transform in pairs:
-            children.append(build(path.extended(step), transform, orders))
+            children.append(build(path.extended(step), transform, orders, floor))
         return TreeNode(path, ideal, zariski, orders, tuple(children))
 
-    root = build(QdtPath(residual.tower, residual.vars), residual, ())
+    root = build(QdtPath(residual.tower, residual.vars), residual, (), floor)
     return BasePointTree(ideal=J, principal=principal, root=root)
 
 
@@ -120,13 +126,15 @@ def dicritical_of_rational(z, config=None):
     Empty exactly when z or 1/z already lies in the local ring, i.e. when
     the reduced denominator or numerator is a local unit.  The tree's root
     is (num, den), and each transform keeps their ratio, so the residue
-    image is read off the generators of the dicritical node.
+    image is read off the generators of the dicritical node.  When num or
+    den is a monomial the tree is floored by the pencil's colength.
     """
     if z.is_zero():
         raise ZeroInput("the zero function has no dicritical divisors")
     if z.num.is_unit_at_origin() or z.den.is_unit_at_origin():
         return []
-    tree = base_point_tree(LocalIdeal(z.tower, z.vars, [z.num, z.den]), config)
+    tree = base_point_tree(LocalIdeal(z.tower, z.vars, [z.num, z.den]), config,
+                           floor=_monomial_pencil_colength(z.num, z.den))
     out = []
     for node, V in tree.dicritical_nodes():
         image = initial_ratio(*node.ideal.gens)
@@ -134,6 +142,20 @@ def dicritical_of_rational(z, config=None):
             raise ConstantImage("the image is algebraic; V is not dicritical for z")
         out.append(_record(node, V, V.residue_degree() * image.degree))
     return out
+
+
+def _monomial_pencil_colength(f, g):
+    """i(f, g) at the origin for coprime f and g when one is a monomial,
+    else None: i(f, x^a·y^b) = a·ord_y f(0, y) + b·ord_x f(x, 0)."""
+    if f.is_monomial():
+        f, g = g, f
+    if not g.is_monomial():
+        return None
+    (a, b), = g.terms
+    # coprime: x does not divide f when a > 0, nor y when b > 0
+    along_y = min(j for i, j in f.terms if not i) if a else 0
+    along_x = min(i for i, j in f.terms if not j) if b else 0
+    return a * along_y + b * along_x
 
 
 def special_pencil_test(z):

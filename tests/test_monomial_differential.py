@@ -11,6 +11,15 @@ the tree path's NotMPrimary message.  The polygon's corners must be the
 minimal exponents that lie strictly below the segment between any two
 others around them, collinear ones dropped.
 
+closure_membership and closure_equals of a monomial ideal J read the
+polygon too: f lies in the closure when each term lies on or above it, and
+K equals the closure when K lies in it, the principal parts agree and K's
+residual has the residual polygon's count as colength.  On the same seeded
+ideals, M-primary or not, both must answer as the tree path does:
+ClosureData.contains, and closure_equals over closure_data, for probes and
+for K the closure itself, J, J less a generator, J with a polynomial of
+the closure added, J times a unit and the closure of another ideal.
+
 simple_ideal reads I_V off the staircase on a path of only infinity and
 affine-0 steps.  On every such path of depth <= 10 over Q, and of depth
 <= 6 over F_7, its generators must be those of _value_kernel plus the span
@@ -18,7 +27,8 @@ trim, term for term and in the same order.
 
 Count pins, as tests/test_frame_differential.py's
 test_known_answers_build_no_buchberger pins frames: a monomial
-closure_colength builds no base_point_tree; colength(simple_ideal(V)) builds
+closure_colength, closure_membership or closure_equals builds no
+base_point_tree, so (x^100, y) is answered past the tree's depth budget; colength(simple_ideal(V)) builds
 exactly one TruncationFrame, the certificate's, and takes no content();
 later colength and membership calls on the same ideal build nothing; a
 monomial path runs no _value_kernel.
@@ -32,10 +42,10 @@ import pytest
 import test_closure_differential as cd
 import test_trim_differential as trim
 from dicritical import divisors, idealcalc as ic
-from dicritical.arith import QQ, BiPoly
+from dicritical.arith import QQ, BiPoly, bipoly_gcd
 from dicritical.errors import NotMPrimary
 from dicritical.nearpoints import LocalIdeal, QdtPath, QdtStep
-from dicritical.zariski import base_point_tree
+from dicritical.zariski import base_point_tree, strip_principal
 
 V = ("x", "y")
 FIELDS = [(QQ, 2800), (cd.F5, 2805), (cd.F7A, 2807)]
@@ -94,6 +104,87 @@ def test_newton_count_matches_the_tree(tower, seed):
         else:
             assert got == cd.ref_closure_colength(ideal), sorted(exps)
     assert refused == 8
+
+
+def _tree_closure_equals(j, k):
+    """The path the polygon replaced for monomial J: J's closure data, its
+    principal part and the Hoskin-Deligne sum of its tree."""
+    data = ic.closure_data(j)
+    if not all(map(data.contains, k.gens)):
+        return False
+    pj = data.tree.principal
+    pk, residual = strip_principal(k)
+    common = bipoly_gcd(pj, pk)
+    if not (pj.exact_div(common).is_unit_at_origin() and pk.exact_div(common).is_unit_at_origin()):
+        return False
+    return ic.colength(residual) == ic._hoskin_deligne(data.tree)
+
+
+def _closure_cases(rng):
+    """M-primary exponent sets, then ones shifted off an axis."""
+    cases = [_primary_exponents(rng) for _ in range(12)]
+    cases += [{(4, 0), (2, 1), (0, 2)}, {(0, 0), (2, 5)}]
+    for _ in range(6):
+        s, t = rng.choice([(1, 0), (0, 1), (1, 2), (3, 0)])
+        cases.append({(i + s, j + t) for i, j in _primary_exponents(rng)})
+    return cases
+
+
+def _closure_monomials(exps):
+    """The least monomial on or above the polygon of exps over each i from
+    its first corner to its last: generators of the closure."""
+    corners = ic._newton_polygon(ic._minimal_exponents([BiPoly.monomial(QQ, V, e) for e in exps]))
+    return {(i, next(j for j in itertools.count() if ic._on_or_above(corners, (i, j))))
+            for i in range(corners[0][0], corners[-1][0] + 1)}
+
+
+def _polynomial(tower, rng, exps):
+    return BiPoly(tower, V, {e: tower.from_int(rng.choice((1, 2, -1))) for e in exps})
+
+
+@pytest.mark.parametrize("tower,seed", FIELDS, ids=IDS)
+def test_newton_membership_matches_the_tree(tower, seed):
+    rng = random.Random(seed + 30)
+    counts = [0, 0]
+    for exps in _closure_cases(rng):
+        ideal = _monomial_ideal(tower, rng, exps)
+        data = ic.closure_data(ideal)
+        top = max(i + j for i, j in exps) + 2
+        probes = [BiPoly.zero(tower, V)]
+        for _ in range(25):
+            terms = {(rng.randint(0, top), rng.randint(0, top)) for _ in range(rng.randint(1, 3))}
+            probes.append(_polynomial(tower, rng, terms))
+        for f in probes:
+            got = ic.closure_membership(f, ideal)
+            assert got == data.contains(f), (sorted(exps), f)
+            counts[got] += 1
+    assert min(counts) > 50, counts
+
+
+@pytest.mark.parametrize("tower,seed", FIELDS, ids=IDS)
+def test_newton_equality_matches_the_tree(tower, seed):
+    rng = random.Random(seed + 40)
+    cases = _closure_cases(rng)
+    unit = BiPoly.one(tower, V) + BiPoly.variable(tower, V, "x")
+    answers = []
+    for n, exps in enumerate(cases):
+        j = _monomial_ideal(tower, rng, exps)
+        closure = _closure_monomials(exps)
+        inside = _polynomial(tower, rng, rng.sample(sorted(closure), min(2, len(closure))))
+        others = [
+            _monomial_ideal(tower, rng, closure),
+            j,
+            LocalIdeal(tower, V, [inside] + [BiPoly.monomial(tower, V, e) for e in closure]),
+            LocalIdeal(tower, V, [g * unit for g in j.gens]),
+            _monomial_ideal(tower, rng, _closure_monomials(cases[(n + 1) % len(cases)])),
+        ]
+        if len(j.gens) > 1:
+            others.append(LocalIdeal(tower, V, j.gens[1:]))
+        for k in others:
+            got = ic.closure_equals(j, k)
+            assert got == _tree_closure_equals(j, k), (sorted(exps), k)
+            answers.append(got)
+    assert answers.count(True) > 20 and answers.count(False) > 20
 
 
 def _ref_corners(exps):
@@ -163,6 +254,13 @@ def test_monomial_closures_build_no_tree(monkeypatch):
         assert ic.closure_colength(_monomial_ideal(tower, rng, [(0, 0), (1, 1)])) == 0
         with pytest.raises(NotMPrimary):
             ic.closure_colength(_monomial_ideal(tower, rng, [(3, 1), (0, 2)]))
+        # past the tree's default depth 64: the chain of (x^100, y) has 100 points
+        deep = _monomial_ideal(tower, rng, [(100, 0), (0, 1)])
+        x = BiPoly.variable(tower, V, "x")
+        assert not ic.closure_membership(x, deep) and ic.closure_membership(x.pow(100), deep)
+        assert ic.closure_equals(deep, deep)
+        assert ic.closure_equals(ideal, _monomial_ideal(tower, rng, _closure_monomials(
+            [(7, 0), (4, 2), (1, 5), (0, 9)])))
 
 
 def _counted_frames(monkeypatch):

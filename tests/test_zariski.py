@@ -156,8 +156,8 @@ def test_records_keep_no_tree(monkeypatch):
 
     built = []
 
-    def tracked(J, config=None):
-        tree = base_point_tree(J, config)
+    def tracked(J, config=None, floor=None):
+        tree = base_point_tree(J, config, floor)
         built.extend(weakref.ref(node) for node in tree.nodes())
         return tree
 
