@@ -594,12 +594,13 @@ def bipoly_gcd(f, *others):
     the PRS takes the gcd of the first two and each further polynomial is
     certified coprime to the running gcd or taken into it by the PRS.
     """
-    polys = [p for p in (f,) + others if not p.is_zero()]
-    if len(polys) < 2:
-        return (polys[0] if polys else f).normalized()
+    polys = (f,) + others
     monomial = _monomial_gcd(polys)
     if monomial is not None:
         return monomial
+    polys = [p for p in polys if not p.is_zero()]
+    if len(polys) < 2:
+        return (polys[0] if polys else f).normalized()
     split = [_split_monomial(p) for p in polys]
     shift = (min(a for (a, _), _ in split), min(b for (_, b), _ in split))
     rest = [p0 for _, p0 in split]
@@ -614,9 +615,10 @@ def bipoly_gcd(f, *others):
 
 
 def _monomial_gcd(polys):
-    """The gcd of nonzero polys when one of them is a monomial x^a·y^b, else
-    None.  x and y are prime, so that one shares x^min(a, ord_x g)·
-    y^min(b, ord_y g) with each g: the gcd is the least such monomial."""
+    """The gcd of polys when one of them is a monomial x^a·y^b, else None.
+    x and y are prime, so that one shares x^min(a, ord_x g)·y^min(b, ord_y g)
+    with each nonzero g: the gcd is the least such monomial.  A zero g has
+    no terms and shares every factor."""
     if not any(p.is_monomial() for p in polys):
         return None
     exps = [e for p in polys for e in p.terms]

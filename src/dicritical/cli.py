@@ -599,7 +599,8 @@ def _cmd_abhyankar_family(args, m):
     idealcalc._check_frame_degree(m * m, "the length frame of (F_m, G_m) has degree")
     pencil = LocalIdeal(args.tower, args.vars, [f, g])
     result, data = idealcalc._reduction(pencil, ideal, args.nmax, args.config)
-    tree = data.tree if data else base_point_tree(pencil, args.config)
+    # a monomial pencil's closure record (m = 1) holds no tree
+    tree = data.tree if data and data.tree else base_point_tree(pencil, args.config)
     fields, record_lines = _records(records_from_tree(tree))
     fields.update(decision=result.decision, witness=result.witness)
     fields["diagnostics"] = {

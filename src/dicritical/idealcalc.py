@@ -47,9 +47,7 @@ class TruncationFrame:
 
     __slots__ = ("ideal", "bound", "_width", "_limit", "_basis", "_queue", "_tick")
 
-    def __init__(self, ideal, bound, target=None):
-        """target: stop once the colength falls to it; only colength is then
-        exact, and only if target is at most the ideal's colength."""
+    def __init__(self, ideal, bound):
         self.ideal, self.bound = ideal, bound
         self._width = max(bound, 1)
         self._limit = bound * self._width
@@ -64,7 +62,7 @@ class TruncationFrame:
             return
         for g in ideal.gens:
             self._push(self._row(g))
-        self._complete(target)
+        self._complete()
 
     def _row(self, f):
         w = self._width
@@ -97,7 +95,7 @@ class TruncationFrame:
         row = {k: c for k, c in row.items() if k < self._limit}
         return sweep(self.ideal.tower, row, lookup or self._lookup, top=True)[0]
 
-    def _complete(self, target=None):
+    def _complete(self):
         """Reduce the queued rows and S-pairs, adding each nonzero remainder.
         An item met at degree d is reduced through degree 2d only: a remainder
         whose lead lies higher waits in the queue, where the cut may drop it."""
@@ -120,8 +118,6 @@ class TruncationFrame:
                 self._push(res)
             elif res:
                 self._add(stored_row(self.ideal.tower, res))
-                if target is not None and self.colength() <= target:
-                    return
 
     def _add(self, row):
         keys = sorted(row)
@@ -343,40 +339,75 @@ def _span_generators(tower, vars, candidates, degree, basis=(), below=None):
 
 
 class ClosureData(namedtuple("ClosureData", "tree floors")):
-    """Valuative description of an integral closure: base-point tree plus value floors."""
+    """An integral closure read off the base-point tree: f lies in it when the
+    principal part divides f at the origin and each dicritical v takes at
+    least its floor on f."""
 
     __slots__ = ()
+
+    @property
+    def principal(self):
+        return self.tree.principal
 
     def contains(self, f):
         if f.is_zero():
             return True
-        principal = self.tree.principal
+        principal = self.principal
         if not principal.is_constant():
             common = bipoly_gcd(f, principal)
             if not principal.exact_div(common).is_unit_at_origin():
                 return False
         return all(_floored_order(v.path, f, c) == c for v, c in self.floors)
 
+    def colength(self):
+        """The residual's, by Hoskin-Deligne: the sum over the base points P of
+        [k_P : k] * o_P (o_P + 1) / 2, with o_P the order of the transform at P
+        (Huneke-Swanson ch. 14)."""
+        degree = self.tree.ideal.tower.degree()
+        return sum(node.path.terminal_tower.degree() // degree * _triangular(node.orders[-1])
+                   for node in self.tree.nodes())
 
-def _hoskin_deligne(tree):
-    """Colength of the closure of the tree's residual ideal.
 
-    The sum over the base points P of [k_P : k] * o_P (o_P + 1) / 2, with
-    o_P the order of the transform at P (Huneke-Swanson ch. 14).
-    """
-    if tree.root is None:
-        return 0
-    root_degree = tree.root.path.tower.degree()
-    return sum(
-        node.path.terminal_tower.degree() // root_degree * _triangular(node.orders[-1])
-        for node in tree.nodes()
-    )
+class _PolygonClosure(namedtuple("_PolygonClosure", "principal corners")):
+    """The integral closure of a monomial ideal, with no tree: the monomial
+    ideal of its Newton polyhedron (Huneke-Swanson 1.4.6).  The corners are
+    sorted by the power of x; the principal part is x^a·y^b for the first
+    corner (a, _) and the last (_, b)."""
+
+    __slots__ = ()
+    tree = None
+
+    def contains(self, f):
+        """Whether each term of f lies on or above the polygon: a monomial
+        ideal holds a polynomial only with all its terms."""
+        corners = self.corners
+        return all(
+            i >= corners[0][0] and j >= corners[-1][1]
+            and all(j * (x2 - x1) >= y1 * (x2 - i) + y2 * (i - x1)
+                    for (x1, y1), (x2, y2) in zip(corners, corners[1:]) if x1 <= i <= x2)
+            for i, j in f.terms
+        )
+
+    def colength(self):
+        """The residual's: the lattice points strictly below the polygon
+        shifted by (-a, -b), over each i the ceiling of its height there."""
+        a, b = self.corners[0][0], self.corners[-1][1]
+        corners = [(x - a, y - b) for x, y in self.corners]
+        return sum(-(-(y1 * (x2 - i) + y2 * (i - x1)) // (x2 - x1))
+                   for (x1, y1), (x2, y2) in zip(corners, corners[1:]) for i in range(x1, x2))
 
 
 def closure_data(ideal, config=None):
-    """The tree, and the floor v(I) of each dicritical v: sum_i v(M_i) * ord(J_i)
-    over the transforms J_i on v's path (Huneke-Swanson ch. 14), plus v(p) for
-    a principal part p that vanishes at the origin."""
+    """The record that answers the closure questions: principal, contains(f)
+    and colength(), the closure colength of the residual.  A monomial
+    ideal's is read off its Newton polygon.  Any other ideal gets its tree,
+    and the floor v(I) of each dicritical v: sum_i v(M_i) * ord(J_i) over the
+    transforms J_i on v's path (Huneke-Swanson ch. 14), plus v(p) for a
+    principal part p that vanishes at the origin."""
+    if all(g.is_monomial() for g in ideal.gens):
+        corners = _newton_polygon(_minimal_exponents(ideal.gens))
+        principal = BiPoly.monomial(ideal.tower, ideal.vars, (corners[0][0], corners[-1][1]))
+        return _PolygonClosure(principal, corners)
     tree = base_point_tree(ideal, config)
     p = tree.principal
     floors = []
@@ -386,48 +417,14 @@ def closure_data(ideal, config=None):
     return ClosureData(tree, tuple(floors))
 
 
-def _monomial_corners(ideal):
-    """The corners of the Newton polygon of a monomial ideal, when every
-    generator is a monomial, else None.  The integral closure is then the
-    monomial ideal of the Newton polyhedron (Huneke-Swanson 1.4.6)."""
-    if all(g.is_monomial() for g in ideal.gens):
-        return _newton_polygon(_minimal_exponents(ideal.gens))
-    return None
-
-
-def _on_or_above(corners, e):
-    """Whether the exponent e lies in the Newton polyhedron of the corners."""
-    i, j = e
-    if i < corners[0][0] or j < corners[-1][1]:
-        return False
-    return all(j * (x2 - x1) >= y1 * (x2 - i) + y2 * (i - x1)
-               for (x1, y1), (x2, y2) in zip(corners, corners[1:]) if x1 <= i <= x2)
-
-
-def _below_polygon(corners):
-    """The lattice points strictly below a Newton polygon that meets both
-    axes: over each i, the ceiling of the polygon's height there."""
-    return sum(-(-(y1 * (x2 - i) + y2 * (i - x1)) // (x2 - x1))
-               for (x1, y1), (x2, y2) in zip(corners, corners[1:]) for i in range(x1, x2))
-
-
 def closure_membership(f, ideal, config=None):
-    """f lies in a monomial ideal's closure when each of its terms does."""
-    corners = _monomial_corners(ideal)
-    if corners is not None:
-        return all(_on_or_above(corners, e) for e in f.terms)
     return closure_data(ideal, config).contains(f)
 
 
 def closure_colength(ideal, config=None):
-    """Hoskin-Deligne over the base-point tree; a monomial ideal needs no tree."""
-    corners = _monomial_corners(ideal)
-    if corners is not None:
-        _require_mprimary(ideal.content())
-        return _below_polygon(corners)
-    tree = base_point_tree(ideal, config)
-    _require_mprimary(tree.principal)
-    return _hoskin_deligne(tree)
+    data = closure_data(ideal, config)
+    _require_mprimary(data.principal)
+    return data.colength()
 
 
 def closure_equals(j, k, config=None):
@@ -435,30 +432,15 @@ def closure_equals(j, k, config=None):
 
     With K inside the closure of J and the principal parts equal, K = cl(J)
     exactly when the residual of K has the closure colength of J's residual.
-    A monomial J has principal part x^a·y^b, for its polygon's first corner
-    (a, _) and last (_, b), and its residual the polygon shifted by (-a, -b).
     """
-    corners = _monomial_corners(j)
-    if corners is not None:
-        if not all(_on_or_above(corners, e) for g in k.gens for e in g.terms):
-            return False
-        a, b = corners[0][0], corners[-1][1]
-        pj = BiPoly.monomial(j.tower, j.vars, (a, b))
-        closed = _below_polygon([(x - a, y - b) for x, y in corners])
-    else:
-        data = closure_data(j, config)
-        if not all(data.contains(g) for g in k.gens):
-            return False
-        pj, closed = data.tree.principal, _hoskin_deligne(data.tree)
-    # principal parts are local: equal up to a unit at the origin
-    pk, residual = strip_principal(k)
-    common = bipoly_gcd(pj, pk)
-    if not (
-        pj.exact_div(common).is_unit_at_origin()
-        and pk.exact_div(common).is_unit_at_origin()
-    ):
+    data = closure_data(j, config)
+    if not all(map(data.contains, k.gens)):
         return False
-    return colength(residual) == closed
+    # principal parts are local: equal up to a unit at the origin
+    pj, (pk, residual) = data.principal, strip_principal(k)
+    common = bipoly_gcd(pj, pk)
+    return (all(p.exact_div(common).is_unit_at_origin() for p in (pj, pk))
+            and colength(residual) == data.colength())
 
 
 ReductionResult = namedtuple("ReductionResult", "decision witness by_direct by_valuative")
@@ -482,9 +464,9 @@ def _reduction(j, i, n_max, config):
     # floors must come from J: values on I's own divisors cannot see
     # elements of I lying below J's polygon
     data = closure_data(j, config)
-    # a reduction of an M-primary ideal is M-primary: else J has no floors,
-    # and no J.I^n holds I^(n+1); J in I makes v(I) = c the test v(I) >= c
-    primary = data.tree.principal.is_unit_at_origin()
+    # a reduction of an M-primary ideal is M-primary: else no J.I^n holds
+    # I^(n+1); J in I makes v(I) = c the test v(I) >= c
+    primary = data.principal.is_unit_at_origin()
     valuative = primary and all(map(data.contains, i.gens))
     length_i = frame_i.colength()
     if n_max is None:
@@ -510,8 +492,8 @@ def _reduction(j, i, n_max, config):
                 TruncationFrame(lifted, bound).colength() if n else length_i
             )
         else:
-            target = TruncationFrame(lifted, bound).colength()
-            found = TruncationFrame(product(j, current), bound, target).colength() == target
+            length = TruncationFrame(lifted, bound).colength()
+            found = TruncationFrame(product(j, current), bound).colength() == length
         if found:
             witness = n
             break

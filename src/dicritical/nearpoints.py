@@ -16,7 +16,7 @@ work reduces to orders of pullbacks.
 from collections import namedtuple
 
 from .arith.factor import extend, factor_univariate
-from .arith.polynomials import BiPoly, UniPoly, _monomial_gcd, bipoly_gcd
+from .arith.polynomials import BiPoly, UniPoly, bipoly_gcd
 from .errors import EmptyInput, ZeroPolynomial
 
 
@@ -169,10 +169,8 @@ class LocalIdeal:
         return any(g.is_unit_at_origin() for g in self.gens)
 
     def content(self):
-        """Polynomial GCD of the generators: bipoly_gcd's monomial rule, with
-        no gcd taken, when a generator is a monomial."""
-        monomial = _monomial_gcd(self.gens)
-        return bipoly_gcd(*self.gens) if monomial is None else monomial
+        """Polynomial GCD of the generators."""
+        return bipoly_gcd(*self.gens)
 
     def is_mprimary(self):
         return not self.is_unit() and self.content().is_unit_at_origin()

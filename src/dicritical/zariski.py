@@ -97,9 +97,10 @@ def base_point_tree(J, config=None, floor=None):
 
 
 def dicritical_set(J, config=None):
-    """One record per base point with positive Zariski number."""
-    tree = base_point_tree(J, config)
-    return records_from_tree(tree)
+    """One record per base point with positive Zariski number; the tree of a
+    pencil with a monomial side is floored by its colength."""
+    floor = _monomial_pencil_colength(*J.gens) if len(J.gens) == 2 else None
+    return records_from_tree(base_point_tree(J, config, floor))
 
 
 def records_from_tree(tree):
@@ -145,17 +146,17 @@ def dicritical_of_rational(z, config=None):
 
 
 def _monomial_pencil_colength(f, g):
-    """i(f, g) at the origin for coprime f and g when one is a monomial,
-    else None: i(f, x^a·y^b) = a·ord_y f(0, y) + b·ord_x f(x, 0)."""
+    """i(f, g) at the origin when one is a monomial and they share neither x
+    nor y, else None: i(f, x^a·y^b) = a·ord_y f(0, y) + b·ord_x f(x, 0)."""
     if f.is_monomial():
         f, g = g, f
     if not g.is_monomial():
         return None
     (a, b), = g.terms
-    # coprime: x does not divide f when a > 0, nor y when b > 0
-    along_y = min(j for i, j in f.terms if not i) if a else 0
-    along_x = min(i for i, j in f.terms if not j) if b else 0
-    return a * along_y + b * along_x
+    # empty when x divides f and a > 0, or y divides f and b > 0
+    along_y = [j for i, j in f.terms if not i] if a else [0]
+    along_x = [i for i, j in f.terms if not j] if b else [0]
+    return a * min(along_y) + b * min(along_x) if along_y and along_x else None
 
 
 def special_pencil_test(z):

@@ -9,9 +9,10 @@ pullbacks, over the columns that _monomials_below lists; frame_trim trims a
 generating set against the truncation frame of M.I, offering each
 generator to InsertFrame.insert, which reruns the frame's Buchberger loop
 after the build; doubled_frame is the stabilization rule before one frame
-at the budget: bounds from ord(I) + 1, doubled until a layer is full; and
+at the budget: bounds from ord(I) + 1, doubled until a layer is full;
 chase_witness is the reduction chase before the length test for witnesses
-0 and 1.
+0 and 1; and tree_closure_data is closure_data's tree record for every
+ideal, monomial ones too, which now read their Newton polygon instead.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ from dicritical.arith.linalg import stored_row, sweep
 from dicritical.arith.polynomials import BiPoly
 from dicritical.errors import Unstable
 from dicritical.nearpoints import LocalIdeal
+from dicritical.zariski import base_point_tree
 from poly_reference import canonical
 
 
@@ -180,14 +182,28 @@ def chase_witness(j, i, n_max):
     """The least n <= n_max with J.I^n = I^(n+1), else None; J inside I.
 
     The two agree modulo M^((n+1)d(I) + 1), and so everywhere, exactly when
-    the frame of J.I^n there reaches the colength of I^(n+1)."""
+    their frames there have the same colength."""
     d = doubled_frame(i).full_degree()
     current = ic.power(i, 0)
     for n in range(n_max + 1):
         bound = (n + 1) * d + 1
         lifted = ic.product(i, current)
-        target = ic.TruncationFrame(lifted, bound).colength()
-        if ic.TruncationFrame(ic.product(j, current), bound, target).colength() == target:
+        length = ic.TruncationFrame(lifted, bound).colength()
+        if ic.TruncationFrame(ic.product(j, current), bound).colength() == length:
             return n
         current = lifted
     return None
+
+
+def tree_closure_data(ideal):
+    """The closure record of ideal's base-point tree, whatever its generators:
+    the value floor of each dicritical v is sum_i v(M_i) * ord(J_i) over the
+    transforms J_i on v's path, plus v(p) for a principal part p that
+    vanishes at the origin."""
+    tree = base_point_tree(ideal)
+    p = tree.principal
+    floors = []
+    for node, v in tree.dicritical_nodes():
+        c = sum(m * o for m, o in zip(v.intermediate_multiplicities(), node.orders))
+        floors.append((v, c if p.is_unit_at_origin() else c + v.value(p)))
+    return ic.ClosureData(tree, tuple(floors))

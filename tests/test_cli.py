@@ -379,7 +379,8 @@ def test_abhyankar_family_text(capsys):
 
 def test_abhyankar_family_builds_one_tree(capsys, monkeypatch):
     # the records come off the tree of (F_m, G_m) that the valuative
-    # reduction verdict built
+    # reduction verdict built; at m = 1 the pencil (x, y) is monomial, its
+    # closure record holds no tree, and the CLI builds the one tree itself
     built, real = [], zariski.base_point_tree
 
     def counted(*args):
@@ -388,9 +389,12 @@ def test_abhyankar_family_builds_one_tree(capsys, monkeypatch):
 
     for module in (cli, idealcalc, zariski):
         monkeypatch.setattr(module, "base_point_tree", counted)
-    code, out, _ = run(capsys, "abhyankar-family", "4")
-    assert code == 0 and "reduction true witness 1" in out
-    assert len(built) == 1 and len(built[0].gens) == 2
+    for m, witness in (("4", 1), ("1", 0)):
+        built.clear()
+        code, out, _ = run(capsys, "abhyankar-family", m)
+        assert code == 0 and "reduction true witness %d" % witness in out
+        assert len(built) == 1 and len(built[0].gens) == 2
+    assert out.splitlines()[-1] == "divisor [] index=1 values x:1 y:1"
 
 
 # ---------------------------------------------------------- machine format
@@ -612,6 +616,14 @@ def test_non_monic_minimal_polynomial(capsys):
         assert out == "values x:1 y:1\ngenerators (x^2 + y^2, y^3, x*y^2)\n"
 
 
+def test_reduction_check_monomial_j_builds_no_tree(capsys):
+    # J's closure is read off its Newton polygon: (x^100, y) has a chain of
+    # 100 base points, past the default depth 64 and any --depth
+    for extra in ((), ("--depth", "1")):
+        code, out, err = run(capsys, "reduction-check", "x^100, y", "x^100, y", *extra)
+        assert (code, out) == (0, "decision true\nwitness 0\n"), err
+
+
 def test_reduction_check_non_primary_j(capsys):
     code, out, _ = run(capsys, "reduction-check", "x", "x, y")
     assert (code, out) == (0, "decision false\n")
@@ -756,7 +768,8 @@ def test_exit_internal_inconsistency(capsys, monkeypatch):
         return data._replace(floors=floors)
 
     monkeypatch.setattr(idealcalc, "closure_data", shifted_floors)
-    code, _, err = run(capsys, "reduction-check", "x^3, y^2", "x^3, y^2, x^2*y")
+    # a monomial J reads its Newton polygon, with no floors to shift
+    code, _, err = run(capsys, "reduction-check", "x^3 + y^2, x^3 - y^2", "x^3, y^2, x^2*y")
     assert code == 6 and "criteria disagree" in err
     monkeypatch.setattr(
         atinfinity, "special_pencil_test", lambda z: type("R", (), {"decision": False})

@@ -19,6 +19,11 @@ at each node the colength must stay within the floor, and the children's
 colengths, weighted by residue degree, must add up to the node's less d^2.  The records of
 dicritical_of_rational and dicriticals_at_infinity must equal those the full
 tree gives, and the sweep's floored trees must keep fewer terms.
+
+dicritical_set floors the tree of a two-generated ideal with a monomial side
+the same way.  On the same pencils its records must equal the full tree's.
+A pair that shares x or y with its monomial has no floor, and keeps the
+full tree's records.
 """
 
 import random
@@ -33,7 +38,8 @@ from dicritical.atinfinity import dicriticals_at_infinity, points_at_infinity
 from dicritical.cli import parse_polynomial, parse_rational
 from dicritical.divisors import initial_ratio
 from dicritical.nearpoints import LocalIdeal
-from dicritical.zariski import base_point_tree, dicritical_of_rational
+from dicritical.zariski import (base_point_tree, dicritical_of_rational, dicritical_set,
+                                records_from_tree)
 
 W = ("X", "Y")
 F7 = FieldTower.prime_field(7)
@@ -209,3 +215,26 @@ def test_only_monomial_pencils_have_a_floor():
     assert zariski._monomial_pencil_colength(f, x.pow(2) * y.pow(3)) == 2 * 2 + 3 * 3
     assert zariski._monomial_pencil_colength(y.pow(4), x.pow(3)) == 12
     assert zariski._monomial_pencil_colength(f, f + x.pow(4)) is None
+    # a shared x or y leaves the pair with no finite colength
+    assert zariski._monomial_pencil_colength(x.pow(2) * y, x * y.pow(2)) is None
+    assert zariski._monomial_pencil_colength(x * f, x.pow(2)) is None
+    assert zariski._monomial_pencil_colength(x * f, y.pow(3)) == 3 * 4
+
+
+def test_dicritical_set_matches_the_full_tree(monkeypatch):
+    floors, real = [], zariski.base_point_tree
+
+    def logged(J, config=None, floor=None):
+        floors.append(floor)
+        return real(J, config, floor)
+
+    x, y = (BiPoly.variable(QQ, ("x", "y"), v) for v in "xy")
+    shared = [LocalIdeal(QQ, ("x", "y"), gens) for gens in
+              ([x.pow(2) * y, x * y.pow(2)], [x * (y * y - x.pow(3)), x.pow(2)])]
+    for label, J in CASES + [(repr(J), J) for J in shared]:
+        full = _fingerprint(records_from_tree(base_point_tree(J)))
+        monkeypatch.setattr(zariski, "base_point_tree", logged)
+        assert _fingerprint(dicritical_set(J)) == full, label
+        monkeypatch.undo()
+    assert floors[:len(CASES)] == [zariski._monomial_pencil_colength(*J.gens) for _, J in CASES]
+    assert None not in floors[:len(CASES)] and floors[len(CASES):] == [None, None]

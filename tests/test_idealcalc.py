@@ -5,7 +5,6 @@ the Newton polyhedron for closure membership.
 """
 
 import random
-import sys
 import time
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ import test_frame_differential as fd
 import test_properties as props
 from echelon_reference import doubled_frame
 from dicritical import cli, idealcalc as ic
-from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly
+from dicritical.arith import QQ, BiPoly, FieldTower, UniPoly, polynomials
 from dicritical.arith.factor import factor_univariate
 from dicritical.divisors import PrimeDivisor, simple_ideal
 from dicritical.errors import NotMPrimary, Unstable
@@ -122,9 +121,9 @@ def _frames_built(monkeypatch, call):
     built = []
     real = ic.TruncationFrame.__init__
 
-    def logged(self, ideal, bound, target=None):
+    def logged(self, ideal, bound):
         built.append((ideal, bound))
-        real(self, ideal, bound, target)
+        real(self, ideal, bound)
 
     monkeypatch.setattr(ic.TruncationFrame, "__init__", logged)
     try:
@@ -588,7 +587,8 @@ def test_is_reduction_frame_bounds(monkeypatch):
 
 def test_pure_powers_need_no_gcd(monkeypatch):
     """A pure power of x and one of y share no factor: content() is a unit
-    without a polynomial gcd, so frames and trees of such ideals take none."""
+    by bipoly_gcd's monomial rule, with no certificate and no PRS, so frames
+    and trees of such ideals take no polynomial gcd."""
     rng = random.Random("pure powers")
     ideals = [ic.abhyankar_family(3)[2]]
     for _ in range(20):
@@ -597,11 +597,10 @@ def test_pure_powers_need_no_gcd(monkeypatch):
     expected = [(ic.colength(J), len(base_point_tree(J).nodes())) for J in ideals]
 
     def refuse(*args):
-        raise AssertionError("bipoly_gcd called")
+        raise AssertionError("a polynomial gcd was taken")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("dicritical") and hasattr(module, "bipoly_gcd"):
-            monkeypatch.setattr(module, "bipoly_gcd", refuse)
+    for name in ("_coprime_by_specialization", "_prs_gcd"):
+        monkeypatch.setattr(polynomials, name, refuse)
     for J, (length, nodes) in zip(ideals, expected):
         assert J.content() == BiPoly.one(QQ, V)
         assert ic.colength(J) == ic.stabilized_frame(J).colength() == length

@@ -1,8 +1,10 @@
 """Monomial closed forms, against the paths they replaced.
 
-idealcalc.closure_colength of a monomial ideal counts the lattice points
-strictly below its Newton polygon (Huneke-Swanson Prop. 1.4.6) and builds
-no tree.  On seeded monomial ideals over Q, F_5 and F_7(a), with redundant
+idealcalc.closure_data of a monomial ideal is read off its Newton polygon
+(Huneke-Swanson Prop. 1.4.6) and builds no tree, so closure_colength counts
+the lattice points strictly below the polygon.  The tree reference is
+echelon_reference.tree_closure_data, the tree record any other ideal gets.
+On seeded monomial ideals over Q, F_5 and F_7(a), with redundant
 generators (inside the ideal of the others) and interior ones (above the
 polygon), the count must equal the tree's Hoskin-Deligne sum and the
 echelon reference ref_closure_colength (tests/test_closure_differential.py);
@@ -16,7 +18,7 @@ polygon too: f lies in the closure when each term lies on or above it, and
 K equals the closure when K lies in it, the principal parts agree and K's
 residual has the residual polygon's count as colength.  On the same seeded
 ideals, M-primary or not, both must answer as the tree path does:
-ClosureData.contains, and closure_equals over closure_data, for probes and
+ClosureData.contains, and closure_equals over the tree record, for probes and
 for K the closure itself, J, J less a generator, J with a polynomial of
 the closure added, J times a unit and the closure of another ideal.
 
@@ -27,8 +29,9 @@ trim, term for term and in the same order.
 
 Count pins, as tests/test_frame_differential.py's
 test_known_answers_build_no_buchberger pins frames: a monomial
-closure_colength, closure_membership or closure_equals builds no
-base_point_tree, so (x^100, y) is answered past the tree's depth budget; colength(simple_ideal(V)) builds
+closure_colength, closure_membership or closure_equals, and is_reduction with
+a monomial J, build no base_point_tree, so (x^100, y) is answered past the
+tree's depth budget; colength(simple_ideal(V)) builds
 exactly one TruncationFrame, the certificate's, and takes no content();
 later colength and membership calls on the same ideal build nothing; a
 monomial path runs no _value_kernel.
@@ -41,11 +44,12 @@ import pytest
 
 import test_closure_differential as cd
 import test_trim_differential as trim
+from echelon_reference import tree_closure_data
 from dicritical import divisors, idealcalc as ic
 from dicritical.arith import QQ, BiPoly, bipoly_gcd
 from dicritical.errors import NotMPrimary
 from dicritical.nearpoints import LocalIdeal, QdtPath, QdtStep
-from dicritical.zariski import base_point_tree, strip_principal
+from dicritical.zariski import strip_principal
 
 V = ("x", "y")
 FIELDS = [(QQ, 2800), (cd.F5, 2805), (cd.F7A, 2807)]
@@ -71,9 +75,9 @@ def _primary_exponents(rng):
 
 def _tree_closure_colength(ideal):
     """The path the Newton count replaced: Hoskin-Deligne over the tree."""
-    tree = base_point_tree(ideal)
-    ic._require_mprimary(tree.principal)
-    return ic._hoskin_deligne(tree)
+    data = tree_closure_data(ideal)
+    ic._require_mprimary(data.principal)
+    return data.colength()
 
 
 def _outcome(fn, ideal):
@@ -109,7 +113,7 @@ def test_newton_count_matches_the_tree(tower, seed):
 def _tree_closure_equals(j, k):
     """The path the polygon replaced for monomial J: J's closure data, its
     principal part and the Hoskin-Deligne sum of its tree."""
-    data = ic.closure_data(j)
+    data = tree_closure_data(j)
     if not all(map(data.contains, k.gens)):
         return False
     pj = data.tree.principal
@@ -117,7 +121,7 @@ def _tree_closure_equals(j, k):
     common = bipoly_gcd(pj, pk)
     if not (pj.exact_div(common).is_unit_at_origin() and pk.exact_div(common).is_unit_at_origin()):
         return False
-    return ic.colength(residual) == ic._hoskin_deligne(data.tree)
+    return ic.colength(residual) == data.colength()
 
 
 def _closure_cases(rng):
@@ -133,9 +137,11 @@ def _closure_cases(rng):
 def _closure_monomials(exps):
     """The least monomial on or above the polygon of exps over each i from
     its first corner to its last: generators of the closure."""
-    corners = ic._newton_polygon(ic._minimal_exponents([BiPoly.monomial(QQ, V, e) for e in exps]))
-    return {(i, next(j for j in itertools.count() if ic._on_or_above(corners, (i, j))))
-            for i in range(corners[0][0], corners[-1][0] + 1)}
+    closure = ic.closure_data(LocalIdeal(QQ, V, [BiPoly.monomial(QQ, V, e) for e in exps]))
+    (first, _), (last, _) = closure.corners[0], closure.corners[-1]
+    return {(i, next(j for j in itertools.count()
+                     if closure.contains(BiPoly.monomial(QQ, V, (i, j)))))
+            for i in range(first, last + 1)}
 
 
 def _polynomial(tower, rng, exps):
@@ -148,7 +154,7 @@ def test_newton_membership_matches_the_tree(tower, seed):
     counts = [0, 0]
     for exps in _closure_cases(rng):
         ideal = _monomial_ideal(tower, rng, exps)
-        data = ic.closure_data(ideal)
+        data = tree_closure_data(ideal)
         top = max(i + j for i, j in exps) + 2
         probes = [BiPoly.zero(tower, V)]
         for _ in range(25):
@@ -261,6 +267,11 @@ def test_monomial_closures_build_no_tree(monkeypatch):
         assert ic.closure_equals(deep, deep)
         assert ic.closure_equals(ideal, _monomial_ideal(tower, rng, _closure_monomials(
             [(7, 0), (4, 2), (1, 5), (0, 9)])))
+        # J = (x^2, y^2) has witness 1 against I = M^2: J.I = M^4 = I^2
+        pair, square = (_monomial_ideal(tower, rng, exps)
+                        for exps in ([(2, 0), (0, 2)], [(2, 0), (1, 1), (0, 2)]))
+        for j, i, witness in ((deep, deep, 0), (pair, square, 1)):
+            assert ic.is_reduction(j, i) == ic.ReductionResult(True, witness, True, True)
 
 
 def _counted_frames(monkeypatch):
