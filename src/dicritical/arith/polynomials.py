@@ -5,6 +5,7 @@ a sparse exponent dict keyed by (i, j).  Both are value objects: operations
 return fresh instances and never mutate their arguments.
 """
 
+from collections import Counter
 from functools import partial
 from itertools import zip_longest
 
@@ -590,7 +591,9 @@ def bipoly_gcd(f, *others):
 
     The monomial parts split off exactly (x and y are prime), and when one
     of the polynomials is a monomial nothing else is left (_monomial_gcd).
-    One specialization certificate covers all the rest at once; when it fails,
+    One specialization certificate covers all the rest at once, along one
+    variable when a coefficient of its powers is a single term, as each of
+    the Abhyankar pencil's are (_coprime_by_specialization); when it fails,
     the PRS takes the gcd of the first two and each further polynomial is
     certified coprime to the running gcd or taken into it by the PRS.
     """
@@ -648,33 +651,43 @@ def _specialize(f, axis, c):
 def _coprime_by_specialization(polys):
     """True only if the polynomials, none divisible by x or y, share no factor.
 
-    For each variable v of positive degree in all of them, the other is set
+    Along a variable v of positive degree in all of them, the other is set
     to some c in 1, 2, 3 (0 is useless when all vanish at the origin, as the
     generators of a non-unit ideal do) that keeps lc_v(f0) nonzero, f0 the
     first.  A common factor h has lc_v(h) | lc_v(f0), so h(c) keeps its
     v-degree and divides every specialization; if these have gcd 1, h has
-    degree 0 in v.
+    degree 0 in v.  A factor free of v divides the coefficient of each power
+    of v; when one of them is a single term, a power of the other variable,
+    that factor is a unit, as neither variable divides the polynomials.  So
+    an axis with such a column decides alone, and it goes first, the lower
+    degree first; any other axis needs the test along both.
     """
     f0 = polys[0]
     T = f0.tower
     consts = [c for c in dict.fromkeys(map(T.from_int, (1, 2, 3))) if not T.is_zero(c)]
-    for axis in (0, 1):
-        if any(p.degree_in(axis) == 0 for p in polys):
-            continue
-        d = f0.degree_in(axis)
-        for c in consts:
-            g = _specialize(f0, axis, c)
-            if g.degree != d:
-                continue
-            for p in polys[1:]:
-                g = g.gcd(_specialize(p, axis, c))
-                if g.degree == 0:
-                    break
-            if g.degree == 0:
-                break
-        else:
+    single = [any(1 in Counter(e[axis] for e in p.terms).values() for p in polys)
+              for axis in (0, 1)]
+    for axis in sorted((0, 1), key=lambda axis: (not single[axis], f0.degree_in(axis))):
+        if all(p.degree_in(axis) for p in polys) and not _coprime_along(polys, axis, consts):
             return False
+        if single[axis]:
+            return True
     return True
+
+
+def _coprime_along(polys, axis, consts):
+    """Whether, at some c in consts that keeps the first polynomial's degree
+    in vars[axis], the polynomials specialized at c have gcd 1."""
+    d = polys[0].degree_in(axis)
+    for c in consts:
+        g = _specialize(polys[0], axis, c)
+        if g.degree != d:
+            continue
+        for p in polys[1:]:
+            g = g.gcd(_specialize(p, axis, c))
+            if g.degree == 0:
+                return True
+    return False
 
 
 def _prs_gcd(f, g):

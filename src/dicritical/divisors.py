@@ -103,32 +103,15 @@ class PrimeDivisor:
         return pullback_order(self.path, f)
 
     def coordinate_values(self):
-        """(v(u), v(w)) for the root coordinates: the first pair of the backward walk."""
-        return self._node_values()[0]
-
-    def _node_values(self):
-        """(v(u_i), v(w_i)) at each node i, walked back from (1, 1) at the terminal
-        node: u = u'w' at infinity, and w = u'(w' + c) in an affine chart, u' times
-        a unit unless c = 0."""
-        path = self.path
-        a = b = 1
-        out = [(a, b)]
-        for i, step in reversed(list(enumerate(path.steps))):
-            if step.kind == "infinity":
-                a += b
-            elif not step.extends and path.node_tower(i).is_zero(step.c):
-                b += a
-            else:
-                b = a
-            out.append((a, b))
-        return out[::-1]
+        """(v(u), v(w)) for the root coordinates: the first pair of the path's backward walk."""
+        return self.path._node_values()[0]
 
     def residue_degree(self):
         return self.path.terminal_tower.degree() // self.path.tower.degree()
 
     def intermediate_multiplicities(self):
         """v(M(R_i)) for each node: M(R_i) = (u_i, w_i), so the lesser coordinate value."""
-        return tuple(map(min, self._node_values()))
+        return tuple(map(min, self.path._node_values()))
 
     def point_basis(self):
         """Multiplicity of the simple ideal of V at each node of the path:
@@ -296,7 +279,8 @@ def simple_ideal(V):
     infinity and affine-0 steps, I_V is its staircase, with no kernel.
 
     The result I is certified equal to I_V without a tree.  Every generator
-    has floored value c, so I lies in I_V.  One frame of I at bound D + 1
+    has floored value c, so I lies in I_V; a monomial generator, as each of
+    a staircase is, is read at its weighted value with no step.  One frame of I at bound D + 1
     must show a full layer, since M^D lies in I_V, and its colength must be
     the Hoskin-Deligne count of I_V, the sum of [k_i : k] * rho_i (rho_i + 1)
     / 2 over the point basis rho (Lipman 1988).  An ideal inside I_V of the
@@ -320,7 +304,7 @@ def simple_ideal(V):
         # v(x^a y^b) = a.v(x) + b.v(y): the least b with value >= c for each a
         vx, vy = V.coordinate_values()
         stairs = [(a, max(-(-(c - a * vx) // vy), 0)) for a in range(-(-c // vx) + 1)]
-        ideal = _prune_monomials(T, vars, [BiPoly.monomial(T, vars, e) for e in stairs])
+        ideal = _prune_monomials(T, vars, stairs)
     else:
         kernel = _value_kernel(V, c, D)
         gens = [BiPoly(T, vars, vec) for vec in kernel]

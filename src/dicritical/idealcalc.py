@@ -57,7 +57,7 @@ class TruncationFrame:
         if all(g.is_monomial() for g in ideal.gens):
             one, w = ideal.tower.one(), self._width
             self._basis = [[a, b, (((a + b) * w + a,), (one,))]
-                           for a, b in _minimal_exponents(ideal.gens) if a + b < bound]
+                           for a, b in _minimal_exponents(_exponents(ideal.gens)) if a + b < bound]
             self._cut()
             return
         for g in ideal.gens:
@@ -227,14 +227,19 @@ def _dedupe(tower, gens):
     return list({_gen_key(tower, g): g for g in gens}.values())
 
 
-def _minimal_exponents(gens):
-    """The minimal exponents of monomials gens: sorted by (i, j), an exponent
-    is kept when its j is below every kept j."""
+def _minimal_exponents(exps):
+    """The minimal ones of exponent pairs: sorted by (i, j), a pair is kept
+    when its j is below every kept j."""
     keep = []
-    for e in sorted(next(iter(g.terms)) for g in gens):
+    for e in sorted(exps):
         if not keep or e[1] < keep[-1][1]:
             keep.append(e)
     return keep
+
+
+def _exponents(gens):
+    """The exponent pair of each monomial in gens."""
+    return [next(iter(g.terms)) for g in gens]
 
 
 def _newton_polygon(exps):
@@ -248,19 +253,23 @@ def _newton_polygon(exps):
     return hull
 
 
-def _prune_monomials(tower, vars, gens):
-    """The monomial ideal of the minimal exponents of gens."""
+def _prune_monomials(tower, vars, exps):
+    """The monomial ideal of the minimal ones of exponent pairs exps."""
     return LocalIdeal(
-        tower, vars, [BiPoly.monomial(tower, vars, e) for e in _minimal_exponents(gens)]
+        tower, vars, [BiPoly.monomial(tower, vars, e) for e in _minimal_exponents(exps)]
     )
 
 
 def product(j, k):
+    """The ideal J.K.  Two monomial ideals multiply by adding exponent pairs
+    and keeping the minimal sums, with no polynomial product."""
     tower, vars = j.tower, j.vars
-    gens = [a * b for a in j.gens for b in k.gens]
-    if all(g.is_monomial() for g in gens):
-        return _prune_monomials(tower, vars, gens)
-    return LocalIdeal(tower, vars, _dedupe(tower, gens))
+    if all(g.is_monomial() for g in j.gens + k.gens):
+        right = _exponents(k.gens)
+        return _prune_monomials(
+            tower, vars, [(a + c, b + d) for a, b in _exponents(j.gens) for c, d in right]
+        )
+    return LocalIdeal(tower, vars, _dedupe(tower, [a * b for a in j.gens for b in k.gens]))
 
 
 def power(j, n):
@@ -280,7 +289,7 @@ def minimal_generators(ideal):
     if ideal.is_unit():
         return LocalIdeal(tower, ideal.vars, [BiPoly.one(tower, ideal.vars)])
     if all(g.is_monomial() for g in ideal.gens):
-        return _prune_monomials(tower, ideal.vars, ideal.gens)
+        return _prune_monomials(tower, ideal.vars, _exponents(ideal.gens))
     principal, residual = strip_principal(ideal)
     if not principal.is_constant():
         trimmed = minimal_generators(residual)
@@ -314,7 +323,7 @@ def _span_generators(tower, vars, candidates, degree, basis=(), below=None):
     mu x (mu - 1) matrix with entries in M, so ord(I) >= ord(K) >= mu - 1.
     """
     if all(g.is_monomial() for g in candidates):
-        return _prune_monomials(tower, vars, candidates)
+        return _prune_monomials(tower, vars, _exponents(candidates))
     w, rows = degree + 1, {}
 
     def lookup(k):
@@ -338,16 +347,33 @@ def _span_generators(tower, vars, candidates, degree, basis=(), below=None):
     return LocalIdeal(tower, vars, kept)
 
 
-class ClosureData(namedtuple("ClosureData", "tree floors")):
+class ClosureData:
     """An integral closure read off the base-point tree: f lies in it when the
     principal part divides f at the origin and each dicritical v takes at
-    least its floor on f."""
+    least its floor on f.  The floors are those given, else built when first
+    read: a colength reads none.  The floor v(I) of a dicritical v is
+    sum_i v(M_i) * ord(J_i) over the transforms J_i on v's path
+    (Huneke-Swanson ch. 14), plus v(p) for a principal part p that vanishes
+    at the origin."""
 
-    __slots__ = ()
+    __slots__ = ("tree", "_floors")
+
+    def __init__(self, tree, floors=None):
+        self.tree, self._floors = tree, floors
 
     @property
     def principal(self):
         return self.tree.principal
+
+    @property
+    def floors(self):
+        if self._floors is None:
+            p, floors = self.principal, []
+            for node, v in self.tree.dicritical_nodes():
+                c = sum(m * o for m, o in zip(v.intermediate_multiplicities(), node.orders))
+                floors.append((v, c if p.is_unit_at_origin() else c + v.value(p)))
+            self._floors = tuple(floors)
+        return self._floors
 
     def contains(self, f):
         if f.is_zero():
@@ -400,21 +426,12 @@ class _PolygonClosure(namedtuple("_PolygonClosure", "principal corners")):
 def closure_data(ideal, config=None):
     """The record that answers the closure questions: principal, contains(f)
     and colength(), the closure colength of the residual.  A monomial
-    ideal's is read off its Newton polygon.  Any other ideal gets its tree,
-    and the floor v(I) of each dicritical v: sum_i v(M_i) * ord(J_i) over the
-    transforms J_i on v's path (Huneke-Swanson ch. 14), plus v(p) for a
-    principal part p that vanishes at the origin."""
+    ideal's is read off its Newton polygon; any other ideal's off its tree."""
     if all(g.is_monomial() for g in ideal.gens):
-        corners = _newton_polygon(_minimal_exponents(ideal.gens))
+        corners = _newton_polygon(_minimal_exponents(_exponents(ideal.gens)))
         principal = BiPoly.monomial(ideal.tower, ideal.vars, (corners[0][0], corners[-1][1]))
         return _PolygonClosure(principal, corners)
-    tree = base_point_tree(ideal, config)
-    p = tree.principal
-    floors = []
-    for node, v in tree.dicritical_nodes():
-        c = sum(m * o for m, o in zip(v.intermediate_multiplicities(), node.orders))
-        floors.append((v, c if p.is_unit_at_origin() else c + v.value(p)))
-    return ClosureData(tree, tuple(floors))
+    return ClosureData(base_point_tree(ideal, config))
 
 
 def closure_membership(f, ideal, config=None):

@@ -59,7 +59,7 @@ class QdtStep(namedtuple("QdtStep", "kind c ext_name ext_minpoly", defaults=(Non
 class QdtPath:
     """A chain of QDT steps from a root ring, with the residue tower at each node."""
 
-    __slots__ = ("tower", "vars", "steps", "_towers")
+    __slots__ = ("tower", "vars", "steps", "_towers", "_values")
 
     def __init__(self, tower, vars, steps=()):
         vars = tuple(vars)
@@ -71,6 +71,7 @@ class QdtPath:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_towers", tuple(towers))
+        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QdtPath is immutable")
@@ -114,6 +115,25 @@ class QdtPath:
             else:
                 parts.append("aff(%s)" % tower.render(step.c))
         return "[" + " ".join(parts) + "]"
+
+    def _node_values(self):
+        """(v(u_i), v(w_i)) at each node i for v the terminal ring's order,
+        walked back from (1, 1) at the terminal node: u = u'w' at infinity,
+        and w = u'(w' + c) in an affine chart, u' times a unit unless c = 0.
+        Walked once per path."""
+        if self._values is None:
+            a = b = 1
+            out = [(a, b)]
+            for i, step in reversed(list(enumerate(self.steps))):
+                if step.kind == "infinity":
+                    a += b
+                elif not step.extends and self._towers[i].is_zero(step.c):
+                    b += a
+                else:
+                    b = a
+                out.append((a, b))
+            object.__setattr__(self, "_values", tuple(out[::-1]))
+        return self._values
 
     def pullback(self, f):
         """f in the terminal chart's coordinates, walked through the steps; f may
@@ -186,26 +206,30 @@ def pullback_order(path, f):
     return path.pullback(f).ord_at_origin()
 
 
-def _below(f, degree):
-    """The terms of f of degree below the given one: the engine's one floor
-    rule, applied before a step to the terms that no later reading sees."""
+def _below(f, floor, a=1, b=1):
+    """The terms x^i·y^j of f with i·a + j·b below the floor: the engine's
+    one floor rule, applied before a step to the terms that no later reading
+    sees.  The weights (a, b) are the values of x and y, (1, 1) for degree."""
     return BiPoly._trusted(
-        f.tower, f.vars, {e: a for e, a in f.terms.items() if e[0] + e[1] < degree}
+        f.tower, f.vars, {e: c for e, c in f.terms.items() if e[0] * a + e[1] * b < floor}
     )
 
 
 def _floored_order(path, f, floor):
     """min(pullback_order(path, f), floor), for asking whether the value
-    reaches the floor.  A step never lowers a term's degree, so the terms of
-    degree >= floor feed only such terms: they are dropped before each step."""
+    reaches the floor.  At node k, with (a, b) = (v(u_k), v(w_k)) from the
+    path's backward walk, a term u^i·w^j has value i·a + j·b, and v of a
+    sum is at least the least of its terms': the terms of value >= floor
+    change nothing below the floor and are dropped before each step.  A
+    single term left is its value, so a monomial takes no step; the terminal
+    weights are (1, 1), where the value is the order."""
     if f.is_zero():
         raise ZeroPolynomial("the zero element has no order")
-    for i, step in enumerate(path.steps):
-        f = _below(f, floor)
-        if f.is_zero():
-            return floor
-        f = _step_image(f, step, path.node_tower(i + 1))
-    return min(f.ord_at_origin(), floor)
+    for k, (a, b) in enumerate(path._node_values()):
+        f = _below(f, floor, a, b)
+        if len(f.terms) < 2 or k == path.length:
+            return min((i * a + j * b for i, j in f.terms), default=floor)
+        f = _step_image(f, path.steps[k], path.node_tower(k + 1))
 
 
 def transform_ideal(J, step):

@@ -147,7 +147,7 @@ def frame_trim(ideal, frame_degree):
     Monomial generators keep their minimal exponents."""
     tower, vars = ideal.tower, ideal.vars
     if all(g.is_monomial() for g in ideal.gens):
-        return list(ic._prune_monomials(tower, vars, ideal.gens).gens)
+        return list(ic._prune_monomials(tower, vars, ic._exponents(ideal.gens)).gens)
     gens = ic._dedupe(tower, ideal.gens)
     shifts = [g.mul_monomial(e) for g in gens for e in ((1, 0), (0, 1))]
     frame = InsertFrame(LocalIdeal(tower, vars, shifts), frame_degree + 1)

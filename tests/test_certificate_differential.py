@@ -20,6 +20,16 @@ floor, must return min(pullback_order(path, f), floor) for seeded f over
 every node tower of the benchmark's path shapes, seeded random paths and
 the extension paths over Q and F_7, with floors below, at and above the
 value.
+
+The floor is node-weighted: at node k a term u^i·w^j has value
+i·v(u_k) + j·v(w_k), the terms at or above the floor are dropped, and a
+single term left is read at its value, with no step.  So monomials are
+checked with values below, at and above the floor, polynomials with terms
+on both sides of the weighted line, and paths through extension steps and
+through aff(c), c != 0, where v(w) = v(u) at the node.  The same route
+takes no step for a monomial: neither the closure test of I_m's
+generators against the Abhyankar pencil nor the certificate of a
+staircase simple ideal pulls one back.
 """
 
 import random
@@ -31,7 +41,7 @@ import test_properties as props
 import test_transform_differential as td
 import test_trim_differential as trim
 import test_value_differential as vd
-from dicritical import divisors
+from dicritical import divisors, nearpoints
 from dicritical import idealcalc as ic
 from dicritical.arith import QQ, BiPoly
 from dicritical.errors import InternalInconsistency, ZeroPolynomial
@@ -149,3 +159,105 @@ def test_floored_orders_match_full_values(name, tower, second):
     assert max(values) >= 10 and 0 in values
     with pytest.raises(ZeroPolynomial):
         _floored_order(FIVE_STEPS, BiPoly.zero(QQ, V), 3)
+
+
+# paths through aff(c), c != 0, where v(w) = v(u) at the node; the inf
+# steps after them make that common value exceed 1
+NONZERO_AFFINE = [(1, 2, -1), (None, 2, None), (2, None, 1, None), (None, 1, 0, None, -2)]
+
+
+def _weighted_paths(tower, second, rng):
+    paths = [td._bench_divisor(shape, tower, rng).path for shape in td.SHAPES]
+    paths += [props.random_path(rng, tower, 6) for _ in range(20)]
+    paths += [w.path for w in cd._extension_paths(tower, second)]
+    return paths + [_path(tower, consts) for consts in NONZERO_AFFINE]
+
+
+def _weights(path):
+    """The values of the root coordinates, from their pullbacks."""
+    return tuple(pullback_order(path, BiPoly.variable(path.tower, V, v)) for v in V)
+
+
+@pytest.mark.parametrize(
+    "name,tower,second", cd.EXTENSION_FIELDS, ids=[n for n, _, _ in cd.EXTENSION_FIELDS]
+)
+def test_monomials_read_their_weighted_value(name, tower, second):
+    rng = random.Random("weighted monomials/%s" % name)
+    heavy = 0
+    for path in _weighted_paths(tower, second, rng):
+        a, b = _weights(path)
+        heavy += (a, b) != (1, 1)
+        for i in range(4):
+            for j in range(4):
+                f = BiPoly.monomial(tower, V, (i, j), tower.from_int(rng.randint(1, 5)))
+                v = pullback_order(path, f)
+                assert v == i * a + j * b, (path, i, j)
+                for floor in (max(v - 1, 0), v, v + 1):
+                    assert _floored_order(path, f, floor) == min(v, floor), (path, f, floor)
+    assert heavy >= 20
+
+
+@pytest.mark.parametrize(
+    "name,tower,second", cd.EXTENSION_FIELDS, ids=[n for n, _, _ in cd.EXTENSION_FIELDS]
+)
+def test_terms_on_both_sides_of_the_weighted_line(name, tower, second):
+    """f has terms below the line i·v(x) + j·v(y) = floor and on or above
+    it.  Random f mostly keep the value of their least term; a simple-ideal
+    generator times a random f reaches the floor by cancellation."""
+    rng = random.Random("weighted line/%s" % name)
+    reached = missed = 0
+    for path in _weighted_paths(tower, second, rng):
+        a, b = _weights(path)
+        polys = [vd._random_over(rng, rng.choice([path.tower, path.terminal_tower]))
+                 for _ in range(3)]
+        gens = divisors.simple_ideal(divisors.PrimeDivisor(path)).gens
+        polys += [g * props.random_poly(rng, tower, 2) for g in gens[:2]]
+        for f in polys:
+            values = sorted({i * a + j * b for i, j in f.terms})
+            if len(values) < 2:
+                continue
+            v = pullback_order(path, f)
+            floor = rng.choice([c for c in values[1:] if c <= v] or values[1:])
+            assert _floored_order(path, f, floor) == min(v, floor), (path, f, floor)
+            reached += v >= floor
+            missed += v < floor
+    assert reached >= 20 and missed >= 20
+
+
+def _monomial_steps(monkeypatch):
+    """The monomials that nearpoints._step_image is asked to carry."""
+    stepped, real = [], nearpoints._step_image
+
+    def counted(f, *args):
+        if f.is_monomial():
+            stepped.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(nearpoints, "_step_image", counted)
+    return stepped
+
+
+def test_pencil_closure_reads_monomials_with_no_step(monkeypatch):
+    """I_m's generators, and each divided by x, against the closure of
+    (F_m, G_m): the answers of the full pullbacks, and no monomial stepped."""
+    cases = []
+    for m in range(3, 9):
+        f, g, I = ic.abhyankar_family(m)
+        J = LocalIdeal(QQ, V, [f, g])
+        floors = ic.closure_data(J).floors
+        probes = list(I.gens) + [h.mul_monomial((-1, 0)) for h in I.gens if min(h.terms)[0]]
+        expected = [all(pullback_order(v.path, h) >= c for v, c in floors) for h in probes]
+        cases.append((J, probes, expected))
+    stepped = _monomial_steps(monkeypatch)
+    for J, probes, expected in cases:
+        assert [ic.closure_membership(h, J) for h in probes] == expected
+    assert stepped == []
+    assert {e for _, _, expected in cases for e in expected} == {False, True}
+
+
+def test_staircase_certificate_takes_no_step(monkeypatch):
+    stepped = _monomial_steps(monkeypatch)
+    for consts in [(0,) * 5, (None, None, 0), (0, None, 0, 0, None), (None, 0, None, 0, None, 0)]:
+        ideal = divisors.simple_ideal(divisors.PrimeDivisor(_path(QQ, consts)))
+        assert all(g.is_monomial() for g in ideal.gens), consts
+    assert stepped == []

@@ -765,7 +765,7 @@ def test_exit_internal_inconsistency(capsys, monkeypatch):
     def shifted_floors(ideal, config=None):
         data = real(ideal, config)
         floors = tuple((v, c + 1) for v, c in data.floors)
-        return data._replace(floors=floors)
+        return idealcalc.ClosureData(data.tree, floors)
 
     monkeypatch.setattr(idealcalc, "closure_data", shifted_floors)
     # a monomial J reads its Newton polygon, with no floors to shift

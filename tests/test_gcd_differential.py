@@ -9,6 +9,16 @@ is constant on both x = 1 and y = 1: a certificate that ignored the leading
 coefficient would call its multiples coprime.  The gcd of several
 polynomials, one certificate for all, must equal the pairwise gcds folded in
 order, as LocalIdeal.content took them before.
+
+When the coefficient of some power of one variable is a single term, the
+test along that variable alone certifies: a common factor free of it would
+divide that term.  The factors that test leaves out are the ones free of a
+variable but not monomial: y^2 + 2 and x + 1, and random univariate ones,
+times cofactors with single-term columns such as (y + 1)(x^2 + y), whose
+coefficient of y^0 is x^2.  A certificate that read a single-term column
+on the wrong side, or let one decide without any test, calls them coprime.
+The Abhyankar pencil (F_m, G_m) has a single term in every column, so its
+content is certified along y, the lower degree, with no test along x.
 """
 
 import random
@@ -21,6 +31,7 @@ from dicritical.arith import QQ, BiPoly, FieldTower
 from dicritical.arith import polynomials
 from dicritical.arith.polynomials import _prs_gcd, bipoly_gcd
 from dicritical.divisors import PrimeDivisor, simple_ideal
+from dicritical.idealcalc import abhyankar_family
 from dicritical.nearpoints import LocalIdeal, QdtPath, QdtStep
 
 V = ("x", "y")
@@ -162,3 +173,70 @@ def test_content_certifies_all_generators_at_once(monkeypatch):
     monkeypatch.setattr(polynomials, "_prs_gcd", counted)
     assert ideal.content() == BiPoly.one(QQ, V)
     assert calls == []
+
+
+def _univariate(tower, rng, axis):
+    """A random factor in vars[axis] only, of degree 1 to 3, not a monomial."""
+    while True:
+        exps = [(k, 0) if axis == 0 else (0, k) for k in range(rng.randint(1, 3) + 1)]
+        h = BiPoly(tower, V, {e: _scalar(tower, rng) for e in exps
+                              if e == (0, 0) or rng.random() < 0.7})
+        if not h.is_monomial():
+            return h
+
+
+def _single_columns(tower, rng):
+    """A random polynomial with a single-term coefficient of some power of x
+    and of some power of y: a random one plus a term beyond both degrees."""
+    f = _poly(tower, rng, rng.randint(1, 4), 3)
+    top = (rng.randint(4, 5), rng.randint(4, 5))
+    return f + BiPoly.monomial(tower, V, top, _scalar(tower, rng))
+
+
+def _one_variable_factors(tower, rng):
+    x, y = BiPoly.variable(tower, V, "x"), BiPoly.variable(tower, V, "y")
+    one = BiPoly.one(tower, V)
+    fixed = [y * y + one + one, x + one, (y * y + one + one) * (x + one)]
+    return fixed + [_univariate(tower, rng, axis) for axis in (0, 1) for _ in range(4)]
+
+
+@pytest.mark.parametrize("name,tower", FIELDS, ids=[n for n, _ in FIELDS])
+def test_one_variable_factors_are_found(name, tower):
+    rng = random.Random("one variable/%s" % name)
+    x, y = BiPoly.variable(tower, V, "x"), BiPoly.variable(tower, V, "y")
+    one = BiPoly.one(tower, V)
+    for h in _one_variable_factors(tower, rng):
+        cofactors = [((y + one) * (x * x + y), x + y * y * y)]
+        cofactors += [(_single_columns(tower, rng), _single_columns(tower, rng)) for _ in range(3)]
+        for a, b in cofactors:
+            f, g = h * a, h * b
+            expected = _prs_gcd(f, g)
+            assert not expected.is_constant(), (f.render(), g.render())
+            assert bipoly_gcd(f, g) == bipoly_gcd(g, f) == expected, (f.render(), g.render())
+            assert bipoly_gcd(f, g, h * (a + b)) == expected
+
+
+@pytest.mark.parametrize("name,tower", FIELDS, ids=[n for n, _ in FIELDS])
+def test_single_term_columns_match_prs(name, tower):
+    rng = random.Random("single columns/%s" % name)
+    for _ in range(PAIRS):
+        h = _common_factor(tower, rng.choice(["constant", "random"]), rng)
+        f, g = h * _single_columns(tower, rng), h * _single_columns(tower, rng)
+        assert bipoly_gcd(f, g) == bipoly_gcd(g, f) == _prs_gcd(f, g), (f.render(), g.render())
+
+
+@pytest.mark.parametrize("name,tower", [FIELDS[0], FIELDS[2]], ids=["Q", "F32003"])
+def test_pencil_content_specializes_only_y(monkeypatch, name, tower):
+    """F_m and G_m have a single term at each power of x and of y; y has
+    the lower degree, so x is never the variable kept."""
+    pencils = [abhyankar_family(m, tower)[:2] for m in range(3, 13)]
+    kept, real = [], polynomials._specialize
+
+    def counted(f, axis, c):
+        kept.append(axis)
+        return real(f, axis, c)
+
+    monkeypatch.setattr(polynomials, "_specialize", counted)
+    for f, g in pencils:
+        assert LocalIdeal(tower, V, [f, g]).content() == BiPoly.one(tower, V)
+    assert kept and 0 not in kept

@@ -231,6 +231,27 @@ def test_product_and_power_monomial_pruning():
     assert ic.power(J, 0).is_unit()
 
 
+def test_monomial_product_multiplies_no_polynomials(monkeypatch):
+    """Exponent pairs add: the minimal sums are the pruned polynomial products."""
+    rng = random.Random("monomial product")
+    pairs = [(ic.abhyankar_family(5)[2], ic.power(ic.abhyankar_family(4)[2], 2))]
+    for _ in range(20):
+        pairs.append(tuple(monomial_ideal([(rng.randint(0, 6), rng.randint(0, 6))
+                                           for _ in range(rng.randint(1, 4))]) for _ in range(2)))
+    expected = []
+    for j, k in pairs:
+        sums = {e for a in j.gens for b in k.gens for e in (a * b).terms}
+        expected.append(sorted(e for e in sums if not any(
+            f != e and f[0] <= e[0] and f[1] <= e[1] for f in sums)))
+
+    def refuse(*args):
+        raise AssertionError("a polynomial product was formed")
+
+    monkeypatch.setattr(BiPoly, "mul", refuse)
+    for (j, k), exps in zip(pairs, expected):
+        assert sorted(e for g in ic.product(j, k).gens for e in g.terms) == exps
+
+
 def test_closure_membership_golden():
     J = LocalIdeal(QQ, V, [X.pow(3), Y.pow(2)])
     assert ic.closure_membership(X.pow(2).mul(Y), J)
