@@ -10,19 +10,35 @@ Three regimes share one entry point, factor_univariate:
   * rational extension towers: Trager's norm descent to the level below.
 
 All returned factors are monic and canonically ordered.
+
+The squarefree split and the finite regime run on coefficient lists with the
+top level's kernels, the list power kernel fields.pow_mod and the one
+Euclid, polynomials._gcd_coeffs; a UniPoly is built only for each factor
+returned.  Over F_q, x^q mod f is taken once per squarefree part f of
+degree n, and the q-power map is kept as the n x n matrix whose columns are
+x^(q i) mod f: each later distinct-degree step is one matrix-vector product
+instead of a power by q, and for odd q an equal-degree split of degree
+d >= 2 raises the norm u u^q ... u^(q^(d-1)) to (q - 1)/2, not u to
+(q^d - 1)/2.  The parse-time degree budget, MAX_FRAME_DEGREE = 1024, bounds
+n, so a matrix holds at most about a million coefficients.
 """
 
 import itertools
 import math
 import operator
 
-from .fields import QQ, FieldTower, _convolution, _is_prime, _long_division, inv_mod, trim
-from .polynomials import UniPoly
+from .fields import QQ, FieldTower, _convolution, _is_prime, _long_division, inv_mod, pow_mod, trim
+from .polynomials import UniPoly, _gcd_coeffs, _monic_coeffs
 from ..errors import BudgetExceeded, InternalInconsistency, NotIrreducible, ZeroPolynomial
 
 
+def _key(T, a):
+    """The canonical order of coefficient lists over T: degree, then coefficients."""
+    return (len(a), tuple(map(T.sort_key, a)))
+
+
 def _poly_key(p):
-    return (p.degree, tuple(p.tower.sort_key(c) for c in p.coeffs))
+    return _key(p.tower, p.coeffs)
 
 
 def squarefree_decomposition(f):
@@ -30,64 +46,83 @@ def squarefree_decomposition(f):
 
     Returns (lc, [(g_i, m_i), ...]) sorted by multiplicity then key.
     """
+    lc, parts = _squarefree_parts(f)
+    return lc, [(UniPoly(f.tower, g), m) for g, m in parts]
+
+
+def _squarefree_parts(f):
+    """squarefree_decomposition with each g_i a coefficient list."""
     if f.is_zero():
         raise ZeroPolynomial("cannot decompose the zero polynomial")
-    lc = f.lc()
-    parts = _sqf_monic(f.monic(), 1)
-    parts.sort(key=lambda gm: (gm[1], _poly_key(gm[0])))
-    return lc, parts
-
-
-def _sqf_monic(f, scale):
     T = f.tower
-    if f.degree == 0:
+    parts = _sqf_monic(T, _monic_coeffs(T.top, list(f.coeffs)), 1)
+    parts.sort(key=lambda gm: (gm[1], _key(T, gm[0])))
+    return f.lc(), parts
+
+
+def _sqf_monic(T, f, scale):
+    level = T.top
+    if len(f) == 1:
         return []
-    c = f.gcd(f.derivative())
-    w = f.exact_div(c)
+    c = _gcd_coeffs(level, f, _derivative(T, f))
+    if len(c) == 1:
+        return [(f, scale)]
+    w = _quo(level, f, c)
     out = []
     i = 1
-    while w.degree > 0:
-        y = w.gcd(c)
-        z = w.exact_div(y)
-        if z.degree > 0:
+    while len(w) > 1:
+        y = _gcd_coeffs(level, w, c)
+        z = _quo(level, w, y)
+        if len(z) > 1:
             out.append((z, i * scale))
         w = y
-        c = c.exact_div(y)
+        c = _quo(level, c, y)
         i += 1
-    if c.degree > 0:
+    if len(c) > 1:
         p = T.char
         if not p:
             raise InternalInconsistency("nontrivial inseparable part in characteristic zero")
-        out.extend(_sqf_monic(_pth_root_poly(c), scale * p))
+        out.extend(_sqf_monic(T, _pth_root(T, c), scale * p))
     return out
 
 
-def _pth_root_poly(f):
+def _pth_root(T, f):
     """p-th root of a polynomial lying in K[x^p], over a finite tower."""
-    T = f.tower
     p = T.char
+    if any(not T.is_zero(c) for k, c in enumerate(f) if k % p):
+        raise InternalInconsistency("polynomial is not a p-th power")
     e = T.element_count() // p
-    coeffs = []
-    for k, c in enumerate(f.coeffs):
-        if k % p:
-            if not T.is_zero(c):
-                raise InternalInconsistency("polynomial is not a p-th power")
-            continue
-        coeffs.append(T.pow(c, e))
-    return UniPoly(T, coeffs)
+    return [T.pow(c, e) for c in f[::p]]
+
+
+def _derivative(T, a):
+    mul = T.top.mul
+    return trim([mul(T.from_int(k), c) for k, c in enumerate(a)][1:], T.top.is_zero)
+
+
+def _quo(level, a, b):
+    """a / b for a monic b that divides a."""
+    return level.pdivmod(a, b)[0]
+
+
+def _sub(level, a, b):
+    pairs = itertools.zip_longest(a, b, fillvalue=level.zero)
+    return trim([level.sub(s, t) for s, t in pairs], level.is_zero)
+
+
+def _padded(level, a, n):
+    return list(a) + [level.zero] * (n - len(a))
 
 
 def factor_univariate(f):
     """Full factorization: (lc, [(monic irreducible, multiplicity), ...])."""
     if f.degree == 1:
         return f.lc(), [(f.monic(), 1)]
-    lc, squarefree = squarefree_decomposition(f)
-    out = []
-    for g, m in squarefree:
-        for irr in _factor_squarefree_monic(g):
-            out.append((irr, m))
-    out.sort(key=lambda im: _poly_key(im[0]))
-    return lc, out
+    T = f.tower
+    lc, squarefree = _squarefree_parts(f)
+    out = [(irr, m) for g, m in squarefree for irr in _factor_squarefree_monic(T, g)]
+    out.sort(key=lambda im: _key(T, im[0]))
+    return lc, [(UniPoly(T, irr), m) for irr, m in out]
 
 
 def is_irreducible(f):
@@ -109,43 +144,67 @@ def extend(tower, minpoly, name, check=True):
     return tower.extended(name, m.coeffs)
 
 
-def _factor_squarefree_monic(g):
-    T = g.tower
-    if g.degree == 1:
+def _factor_squarefree_monic(T, g):
+    """The monic irreducible factors of the monic squarefree list g over T,
+    as lists in canonical order."""
+    if len(g) == 2:
         return [g]
-    if T.char:
-        out = []
-        for part, d in _ddf(g):
-            out.extend(_edf(part, d))
-        out.sort(key=_poly_key)
-        return out
     if T.is_rationals:
         return _factor_rationals(g)
-    return _factor_trager(g)
+    if not T.char:
+        return [list(h.coeffs) for h in _factor_trager(UniPoly(T, g))]
+    parts, cols = _ddf(T, g)
+    out = [u for part, d in parts for u in _edf(T, part, d, cols)]
+    out.sort(key=lambda u: _key(T, u))
+    return out
 
 
 # ---------------------------------------------------------------- finite case
+#
+# Von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14.  The q-power
+# map modulo f is linear over F_q, as every coefficient is its own q-th power.
 
-def _ddf(f):
-    """Distinct-degree split of a monic squarefree f over a finite tower."""
-    T = f.tower
-    q = T.element_count()
-    x = UniPoly.gen(T)
-    v = f
-    h = x.mod(v)
-    d = 0
-    out = []
-    while v.degree >= 2 * (d + 1):
-        d += 1
-        h = h.pow_mod(q, v)
-        g = h.sub(x).gcd(v)
-        if g.degree > 0:
-            out.append((g, d))
-            v = v.exact_div(g)
-            h = h.mod(v)
-    if v.degree > 0:
-        out.append((v, v.degree))
+def _frobenius(level, f, xq):
+    """The columns x^(q i) mod f, i < deg f, of deg f coefficients each,
+    from xq = x^q mod f."""
+    mul = level.mulmod(f)
+    cols = [_padded(level, [level.one], len(f) - 1), xq]
+    while len(cols) < len(f) - 1:
+        cols.append(mul(cols[-1], xq))
+    return cols
+
+
+def _qth_power(level, cols, h):
+    """h^q modulo f, for a residue h and the columns of f's q-power map."""
+    out = [level.zero] * len(cols)
+    for c, col in zip(h, cols):
+        if not level.is_zero(c):
+            out = list(map(level.times(c)[1], out, col))
     return out
+
+
+def _ddf(T, f):
+    """Distinct-degree split of a monic squarefree f over a finite tower: the
+    pairs (product of the factors of degree d, d), and the columns of the
+    q-power map modulo f, or None when no step past the first needed them."""
+    level = T.top
+    x = [level.zero, level.one]
+    h = _padded(level, pow_mod(level, x, T.element_count(), f), len(f) - 1)
+    cols, v, d, out = None, f, 0, []
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        if d > 1:
+            if cols is None:
+                cols = _frobenius(level, f, h)
+            h = _qth_power(level, cols, h)
+        # h is x^(q^d) modulo f, a multiple of v
+        g = _gcd_coeffs(level, _sub(level, h, x), v)
+        if len(g) > 1:
+            out.append((g, d))
+            v = _quo(level, v, g)
+    if len(v) > 1:
+        out.append((v, len(v) - 1))
+    return out, cols
 
 
 def _split_candidates(T, degree_bound):
@@ -160,45 +219,54 @@ def _split_candidates(T, degree_bound):
         while m:
             digits.append(T.element_from_index(m % q))
             m //= q
-        yield UniPoly(T, digits)
+        yield digits
 
 
-def _edf(f, d):
-    """Split a product of degree-d irreducibles into its monic factors."""
+def _edf(T, f, d, cols):
+    """Split a product of degree-d irreducibles into its monic factors; cols
+    is the q-power map modulo a multiple of f, as _ddf returns it."""
     out = []
     stack = [f]
     while stack:
         cur = stack.pop()
-        if cur.degree == d:
-            out.append(cur.monic())
+        if len(cur) - 1 == d:
+            out.append(cur)
             continue
-        g = _edf_split(cur, d)
+        g = _edf_split(T, cur, d, cols)
         stack.append(g)
-        stack.append(cur.exact_div(g))
+        stack.append(_quo(T.top, cur, g))
     return out
 
 
-def _edf_split(f, d):
-    T = f.tower
+def _edf_split(T, f, d, cols):
+    level = T.top
     p = T.char
     q = T.element_count()
-    for u in _split_candidates(T, f.degree):
-        g = u.gcd(f)
-        if 0 < g.degree < f.degree:
+    n = len(f) - 1
+    mul = level.mulmod(f)
+    if p != 2 and d > 1:
+        cols = [_padded(level, level.pdivmod(c, f)[1], n) for c in cols[:n]]
+    for u in _split_candidates(T, n):
+        g = _gcd_coeffs(level, u, f)
+        if 1 < len(g) < len(f):
             return g
+        cur = _padded(level, level.pdivmod(u, f)[1], n)
         if p == 2:
-            m = q.bit_length() - 1
-            cur = u.mod(f)
+            # the trace u + u^2 + ... + u^(2^(m d - 1)) for q = 2^m
             acc = cur
-            for _ in range(m * d - 1):
-                cur = cur.pow_mod(2, f)
-                acc = acc.add(cur)
-            g = acc.gcd(f)
+            for _ in range((q.bit_length() - 1) * d - 1):
+                cur = mul(cur, cur)
+                acc = list(map(level.add, acc, cur))
+            g = _gcd_coeffs(level, trim(acc, level.is_zero), f)
         else:
-            e = (q ** d - 1) // 2
-            w = u.pow_mod(e, f)
-            g = w.sub(UniPoly.one(T)).gcd(f)
-        if 0 < g.degree < f.degree:
+            # u^((q^d - 1)/2) is N^((q - 1)/2) for the norm N = u u^q ... u^(q^(d-1))
+            norm = cur
+            for _ in range(d - 1):
+                cur = _qth_power(level, cols, cur)
+                norm = mul(norm, cur)
+            w = pow_mod(level, norm, (q - 1) // 2, f)
+            g = _gcd_coeffs(level, _sub(level, w, [level.one]), f)
+        if 1 < len(g) < len(f):
             return g
     raise InternalInconsistency("equal-degree splitting found no proper factor")
 
@@ -217,21 +285,23 @@ _PRIME_TRIALS = 5
 
 
 def _factor_rationals(g):
-    """Monic irreducible factors of a monic squarefree g in Q[t], deg g >= 2."""
+    """Monic irreducible factors of a monic squarefree g in Q[t], deg g >= 2,
+    as coefficient lists in canonical order."""
     denominator = 1
-    for c in g.coeffs:
+    for c in g:
         denominator = denominator * c.denominator // math.gcd(denominator, c.denominator)
-    f = _primitive([c.numerator * (denominator // c.denominator) for c in g.coeffs])
+    f = _primitive([c.numerator * (denominator // c.denominator) for c in g])
     best = None
-    for fbar in itertools.islice(_good_reductions(f), _PRIME_TRIALS):
-        parts = _ddf(fbar)
-        count = sum(part.degree // d for part, d in parts)
+    for T, fbar in itertools.islice(_good_reductions(f), _PRIME_TRIALS):
+        parts, cols = _ddf(T, fbar)
+        count = sum((len(part) - 1) // d for part, d in parts)
         if best is None or count < best[0]:
-            best = (count, fbar.tower.char, parts)
+            best = (count, T, parts, cols)
         if count == 1:
             return [g]
-    _, p, parts = best
-    modular = [list(u.coeffs) for part, d in parts for u in _edf(part, d)]
+    _, T, parts, cols = best
+    p = T.char
+    modular = [u for part, d in parts for u in _edf(T, part, d, cols)]
     # twice the Mignotte bound on the coefficients of a factor h of f, times
     # lc(f): symmetric residues mod anything larger give lc(f)/lc(h) * h exactly
     n = len(f) - 1
@@ -240,18 +310,20 @@ def _factor_rationals(g):
     while modulus <= bound:
         modulus *= modulus
     lifted = _hensel_lift(f, modular, p, modulus)
-    out = [UniPoly(QQ, h).monic() for h in _recombine(f, lifted, modulus)]
-    out.sort(key=_poly_key)
+    out = [_monic_coeffs(QQ.top, h) for h in _recombine(f, lifted, modulus)]
+    out.sort(key=lambda h: _key(QQ, h))
     return out
 
 
 def _good_reductions(f):
-    """f mod p, made monic, for the primes p > 2 that keep it squarefree."""
+    """F_p and f mod p, made monic, for the primes p > 2 that keep f squarefree."""
     for p in itertools.count(3, 2):
         if f[-1] % p and _is_prime(p):
-            fbar = UniPoly(FieldTower.prime_field(p), [c % p for c in f]).monic()
-            if fbar.gcd(fbar.derivative()).degree == 0:
-                yield fbar
+            T = FieldTower.prime_field(p)
+            lead = pow(f[-1], -1, p)
+            fbar = [c * lead % p for c in f]
+            if len(_gcd_coeffs(T.top, fbar, _derivative(T, fbar))) == 1:
+                yield T, fbar
 
 
 def _hensel_lift(f, modular, p, modulus):
@@ -394,15 +466,14 @@ def _factor_trager(f):
             if s == 0:
                 continue
             raise InternalInconsistency("shifted polynomial lost its generator")
-        norm = _sylvester_det(minpoly, tcoeffs)
-        if norm.gcd(norm.derivative()).degree != 0:
+        norm = _monic_coeffs(sub.top, list(_sylvester_det(minpoly, tcoeffs).coeffs))
+        if len(_gcd_coeffs(sub.top, norm, _derivative(sub, norm))) != 1:
             continue
-        pieces = _factor_squarefree_monic(norm.monic())
         back = K.mul(K.from_int(s), alpha)
         out = []
         rest = f
-        for h in sorted(pieces, key=_poly_key):
-            lifted = UniPoly(K, [K.lift_from(sub, c) for c in h.coeffs])
+        for h in _factor_squarefree_monic(sub, norm):
+            lifted = UniPoly(K, [K.lift_from(sub, c) for c in h])
             g = rest.gcd(lifted.shift(back))
             if g.degree > 0:
                 out.append(g.monic())

@@ -203,6 +203,27 @@ def inv_mod(level, a, m):
     return [mul(c, x) for x in s1]
 
 
+def pow_mod(level, a, e, m):
+    """a^e modulo the monic list m over level, as a trimmed list: square and
+    multiply with the level's mulmod kernel, on residues of deg m
+    coefficients until the end."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    mul = level.mulmod(m)
+    base = level.pdivmod(a, m)[1]
+    base += [level.zero] * (len(m) - 1 - len(base))
+    acc = (level.one,)
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return trim(list(acc), level.is_zero)
+
+
 def _scalar_reduce(p):
     """The ground's canonical form of an unreduced scalar: rational over Q
     (p None), one % p over F_p."""

@@ -21,6 +21,25 @@ def _scaling(level, c, n):
     return level.times(c)[0] if n > 3 else partial(level.mul, c)
 
 
+def _monic_coeffs(level, a):
+    """The coefficient list a over level scaled to leading coefficient one;
+    a itself when it is monic or empty."""
+    if not a or a[-1] == level.one:
+        return a
+    return list(map(_scaling(level, level.inv(a[-1]), len(a)), a))
+
+
+def _gcd_coeffs(level, a, b):
+    """The monic gcd of the trimmed coefficient lists a and b over level, by
+    Euclid on the level's division kernel; [] when both are zero."""
+    if not b:
+        a, b = b, a
+    while b:
+        b = _monic_coeffs(level, b)
+        a, b = b, trim(level.pdivmod(a, b)[1], level.is_zero)
+    return a
+
+
 def _taylor_shift(a, addmul):
     """The list a, low to high, replaced in place by the coefficients of
     a(t + c), where addmul(s, x) = s + c * x: n(n + 1)/2 multiply-adds for
@@ -54,10 +73,6 @@ class UniPoly:
     @classmethod
     def constant(cls, tower, c):
         return cls(tower, (c,))
-
-    @classmethod
-    def gen(cls, tower):
-        return cls(tower, (tower.zero(), tower.one()))
 
     def is_zero(self):
         return not self.coeffs
@@ -124,9 +139,6 @@ class UniPoly:
             quo = list(map(scale, quo))
         return UniPoly(T, quo), UniPoly(T, rem)
 
-    def mod(self, other):
-        return self.divmod(other)[1]
-
     def exact_div(self, other):
         q, r = self.divmod(other)
         if not r.is_zero():
@@ -134,44 +146,10 @@ class UniPoly:
         return q
 
     def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(self.tower.inv(self.lc()))
+        return UniPoly(self.tower, _monic_coeffs(self.tower.top, self.coeffs))
 
     def gcd(self, other):
-        if other.is_zero():
-            return self.monic()
-        level = self.tower.top
-        a, b = self.coeffs, other.coeffs
-        while b:
-            b = list(map(_scaling(level, level.inv(b[-1]), len(b)), b))
-            a, b = b, trim(level.pdivmod(a, b)[1], level.is_zero)
-        return UniPoly(self.tower, a)
-
-    def derivative(self):
-        T = self.tower
-        mul = T.top.mul
-        return UniPoly(T, [mul(T.from_int(k), c) for k, c in enumerate(self.coeffs)][1:])
-
-    def pow_mod(self, e, modulus):
-        """self^e modulo modulus, on residues of deg(modulus) coefficients until the end."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        if modulus.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        level = self.tower.top
-        m = modulus.monic().coeffs
-        mul = level.mulmod(m)
-        base = level.pdivmod(self.coeffs, m)[1]
-        base += [level.zero] * (len(m) - 1 - len(base))
-        acc = (level.one,)
-        while e:
-            if e & 1:
-                acc = mul(acc, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return UniPoly(self.tower, acc)
+        return UniPoly(self.tower, _gcd_coeffs(self.tower.top, self.coeffs, other.coeffs))
 
     def shift(self, c):
         """p(t + c) by the Taylor shift: n(n + 1)/2 multiply-adds for degree n."""

@@ -34,9 +34,10 @@ class RationalFn:
                 den = den.exact_div(g)
             # scale so the denominator is normalized
             lead = den.terms[min(den.terms)]
-            inv = den.tower.inv(lead)
-            num = num.scale(inv)
-            den = den.scale(inv)
+            if lead != den.tower.top.one:
+                inv = den.tower.inv(lead)
+                num = num.scale(inv)
+                den = den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

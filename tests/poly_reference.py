@@ -13,13 +13,23 @@ canonical form, an int when integral, through their own normalizer.
 
 zxgcd is the extended Euclid that factor._bezout replaced for the Hensel
 lift over Q: it carries both cofactors through every division over F_p.
+
+factor_finite and modular_factors are the UniPoly pipeline that the
+coefficient-list regime of arith/factor.py replaced, kept as the reference
+for tests/test_factor_differential.py: distinct-degree splitting that takes
+x^(q^d) by a fresh power by q at each degree, and equal-degree splitting by
+u^((q^d - 1)/2), on the same candidates in the same order.
 """
 
+import itertools
+import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from dicritical.arith.factor import _zadd, _zdivmod, _zmul
+from dicritical.arith import FieldTower, UniPoly
+from dicritical.arith.factor import _primitive, _zadd, _zdivmod, _zmul
+from dicritical.arith.fields import _is_prime
 from dicritical.errors import InternalInconsistency, ZeroInput
 
 _Level = namedtuple("_Level", "zero one add sub neg mul addmul submul inv is_zero")
@@ -258,3 +268,160 @@ def zxgcd(g, h, p):
         raise InternalInconsistency("modular factors are not coprime")
     inv = [pow(r0[0], -1, p)]
     return _zmul(s0, inv, p), _zmul(t0, inv, p)
+
+
+# ------------------------------------------------------ finite-field factoring
+
+
+def _upow_mod(u, e, f):
+    """u^e modulo the monic f, by the square and multiply above."""
+    T = u.tower
+    return UniPoly(T, pow_mod(T, list(u.coeffs), e, list(f.coeffs)))
+
+
+def _uderivative(f):
+    T = f.tower
+    return UniPoly(T, [T.mul(T.from_int(k), c) for k, c in enumerate(f.coeffs)][1:])
+
+
+def poly_key(p):
+    return (p.degree, tuple(p.tower.sort_key(c) for c in p.coeffs))
+
+
+def _sqf_monic(f, scale):
+    T = f.tower
+    if f.degree == 0:
+        return []
+    c = f.gcd(_uderivative(f))
+    w = f.exact_div(c)
+    out = []
+    i = 1
+    while w.degree > 0:
+        y = w.gcd(c)
+        z = w.exact_div(y)
+        if z.degree > 0:
+            out.append((z, i * scale))
+        w = y
+        c = c.exact_div(y)
+        i += 1
+    if c.degree > 0:
+        p = T.char
+        e = T.element_count() // p
+        root = UniPoly(T, [T.pow(a, e) for a in c.coeffs[::p]])
+        out.extend(_sqf_monic(root, scale * p))
+    return out
+
+
+def ddf(f):
+    """Distinct-degree split of a monic squarefree f over a finite tower."""
+    T = f.tower
+    q = T.element_count()
+    x = UniPoly(T, (T.zero(), T.one()))
+    v = f
+    h = x.divmod(v)[1]
+    d = 0
+    out = []
+    while v.degree >= 2 * (d + 1):
+        d += 1
+        h = _upow_mod(h, q, v)
+        g = h.sub(x).gcd(v)
+        if g.degree > 0:
+            out.append((g, d))
+            v = v.exact_div(g)
+            h = h.divmod(v)[1]
+    if v.degree > 0:
+        out.append((v, v.degree))
+    return out
+
+
+def _split_candidates(T, degree_bound):
+    q = T.element_count()
+    cap = q ** (degree_bound + 2)
+    for n in itertools.count(q):
+        if n > cap:
+            raise InternalInconsistency("equal-degree splitting exhausted its candidates")
+        digits = []
+        m = n
+        while m:
+            digits.append(T.element_from_index(m % q))
+            m //= q
+        yield UniPoly(T, digits)
+
+
+def edf(f, d):
+    """Split a product of degree-d irreducibles into its monic factors."""
+    out = []
+    stack = [f]
+    while stack:
+        cur = stack.pop()
+        if cur.degree == d:
+            out.append(cur.monic())
+            continue
+        g = _edf_split(cur, d)
+        stack.append(g)
+        stack.append(cur.exact_div(g))
+    return out
+
+
+def _edf_split(f, d):
+    T = f.tower
+    p = T.char
+    q = T.element_count()
+    for u in _split_candidates(T, f.degree):
+        g = u.gcd(f)
+        if 0 < g.degree < f.degree:
+            return g
+        if p == 2:
+            m = q.bit_length() - 1
+            cur = u.divmod(f)[1]
+            acc = cur
+            for _ in range(m * d - 1):
+                cur = _upow_mod(cur, 2, f)
+                acc = acc.add(cur)
+            g = acc.gcd(f)
+        else:
+            w = _upow_mod(u, (q ** d - 1) // 2, f)
+            g = w.sub(UniPoly.one(T)).gcd(f)
+        if 0 < g.degree < f.degree:
+            return g
+    raise InternalInconsistency("equal-degree splitting found no proper factor")
+
+
+def factor_finite(f):
+    """factor_univariate over a finite tower."""
+    if f.degree == 1:
+        return f.lc(), [(f.monic(), 1)]
+    parts = _sqf_monic(f.monic(), 1)
+    out = []
+    for g, m in parts:
+        irreducibles = [g] if g.degree == 1 else [
+            u for part, d in ddf(g) for u in edf(part, d)]
+        out.extend((u, m) for u in irreducibles)
+    out.sort(key=lambda um: poly_key(um[0]))
+    return f.lc(), out
+
+
+def modular_factors(g):
+    """The prime p and the modular factors, as int lists in order, that
+    Zassenhaus lifts for a monic squarefree g over Q of degree >= 2; None
+    when the best of five good primes shows g irreducible."""
+    denominator = 1
+    for c in g.coeffs:
+        denominator = denominator * c.denominator // math.gcd(denominator, c.denominator)
+    f = _primitive([c.numerator * (denominator // c.denominator) for c in g.coeffs])
+    best = None
+    reductions = (
+        UniPoly(FieldTower.prime_field(p), [c % p for c in f]).monic()
+        for p in itertools.count(3, 2)
+        if f[-1] % p and _is_prime(p)
+    )
+    good = (fbar for fbar in reductions if fbar.gcd(_uderivative(fbar)).degree == 0)
+    for fbar in itertools.islice(good, 5):
+        parts = ddf(fbar)
+        count = sum(part.degree // d for part, d in parts)
+        if best is None or count < best[0]:
+            best = (count, fbar.tower.char, parts)
+        if count == 1:
+            return None
+    _, p, parts = best
+    return p, [list(u.coeffs) for part, d in parts for u in edf(part, d)]

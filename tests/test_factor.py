@@ -84,7 +84,7 @@ def exhaustive_roots(tower, f):
     for i in range(tower.element_count()):
         e = tower.element_from_index(i)
         # f(e) is the remainder of f by t - e
-        if f.mod(UniPoly(tower, [tower.neg(e), tower.one()])).is_zero():
+        if f.divmod(UniPoly(tower, [tower.neg(e), tower.one()]))[1].is_zero():
             out.append(tower.sort_key(e))
     return sorted(out)
 
@@ -222,9 +222,10 @@ def test_exit_recombination_budget(capsys, monkeypatch):
 def test_linear_input_skips_the_squarefree_decomposition(tower, monkeypatch):
     # the path a degree-1 input took before: squarefree parts, each split
     def old_path(f):
-        lc, parts = squarefree_decomposition(f)
-        out = [(irr, m) for g, m in parts for irr in factor._factor_squarefree_monic(g)]
-        return lc, sorted(out, key=lambda im: factor._poly_key(im[0]))
+        lc, parts = factor._squarefree_parts(f)
+        out = [(irr, m) for g, m in parts for irr in factor._factor_squarefree_monic(tower, g)]
+        out.sort(key=lambda im: factor._key(tower, im[0]))
+        return lc, [(UniPoly(tower, irr), m) for irr, m in out]
 
     rng = random.Random("factor/linear/%r" % tower)
     elements = [tower.from_int(n) for n in (3, -2, 5, 11)]
@@ -233,7 +234,7 @@ def test_linear_input_skips_the_squarefree_decomposition(tower, monkeypatch):
     cases = [UniPoly(tower, [c, d]) for c in elements + [tower.zero()] for d in elements]
     cases += [UniPoly(tower, [rng.choice(elements), rng.choice(elements)]) for _ in range(10)]
     expected = [old_path(f) for f in cases]
-    monkeypatch.setattr(factor, "squarefree_decomposition", None)
+    monkeypatch.setattr(factor, "_squarefree_parts", None)
     for f, want in zip(cases, expected):
         assert factor_univariate(f) == want
 

@@ -1,17 +1,18 @@
 """The per-level polynomial kernels against the loops they replaced.
 
-UniPoly.mul, divmod, gcd, pow_mod and shift and BiPoly.shifted now fetch the
-top level of the tower once and call its kernels or closures (times(c), for
-many products by one c, against the level's mul and addmul): a product
-and a division by a monic polynomial that add up unreduced products and
-reduce once per output coefficient, and an extension level whose element
-product is the product kernel below followed by the remainder modulo its
-minimal polynomial.  tests/poly_reference.py keeps the earlier loops and
-extension arithmetic.  On seeded random inputs over Q, F_2, F_7, F_32003,
-extensions of F_7 of degree 2 to 6, F_5(a)(b) and Q(a)(b), every operation
-must give the reference's coefficients, with the same element types: zero
-and constant inputs, equal degrees, dividends whose leading terms cancel
-several at a time, common factors, and long lists over F_32003.
+UniPoly.mul, divmod, gcd and shift, BiPoly.shifted and the list power kernel
+fields.pow_mod fetch the top level of the tower once and call its kernels or
+closures (times(c), for many products by one c, against the level's mul and
+addmul): a product and a division by a monic polynomial that add up
+unreduced products and reduce once per output coefficient, and an extension
+level whose element product is the product kernel below followed by the
+remainder modulo its minimal polynomial.  tests/poly_reference.py keeps the
+earlier loops and extension arithmetic.  On seeded random inputs over Q,
+F_2, F_7, F_32003, extensions of F_7 of degree 2 to 6, F_5(a)(b) and
+Q(a)(b), every operation must give the reference's coefficients, with the
+same element types: zero and constant inputs, equal degrees, dividends whose
+leading terms cancel several at a time, common factors, and long lists over
+F_32003.
 """
 
 import random
@@ -19,7 +20,7 @@ import random
 import pytest
 
 import poly_reference as ref
-from dicritical.arith import BiPoly, FieldTower, UniPoly
+from dicritical.arith import BiPoly, FieldTower, UniPoly, fields
 from test_field_differential import TOWERS, _random_element
 
 FIELDS = TOWERS + [("F2", FieldTower.prime_field(2))]
@@ -125,11 +126,13 @@ def test_pow_mod(name, tower):
     for a, m in _pairs(tower, rng, count // 4, min(longest, 12)):
         if not m:
             with pytest.raises(ZeroDivisionError):
-                UniPoly(tower, a).pow_mod(3, UniPoly(tower, m))
+                fields.pow_mod(tower.top, a, 3, m)
             continue
+        # the kernel takes a monic modulus
+        monic = ref.monic(R, m)
         for e in exponents:
-            got = UniPoly(tower, a).pow_mod(e, UniPoly(tower, m))
-            assert _typed_list(got.coeffs) == _typed_list(ref.pow_mod(R, a, e, m)), (a, e, m)
+            got = fields.pow_mod(tower.top, a, e, monic)
+            assert _typed_list(got) == _typed_list(ref.pow_mod(R, a, e, m)), (a, e, m)
 
 
 @pytest.mark.parametrize("name,tower", FIELDS, ids=IDS)
